@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"eunomia/internal/fabric"
 	"eunomia/internal/harness"
 	"eunomia/internal/types"
 	"eunomia/internal/workload"
@@ -166,10 +165,7 @@ func BenchmarkFig7_Stragglers(b *testing.B) {
 
 // BenchmarkFabricPipelinedTCP compares the pipelined, windowed-ack wire
 // protocol against the original one-request-one-response protocol over a
-// real TCP connection on loopback, on the default zero-reflection wire
-// codec. BenchmarkFabricPipelinedTCPGob is the same run on the gob
-// ablation; the CI bench job runs both, so BENCH_ci.json carries the
-// codec comparison end-to-end.
+// real TCP connection on loopback.
 func BenchmarkFabricPipelinedTCP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := harness.PipelineBench(harness.PipelineBenchOptions{})
@@ -182,26 +178,10 @@ func BenchmarkFabricPipelinedTCP(b *testing.B) {
 	}
 }
 
-// BenchmarkFabricPipelinedTCPGob is the -codec gob ablation of
-// BenchmarkFabricPipelinedTCP: identical protocol, reflection-based
-// frames.
-func BenchmarkFabricPipelinedTCPGob(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := harness.PipelineBench(harness.PipelineBenchOptions{Codec: fabric.CodecGob})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.PipelinedPerSec, "pipelined-msgs/s")
-		b.ReportMetric(res.RequestResponsePerSec, "reqresp-msgs/s")
-		b.ReportMetric(res.Speedup, "pipeline-speedup-x")
-	}
-}
-
-// BenchmarkWireCodec measures the zero-reflection wire codec against the
-// gob ablation on the hot-path message shapes (metadata batch, windowed
-// release, receiver ship): encode+decode round trips per second, bytes
-// per message, allocations per round trip. The acceptance bar is ≥3×
-// throughput on BatchMsg and ReleaseMsg.
+// BenchmarkWireCodec measures the zero-reflection wire codec on the
+// hot-path message shapes (metadata batch, windowed release, receiver
+// ship): encode+decode round trips per second, bytes per message,
+// allocations per round trip.
 func BenchmarkWireCodec(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := harness.CodecBench(harness.CodecBenchOptions{})
@@ -210,19 +190,14 @@ func BenchmarkWireCodec(b *testing.B) {
 		}
 		for _, p := range res.Points {
 			b.ReportMetric(p.WirePerSec, p.Message+"-wire-encdec/s")
-			b.ReportMetric(p.GobPerSec, p.Message+"-gob-encdec/s")
-			b.ReportMetric(p.Speedup, p.Message+"-speedup-x")
 			b.ReportMetric(float64(p.WireBytes), p.Message+"-wire-B")
-			b.ReportMetric(float64(p.GobBytes), p.Message+"-gob-B")
 			b.ReportMetric(p.WireAllocs, p.Message+"-wire-allocs/op")
-			b.ReportMetric(p.GobAllocs, p.Message+"-gob-allocs/op")
 		}
 	}
 }
 
-// BenchmarkFabricWindowedRelease compares the windowed receiver→partition
-// release stream against the original blocking round-trip release in a
-// split-role datacenter with a 1ms link delay.
+// BenchmarkFabricWindowedRelease measures the windowed receiver→partition
+// release stream in a split-role datacenter with a 1ms link delay.
 func BenchmarkFabricWindowedRelease(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := harness.ReleaseBench(harness.ReleaseBenchOptions{Updates: 150})
@@ -230,8 +205,6 @@ func BenchmarkFabricWindowedRelease(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(res.WindowedPerSec, "windowed-applies/s")
-		b.ReportMetric(res.BlockingPerSec, "blocking-applies/s")
-		b.ReportMetric(res.Speedup, "release-speedup-x")
 	}
 }
 

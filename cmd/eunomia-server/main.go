@@ -142,7 +142,6 @@ func main() {
 		aggParent  = flag.String("agg-parent", "", `-role aggregator: comma list of parent endpoint names in this datacenter, e.g. "aggregator2,aggregator3" for a deeper tree (default: the Eunomia replica set)`)
 		aggFlush   = flag.Duration("agg-flush", 0, "-role aggregator: merge-and-forward period (default -batch-interval)")
 		listen     = flag.String("listen", ":7077", "fabric listen address")
-		addr       = flag.String("addr", "", "legacy alias for -listen")
 		advertise  = flag.String("advertise", "", "address peers dial to reach this process (default: listen address)")
 		batchIvl   = flag.Duration("batch-interval", time.Millisecond, "partition→Eunomia propagation period (baseline modes: inter-DC ship batching interval)")
 		stableIvl  = flag.Duration("stable-interval", time.Millisecond, "stabilization period θ")
@@ -160,8 +159,7 @@ func main() {
 		walGDelay  = flag.Duration("wal-group-delay", 0, "-wal-sync group: how long a committer accumulates after waking before it syncs (0 = sync as soon as the previous sync returns)")
 		walGMax    = flag.Int("wal-group-max", 0, "-wal-sync group: records that cut -wal-group-delay short (default 4096)")
 		metricsAd  = flag.String("metrics-addr", "", "serve Prometheus-style metrics (fabric, peer windows, codec latency, node state) on this HTTP address at /metrics")
-		codecName  = flag.String("codec", "wire", `fabric frame codec: "wire" (zero-reflection, default) or "gob" (the reflection ablation)`)
-		compressN  = flag.String("compress", "off", `wire-codec frame compression for connections this process dials: "off", "snappy", or "zstd"; inbound connections always follow the remote dialer's announcement, so mixed deployments interoperate`)
+		compressN  = flag.String("compress", "off", `frame compression for connections this process dials: "off", "snappy", or "zstd"; inbound connections always follow the remote dialer's announcement, so mixed deployments interoperate`)
 		wanSeed    = flag.Int64("wan-seed", 42, "seed for -wan jitter and loss draws; the same seed and topology replay identical link behaviour")
 		frontAddr  = flag.String("frontend-addr", "", "mode eunomia: serve the causal HTTP front door (GET/PUT /kv/{key} with X-Causal-Session tokens) on this address; needs a role that includes frontend (dc does)")
 		frontIndex = flag.Int("frontend-index", 0, "which of the datacenter's front-door fabric endpoints this process hosts; frontends are stateless and scale horizontally by index")
@@ -247,23 +245,9 @@ func main() {
 	}
 	agg.level = aggLevelFor(agg.idxs, *aggFanin, agg.redundant)
 
-	if *addr != "" {
-		if flagSet("listen") {
-			log.Fatal("-addr is a legacy alias for -listen; pass only one of them")
-		}
-		*listen = *addr
-	}
-
-	codec, err := fabric.ParseCodec(*codecName)
-	if err != nil {
-		log.Fatal(err)
-	}
 	scheme, err := compress.Parse(*compressN)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if scheme != compress.Off && codec == fabric.CodecGob {
-		log.Fatalf("-compress %s contradicts -codec gob: compression is defined only on the wire codec", scheme)
 	}
 	if flagSet("wan-seed") && len(wanSpecs) == 0 {
 		log.Fatal("-wan-seed applies only with -wan link specs")
@@ -292,7 +276,7 @@ func main() {
 	// process's roles are registered — otherwise a slow boot under load
 	// silently acks-and-drops the first frames of send-once edges
 	// (stable-metadata ships, payload batches).
-	fab, err := transport.Listen(transport.Config{Listen: *listen, Advertise: *advertise, Codec: codec,
+	fab, err := transport.Listen(transport.Config{Listen: *listen, Advertise: *advertise,
 		Compress: scheme, WANShaper: shaper, HoldDelivery: true, Faults: inj})
 	if err != nil {
 		log.Fatal(err)
@@ -720,22 +704,14 @@ func serveMetrics(addr string, fab *transport.TCP, h hosted) error {
 			)
 		}
 		// Serialization latency histograms: frame encode/decode cost and
-		// the socket flush, per codec. Both codecs can be live on one
-		// endpoint (inbound connections follow the remote dialer), and
-		// each sample lands under the codec that produced it, so a
-		// wire-vs-gob rollout compares honestly on one dashboard. The
-		// dialing codec always exports (even empty, so dashboards find
-		// the series); the other only once it has samples.
-		for _, codec := range []fabric.Codec{fabric.CodecWire, fabric.CodecGob} {
-			enc, dec, flush := fab.CodecStats(codec)
-			if codec != fab.Codec() && enc.Count() == 0 && dec.Count() == 0 && flush.Count() == 0 {
-				continue
-			}
-			label := [][2]string{{"codec", string(codec)}}
-			samples = append(samples, metrics.PromHistogram("eunomia_codec_encode_seconds", label, enc, nil)...)
-			samples = append(samples, metrics.PromHistogram("eunomia_codec_decode_seconds", label, dec, nil)...)
-			samples = append(samples, metrics.PromHistogram("eunomia_frame_flush_seconds", label, flush, nil)...)
-		}
+		// the socket flush. Always exported, even empty, so dashboards
+		// find the series; the codec label is kept for the dashboards
+		// that select on it.
+		enc, dec, flush := fab.CodecStats()
+		codecLabel := [][2]string{{"codec", "wire"}}
+		samples = append(samples, metrics.PromHistogram("eunomia_codec_encode_seconds", codecLabel, enc, nil)...)
+		samples = append(samples, metrics.PromHistogram("eunomia_codec_decode_seconds", codecLabel, dec, nil)...)
+		samples = append(samples, metrics.PromHistogram("eunomia_frame_flush_seconds", codecLabel, flush, nil)...)
 		// Compression byte accounting: pre-compress is what the wire
 		// records would have cost raw, post-compress what actually crossed
 		// the sockets. On uncompressed connections the two advance in

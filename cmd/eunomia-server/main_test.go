@@ -47,7 +47,7 @@ func buildServer(t *testing.T) string {
 // causally chained workload in the writer process, and has the watcher
 // process verify visibility (and, where promised, causal order) before
 // exiting. confirm is the mode's expected watcher verdict line; extra
-// flags (e.g. the -codec ablation) apply to both processes.
+// flags (e.g. -compress) apply to both processes.
 func runTwoProcessDemo(t *testing.T, bin, mode, confirm string, pairs int, extra ...string) {
 	t.Helper()
 	addr0, addr1 := freePort(t), freePort(t)
@@ -134,17 +134,6 @@ func TestTwoProcessDatacenterOverTCP(t *testing.T) {
 			runTwoProcessDemo(t, bin, mode, confirm, 12)
 		})
 	}
-}
-
-// TestTwoProcessGobAblationOverTCP runs the eunomia demo on the gob
-// codec ablation (-codec gob): the reflection-based frame streams must
-// still carry the whole protocol, or the codec benchmarks compare
-// against a broken baseline.
-func TestTwoProcessGobAblationOverTCP(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping multi-process demo in -short mode")
-	}
-	runTwoProcessDemo(t, buildServer(t), "eunomia", "causal chain OK", 12, "-codec", "gob")
 }
 
 // TestTwoProcessCompressedOverTCP runs the whole comparison matrix with
@@ -804,9 +793,6 @@ func TestRejectsContradictoryFlags(t *testing.T) {
 		{"unknown-compress",
 			[]string{"-mode", "eunomia", "-role", "dc", "-compress", "lz4"},
 			"unknown scheme"},
-		{"compress-contradicts-gob",
-			[]string{"-mode", "eunomia", "-role", "dc", "-codec", "gob", "-compress", "zstd"},
-			"contradicts -codec gob"},
 		{"wan-seed-needs-wan",
 			[]string{"-mode", "eunomia", "-role", "dc", "-wan-seed", "7"},
 			"-wan-seed applies only with -wan"},

@@ -63,14 +63,6 @@ type MultiAckMsg struct {
 	Err  string
 }
 
-func init() {
-	RegisterPayload(BatchMsg{})
-	RegisterPayload(HeartbeatMsg{})
-	RegisterPayload(AckMsg{})
-	RegisterPayload(MultiBatchMsg{})
-	RegisterPayload(MultiAckMsg{})
-}
-
 // ConnMode selects how a ReplicaConn waits for acknowledgements.
 type ConnMode int
 

@@ -24,7 +24,6 @@
 package fabric
 
 import (
-	"encoding/gob"
 	"fmt"
 	"time"
 
@@ -87,8 +86,9 @@ func SequencerAddr(dc types.DCID, r types.ReplicaID) Addr {
 }
 
 // Message is one fabric datagram. Payload is an arbitrary protocol struct;
-// the fabric never inspects it (TCP backends gob-encode it, so concrete
-// payload types must be announced with RegisterPayload).
+// the fabric never inspects it (TCP backends encode it with the wire codec,
+// so concrete payload types must implement wire.Marshaler and be announced
+// with wire.Register).
 type Message struct {
 	From, To Addr
 	Payload  any
@@ -116,45 +116,4 @@ type Fabric interface {
 	// Close shuts the fabric down; in-flight and future sends are
 	// dropped.
 	Close()
-}
-
-// Codec selects the frame encoding of a networked fabric backend. It is
-// the seam the whole deployment threads through: cmd/eunomia-server's
-// -codec flag, transport.Config.Codec, and the benchmark harness all
-// speak this type.
-type Codec string
-
-const (
-	// CodecWire is the hand-rolled, zero-reflection type-tagged binary
-	// codec (internal/wire) — the default on every hot fabric edge.
-	CodecWire Codec = "wire"
-	// CodecGob is the original reflection-based encoding/gob persistent
-	// stream codec, kept as the benchmark ablation (the -codec gob flag,
-	// mirroring NodeConfig.BlockingRelease).
-	CodecGob Codec = "gob"
-)
-
-// ParseCodec maps a flag string to a Codec; the empty string selects the
-// default wire codec.
-func ParseCodec(s string) (Codec, error) {
-	switch Codec(s) {
-	case "", CodecWire:
-		return CodecWire, nil
-	case CodecGob:
-		return CodecGob, nil
-	}
-	return "", fmt.Errorf("unknown codec %q (want wire or gob)", s)
-}
-
-// RegisterPayload announces a concrete payload type to the gob-ablation
-// codec of networked fabric implementations. In-process fabrics ignore
-// it; call it from an init function next to the payload type declaration,
-// alongside the type's wire.Marshaler implementation and wire.Register
-// call (the default codec's registration — see internal/wire).
-func RegisterPayload(v any) { gob.Register(v) }
-
-func init() {
-	// Raw update batches are the payload-replication message every
-	// deployment ships; register them once here.
-	RegisterPayload([]*types.Update(nil))
 }

@@ -85,15 +85,6 @@ type WaitAckMsg struct {
 	Site vclock.V
 }
 
-func init() {
-	fabric.RegisterPayload(ClientReadMsg{})
-	fabric.RegisterPayload(ClientReadAckMsg{})
-	fabric.RegisterPayload(ClientWriteMsg{})
-	fabric.RegisterPayload(ClientWriteAckMsg{})
-	fabric.RegisterPayload(WaitMsg{})
-	fabric.RegisterPayload(WaitAckMsg{})
-}
-
 // Front-door error classes, for transports (HTTP) to map onto status
 // codes. Token parse failures come back wrapped in ErrBadToken.
 var (

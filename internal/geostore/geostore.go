@@ -50,25 +50,6 @@ type ShipMsg struct {
 	Ops    []*types.Update
 }
 
-// ApplyMsg asks the partition responsible for U.Key to apply a released
-// remote update, one blocking round trip at a time. It is the original
-// cross-process release protocol, kept for the blocking-release ablation
-// (NodeConfig.BlockingRelease); deployments default to the windowed
-// protocol in release.go. ArrivedUnixNano carries the metadata arrival
-// instant for visibility metrics.
-type ApplyMsg struct {
-	ID              uint64
-	U               *types.Update
-	ArrivedUnixNano int64
-}
-
-// ApplyAckMsg reports whether the partition could execute the update (a
-// false means its payload has not arrived yet; the receiver retries).
-type ApplyAckMsg struct {
-	ID uint64
-	OK bool
-}
-
 // PayloadPullMsg asks the origin datacenter's responsible partition to
 // re-ship one update's payload. A partition-process crash loses every
 // buffered payload newer than its last WAL flush (the shipping sibling
@@ -86,14 +67,6 @@ type PayloadPullMsg struct {
 // and carries its own payload.
 type PayloadSupersededMsg struct {
 	ID types.UpdateID
-}
-
-func init() {
-	fabric.RegisterPayload(ShipMsg{})
-	fabric.RegisterPayload(ApplyMsg{})
-	fabric.RegisterPayload(ApplyAckMsg{})
-	fabric.RegisterPayload(PayloadPullMsg{})
-	fabric.RegisterPayload(PayloadSupersededMsg{})
 }
 
 // VisibleFunc observes a remote update becoming visible at a destination
@@ -223,17 +196,12 @@ type NodeConfig struct {
 	// synchronous round trips, whose timing over the zero-delay local
 	// simnet link is identical to the direct calls they replace.
 	Pipelined bool
-	// AckTimeout bounds synchronous round trips and remote apply calls.
-	// Default 10s.
+	// AckTimeout bounds synchronous round trips. Default 10s.
 	AckTimeout time.Duration
 	// ReleaseWindow bounds in-flight releases on the windowed
 	// receiver→partition release path (split-role nodes only).
 	// Default 256.
 	ReleaseWindow int
-	// BlockingRelease selects the original one-round-trip-per-update
-	// release protocol instead of the windowed stream — the ablation the
-	// fabric benchmark compares against.
-	BlockingRelease bool
 
 	// AggIndexes selects which of the datacenter's Config.Aggregators
 	// fan-in endpoints this node hosts (RoleAggregator); nil hosts all
@@ -377,11 +345,6 @@ type Node struct {
 	flushErr error
 
 	ackTimeout time.Duration
-
-	// Blocking-release ablation state (remoteApply).
-	applyMu   sync.Mutex
-	applyID   uint64
-	applyWait map[uint64]chan bool
 }
 
 // NewNode builds and starts the selected roles, registering their
@@ -439,7 +402,6 @@ func OpenNode(nc NodeConfig) (*Node, error) {
 		backendName:   nc.StoreBackend,
 		snapCompress:  snapScheme,
 		ackTimeout:    nc.AckTimeout,
-		applyWait:     make(map[uint64]chan bool),
 	}
 	if nc.Roles.Has(RoleEunomia) {
 		n.buildEunomia()
@@ -535,10 +497,7 @@ func (n *Node) flushLoop() {
 		if marks != nil {
 			// Colocated: the partition flush above made every apply at or
 			// below the captured SiteTime durable, so the receiver may
-			// persist it. (The blocking-release ablation lands here too:
-			// its OK verdicts mean applied-not-durable at the remote
-			// process, a documented loss window of that ablation.)
-			// Windowed split nodes persist through relWin.onDurable.
+			// persist it. Split nodes persist through relWin.onDurable.
 			for k := 0; k < n.cfg.DCs; k++ {
 				if types.DCID(k) == n.id {
 					continue
@@ -871,9 +830,6 @@ func (n *Node) buildPartitions(nc NodeConfig) error {
 						return
 					}
 				}
-			case ApplyMsg:
-				ok := part.ApplyRemote(v.U, time.Unix(0, v.ArrivedUnixNano))
-				n.fab.Send(local, msg.From, ApplyAckMsg{ID: v.ID, OK: ok})
 			case ClientReadMsg:
 				// Off the delivery goroutine: replies must not contend
 				// with payload ingestion on this endpoint.
@@ -941,8 +897,7 @@ func (n *Node) buildPartitions(nc NodeConfig) error {
 // buildReceiver starts the receiver, releasing remote metadata to the
 // responsible partition: directly when the partition group is colocated,
 // through the windowed release stream (release.go) when it runs in
-// another process — or through blocking fabric round trips when the
-// BlockingRelease ablation asks for the original protocol.
+// another process.
 func (n *Node) buildReceiver(nc NodeConfig) error {
 	m := n.id
 	var healer *payloadHealer
@@ -950,12 +905,8 @@ func (n *Node) buildReceiver(nc NodeConfig) error {
 		return n.parts[n.ring.Responsible(u.Key)].ApplyRemote(u, metaArrived)
 	}
 	if !n.roles.Has(RolePartitions) {
-		if nc.BlockingRelease {
-			apply = n.remoteApply
-		} else {
-			n.relWin = newReleaseWindow(n.fab, fabric.ReceiverAddr(m), fabric.ApplierAddr(m), nc.ReleaseWindow)
-			apply = n.relWin.release
-		}
+		n.relWin = newReleaseWindow(n.fab, fabric.ReceiverAddr(m), fabric.ApplierAddr(m), nc.ReleaseWindow)
+		apply = n.relWin.release
 	} else if nc.DataDir != "" {
 		// Colocated durable node: releases go by direct call, but a crash
 		// can still have lost buffered payloads the origin pruned on
@@ -988,11 +939,11 @@ func (n *Node) buildReceiver(nc NodeConfig) error {
 			healer.arm()
 		}
 		if n.relWin != nil {
-			// Split role, windowed: the persisted site watermark follows
-			// the partition side's durable acknowledgements, so recovery
+			// Split role: the persisted site watermark follows the
+			// partition side's durable acknowledgements, so recovery
 			// never claims an apply a partition crash could still lose.
-			// (Colocated and blocking-ablation nodes mark durability from
-			// the flush loop instead.)
+			// (Colocated nodes mark durability from the flush loop
+			// instead.)
 			n.relWin.onDurable = func(rel ReleaseMsg) {
 				recv.MarkDurable(rel.U.Origin, rel.U.VTS.Get(int(rel.U.Origin)))
 			}
@@ -1062,45 +1013,9 @@ func (n *Node) buildReceiver(nc NodeConfig) error {
 			if n.relWin != nil {
 				n.relWin.handleAck(v)
 			}
-		case ApplyAckMsg:
-			n.applyMu.Lock()
-			ch := n.applyWait[v.ID]
-			delete(n.applyWait, v.ID)
-			n.applyMu.Unlock()
-			if ch != nil {
-				ch <- v.OK
-			}
 		}
 	})
 	return nil
-}
-
-// remoteApply releases one update to the (remote-process) responsible
-// partition and waits for its verdict. Timeouts report false, which the
-// receiver treats exactly like a missing payload: retry on the next pass.
-func (n *Node) remoteApply(u *types.Update, metaArrived time.Time) bool {
-	pid := n.ring.Responsible(u.Key)
-	n.applyMu.Lock()
-	n.applyID++
-	id := n.applyID
-	ch := make(chan bool, 1)
-	n.applyWait[id] = ch
-	n.applyMu.Unlock()
-
-	n.fab.Send(fabric.ReceiverAddr(n.id), fabric.PartitionAddr(n.id, pid),
-		ApplyMsg{ID: id, U: u, ArrivedUnixNano: metaArrived.UnixNano()})
-
-	timer := time.NewTimer(n.ackTimeout)
-	defer timer.Stop()
-	select {
-	case ok := <-ch:
-		return ok
-	case <-timer.C:
-		n.applyMu.Lock()
-		delete(n.applyWait, id)
-		n.applyMu.Unlock()
-		return false
-	}
 }
 
 // DC returns the node's datacenter.
@@ -1216,8 +1131,9 @@ func (n *Node) CloseIngress() {
 }
 
 // CloseServices stops the Eunomia replica set and the receiver, then the
-// durability machinery: the flush loop, the partition stores, and the
-// applier's stream store (the receiver closes its own store).
+// durability machinery: the flush loop, the partition and applier
+// endpoints, the partition stores, and the applier's stream store (the
+// receiver closes its own store).
 func (n *Node) CloseServices() {
 	if n.frontend != nil {
 		// First: fail client round trips before their partition and
@@ -1253,6 +1169,15 @@ func (n *Node) CloseServices() {
 	}
 	if n.app != nil {
 		n.app.close()
+	}
+	if n.roles.Has(RolePartitions) {
+		// Before the stores close: a payload or release delivered after
+		// closeStores would append to a closed WAL. A delivery already
+		// dispatched when this runs is dropped by the partition instead.
+		for i := range n.parts {
+			n.fab.Unregister(fabric.PartitionAddr(n.id, types.PartitionID(i)))
+		}
+		n.fab.Unregister(fabric.ApplierAddr(n.id))
 	}
 	n.closeStores()
 }

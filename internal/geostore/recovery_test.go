@@ -230,3 +230,27 @@ func TestPartitionRestartWithoutDataDirStillWedges(t *testing.T) {
 		return s.recv.ReleaseWedged()
 	})
 }
+
+// TestClosedDurableNodeDropsPayload pins the shutdown order: once a
+// durable node has closed, a payload for one of its partitions is
+// dropped rather than appended to a closed WAL — both one arriving over
+// the fabric (the endpoint is unregistered before the stores close) and
+// one whose delivery was already dispatched when the stores closed.
+func TestClosedDurableNodeDropsPayload(t *testing.T) {
+	cfg := Config{DCs: 2, Partitions: 2}
+	net := simnet.New(nil)
+	defer net.Close()
+	n, err := OpenNode(NodeConfig{Config: cfg, DC: 0, Roles: RoleAll, Fabric: net, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Close()
+
+	u := &types.Update{Key: "k", Value: []byte("v"), Origin: 1, Partition: 0, TS: 1 << 16}
+	dropped := net.Dropped.Load()
+	net.Send(fabric.PartitionAddr(1, 0), fabric.PartitionAddr(0, 0), []*types.Update{u})
+	waitUntil(t, 5*time.Second, "the delivery to the closed partition to drop", func() bool {
+		return net.Dropped.Load() > dropped
+	})
+	n.Partition(0).ReceivePayload(u) // a delivery that raced the close
+}

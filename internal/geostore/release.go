@@ -4,12 +4,12 @@ package geostore
 //
 // When a datacenter's receiver and partition group run in different
 // processes, every update the receiver releases must cross the fabric
-// before it becomes visible. The original protocol (remoteApply, kept
-// below for the blocking-release ablation) performed one blocking round
-// trip per update, which caps split-role deployments at ~1/RTT applies per
-// origin. The windowed protocol here removes the round trips while keeping
-// the property the blocking path provided — the visible set at the
-// partition process is always a causal prefix:
+// before it becomes visible. The original protocol performed one blocking
+// round trip per update, which capped split-role deployments at ~1/RTT
+// applies per origin (retired; DESIGN.md "Retired ablations"). The
+// windowed protocol here removes the round trips while keeping the
+// property the blocking path provided — the visible set at the partition
+// process is always a causal prefix:
 //
 //   - The receiver releases updates into a bounded in-flight window
 //     (releaseWindow): each release is assigned a dense per-stream
@@ -92,11 +92,6 @@ type ReleaseAckMsg struct {
 	// unrecoverable, and the sender wedges loudly instead of
 	// retransmitting forever.
 	NeedReset bool
-}
-
-func init() {
-	fabric.RegisterPayload(ReleaseMsg{})
-	fabric.RegisterPayload(ReleaseAckMsg{})
 }
 
 const (

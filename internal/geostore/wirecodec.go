@@ -1,8 +1,8 @@
 package geostore
 
 // Zero-reflection wire codecs (internal/wire) for the geo-replication
-// messages: shipping, the blocking-release ablation, payload healing, and
-// the windowed release stream. Field order is each tag's versioning
+// messages: shipping, payload healing, the windowed release stream, and
+// the client front door. Field order is each tag's versioning
 // contract — append new fields, never reorder (DESIGN.md "The wire
 // format").
 
@@ -37,25 +37,6 @@ func (m ShipMsg) WireTag() wire.Tag { return wire.TagShip }
 func (m ShipMsg) AppendWire(b []byte) []byte {
 	b = wire.AppendUvarint(b, uint64(m.Origin))
 	return wire.AppendUpdates(b, m.Ops)
-}
-
-// WireTag implements wire.Marshaler.
-func (m ApplyMsg) WireTag() wire.Tag { return wire.TagApply }
-
-// AppendWire implements wire.Marshaler.
-func (m ApplyMsg) AppendWire(b []byte) []byte {
-	b = wire.AppendUvarint(b, m.ID)
-	b = appendUpdatePtr(b, m.U)
-	return wire.AppendUint64(b, uint64(m.ArrivedUnixNano))
-}
-
-// WireTag implements wire.Marshaler.
-func (m ApplyAckMsg) WireTag() wire.Tag { return wire.TagApplyAck }
-
-// AppendWire implements wire.Marshaler.
-func (m ApplyAckMsg) AppendWire(b []byte) []byte {
-	b = wire.AppendUvarint(b, m.ID)
-	return wire.AppendBool(b, m.OK)
 }
 
 // WireTag implements wire.Marshaler.
@@ -168,12 +149,6 @@ func init() {
 	wire.Register(wire.TagShip, func(d *wire.Dec) any {
 		return ShipMsg{Origin: types.DCID(d.Uvarint()), Ops: wire.ReadUpdates(d)}
 	})
-	wire.Register(wire.TagApply, func(d *wire.Dec) any {
-		return ApplyMsg{ID: d.Uvarint(), U: readUpdatePtr(d), ArrivedUnixNano: int64(d.Uint64())}
-	})
-	wire.Register(wire.TagApplyAck, func(d *wire.Dec) any {
-		return ApplyAckMsg{ID: d.Uvarint(), OK: d.Bool()}
-	})
 	wire.Register(wire.TagPayloadPull, func(d *wire.Dec) any {
 		return PayloadPullMsg{Dest: types.DCID(d.Uvarint()), U: readUpdatePtr(d)}
 	})
@@ -233,8 +208,6 @@ func init() {
 
 var (
 	_ wire.Marshaler = ShipMsg{}
-	_ wire.Marshaler = ApplyMsg{}
-	_ wire.Marshaler = ApplyAckMsg{}
 	_ wire.Marshaler = PayloadPullMsg{}
 	_ wire.Marshaler = PayloadSupersededMsg{}
 	_ wire.Marshaler = ReleaseMsg{}

@@ -109,10 +109,6 @@ type HeartbeatMsg struct {
 	TS     hlc.Timestamp
 }
 
-func init() {
-	fabric.RegisterPayload(HeartbeatMsg{})
-}
-
 // NodeConfig parameterises one fabric-attached process of a deployment:
 // a complete datacenter (partitions plus its stabilizer — GentleRain and
 // Cure have no standalone per-datacenter service to split out).

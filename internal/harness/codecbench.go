@@ -1,15 +1,11 @@
 package harness
 
-// Codec micro-benchmark: the wire codec against the gob ablation on the
-// exact message shapes the hot fabric edges carry — metadata batches
-// (BatchMsg), windowed releases (ReleaseMsg), and receiver shipping
-// (ShipMsg). The gob leg mirrors the transport's ablation faithfully: one
-// persistent encoder/decoder pair per stream, so its per-connection type
-// descriptors are amortized exactly as on a long-lived socket.
+// Codec micro-benchmark: the wire codec on the exact message shapes the
+// hot fabric edges carry — metadata batches (BatchMsg), windowed releases
+// (ReleaseMsg), and receiver shipping (ShipMsg).
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"runtime"
 	"time"
@@ -22,7 +18,7 @@ import (
 	"eunomia/internal/wire"
 )
 
-// CodecBenchOptions parameterises the codec comparison.
+// CodecBenchOptions parameterises the codec benchmark.
 type CodecBenchOptions struct {
 	// Iters is the encode+decode round trips measured per message type
 	// (default 20000).
@@ -47,19 +43,13 @@ func (o *CodecBenchOptions) fill() {
 	}
 }
 
-// CodecPoint reports one message type's comparison: encode+decode round
-// trips per second, steady-state encoded size, and allocations per round
-// trip under each codec.
+// CodecPoint reports one message type's encode+decode round trips per
+// second, steady-state encoded size, and allocations per round trip.
 type CodecPoint struct {
 	Message    string
 	WirePerSec float64
-	GobPerSec  float64
-	// Speedup is WirePerSec / GobPerSec.
-	Speedup    float64
 	WireBytes  int
-	GobBytes   int
 	WireAllocs float64
-	GobAllocs  float64
 }
 
 // CodecBenchResult reports every message type's point.
@@ -67,9 +57,9 @@ type CodecBenchResult struct {
 	Points []CodecPoint
 }
 
-// CodecBench measures the wire codec against the gob ablation for each
-// hot-path message type. The workload is encode+decode of the same value
-// repeatedly — the steady state of a long-lived connection.
+// CodecBench measures the wire codec for each hot-path message type. The
+// workload is encode+decode of the same value repeatedly — the steady
+// state of a long-lived connection.
 func CodecBench(o CodecBenchOptions) (CodecBenchResult, error) {
 	o.fill()
 	update := func(seq int) *types.Update {
@@ -103,19 +93,11 @@ func CodecBench(o CodecBenchOptions) (CodecBenchResult, error) {
 		if err != nil {
 			return res, fmt.Errorf("%s wire leg: %w", m.name, err)
 		}
-		gobPerSec, gobBytes, gobAllocs, err := gobLeg(m.payload, o.Iters)
-		if err != nil {
-			return res, fmt.Errorf("%s gob leg: %w", m.name, err)
-		}
 		res.Points = append(res.Points, CodecPoint{
 			Message:    m.name,
 			WirePerSec: wirePerSec,
-			GobPerSec:  gobPerSec,
-			Speedup:    wirePerSec / gobPerSec,
 			WireBytes:  wireBytes,
-			GobBytes:   gobBytes,
 			WireAllocs: wireAllocs,
-			GobAllocs:  gobAllocs,
 		})
 	}
 	return res, nil
@@ -143,56 +125,6 @@ func wireLeg(payload any, iters int) (perSec float64, size int, allocsPerOp floa
 		}
 		d := wire.NewDec(buf)
 		if _, err = wire.ReadPayload(&d); err != nil {
-			return 0, 0, 0, err
-		}
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&ms1)
-	return float64(iters) / elapsed.Seconds(), size,
-		float64(ms1.Mallocs-ms0.Mallocs) / float64(iters), nil
-}
-
-// gobBox carries the payload as an interface, the way the transport's
-// gob frame does — the ablation pays the same reflection the old frame
-// path paid.
-type gobBox struct {
-	Payload any
-}
-
-// gobLeg measures encode+decode round trips through one persistent gob
-// stream (type descriptors amortized, as on a long-lived connection).
-func gobLeg(payload any, iters int) (perSec float64, size int, allocsPerOp float64, err error) {
-	var stream bytes.Buffer
-	enc := gob.NewEncoder(&stream)
-	dec := gob.NewDecoder(&stream)
-	// Warm the stream: the first message carries the type descriptors.
-	if err = enc.Encode(&gobBox{Payload: payload}); err != nil {
-		return 0, 0, 0, err
-	}
-	var out gobBox
-	if err = dec.Decode(&out); err != nil {
-		return 0, 0, 0, err
-	}
-	// Steady-state size probe.
-	mark := stream.Len()
-	if err = enc.Encode(&gobBox{Payload: payload}); err != nil {
-		return 0, 0, 0, err
-	}
-	size = stream.Len() - mark
-	out = gobBox{}
-	if err = dec.Decode(&out); err != nil {
-		return 0, 0, 0, err
-	}
-
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		if err = enc.Encode(&gobBox{Payload: payload}); err != nil {
-			return 0, 0, 0, err
-		}
-		out = gobBox{}
-		if err = dec.Decode(&out); err != nil {
 			return 0, 0, 0, err
 		}
 	}

@@ -4,9 +4,8 @@ package harness
 // deployment figures. PipelineBench quantifies what the pipelined,
 // windowed-acknowledgement wire protocol buys over the original
 // one-request-one-response protocol on a real TCP link; ReleaseBench
-// quantifies what the windowed receiver→partition release stream buys
-// over the original one-blocking-round-trip-per-update release in a
-// split-role datacenter.
+// measures the windowed receiver→partition release stream's apply
+// throughput in a split-role datacenter.
 
 import (
 	"fmt"
@@ -50,8 +49,6 @@ func (m benchPong) AppendWire(b []byte) []byte {
 }
 
 func init() {
-	fabric.RegisterPayload(benchPing{})
-	fabric.RegisterPayload(benchPong{})
 	wire.Register(wire.TagBenchPing, func(d *wire.Dec) any {
 		return benchPing{Seq: d.Uvarint(), Data: d.Bytes()}
 	})
@@ -68,9 +65,6 @@ type PipelineBenchOptions struct {
 	Messages int
 	// PayloadBytes sizes each message's body (default 128).
 	PayloadBytes int
-	// Codec selects the frame codec both endpoints run
-	// (default fabric.CodecWire; fabric.CodecGob is the ablation).
-	Codec fabric.Codec
 }
 
 func (o *PipelineBenchOptions) fill() {
@@ -97,12 +91,12 @@ type PipelineBenchResult struct {
 // endpoints on loopback.
 func PipelineBench(o PipelineBenchOptions) (PipelineBenchResult, error) {
 	o.fill()
-	sender, err := transport.Listen(transport.Config{Listen: "127.0.0.1:0", Codec: o.Codec})
+	sender, err := transport.Listen(transport.Config{Listen: "127.0.0.1:0"})
 	if err != nil {
 		return PipelineBenchResult{}, err
 	}
 	defer sender.Close()
-	sink, err := transport.Listen(transport.Config{Listen: "127.0.0.1:0", Codec: o.Codec})
+	sink, err := transport.Listen(transport.Config{Listen: "127.0.0.1:0"})
 	if err != nil {
 		return PipelineBenchResult{}, err
 	}
@@ -149,7 +143,7 @@ func PipelineBench(o PipelineBenchOptions) (PipelineBenchResult, error) {
 	payload := make([]byte, o.PayloadBytes)
 	deadline := time.After(60 * time.Second)
 
-	// Warm both paths first: dial, hello exchange, gob type descriptors.
+	// Warm both paths first: dial and hello exchange.
 	target <- 1
 	sender.Send(srcAddr, pipeAddr, benchPing{Data: payload})
 	select {
@@ -201,16 +195,15 @@ func PipelineBench(o PipelineBenchOptions) (PipelineBenchResult, error) {
 	}, nil
 }
 
-// ReleaseBenchOptions parameterises the split-role release comparison.
+// ReleaseBenchOptions parameterises the split-role release benchmark.
 type ReleaseBenchOptions struct {
-	// Updates is how many remote updates each leg replicates
+	// Updates is how many remote updates the run replicates
 	// (default 200).
 	Updates int
 	// LinkDelay is the simulated one-way delay on every fabric link
-	// (default 1ms) — the RTT floor the blocking protocol pays per
-	// update.
+	// (default 1ms).
 	LinkDelay time.Duration
-	// Window bounds the windowed leg's in-flight releases (default 256).
+	// Window bounds the release stream's in-flight releases (default 256).
 	Window int
 	// Partitions per datacenter (default 4).
 	Partitions int
@@ -229,38 +222,18 @@ func (o *ReleaseBenchOptions) fill() {
 }
 
 // ReleaseBenchResult reports remote apply throughput at a split-role
-// datacenter under both release protocols.
+// datacenter.
 type ReleaseBenchResult struct {
 	WindowedPerSec float64
-	BlockingPerSec float64
-	// Speedup is WindowedPerSec / BlockingPerSec.
-	Speedup float64
 }
 
 // ReleaseBench builds a two-datacenter deployment whose destination
 // datacenter is split by role — receiver in one fabric process, partition
 // group in another, every link carrying LinkDelay — and measures how fast
-// updates originated at the other datacenter become visible, once with
-// the windowed release stream and once with the original blocking
-// round-trip release.
+// updates originated at the other datacenter become visible through the
+// windowed release stream.
 func ReleaseBench(o ReleaseBenchOptions) (ReleaseBenchResult, error) {
 	o.fill()
-	windowed, err := releaseLeg(o, false)
-	if err != nil {
-		return ReleaseBenchResult{}, fmt.Errorf("windowed leg: %w", err)
-	}
-	blocking, err := releaseLeg(o, true)
-	if err != nil {
-		return ReleaseBenchResult{}, fmt.Errorf("blocking leg: %w", err)
-	}
-	return ReleaseBenchResult{
-		WindowedPerSec: windowed,
-		BlockingPerSec: blocking,
-		Speedup:        windowed / blocking,
-	}, nil
-}
-
-func releaseLeg(o ReleaseBenchOptions, blocking bool) (float64, error) {
 	delay := o.LinkDelay
 	net := simnet.New(func(from, to fabric.Addr) time.Duration { return delay })
 
@@ -282,7 +255,7 @@ func releaseLeg(o ReleaseBenchOptions, blocking bool) (float64, error) {
 	})
 	recv := geostore.NewNode(geostore.NodeConfig{
 		Config: destCfg, DC: 0, Roles: geostore.RoleReceiver, Fabric: net,
-		ReleaseWindow: o.Window, BlockingRelease: blocking,
+		ReleaseWindow: o.Window,
 	})
 	origin := geostore.NewNode(geostore.NodeConfig{
 		Config: originCfg, DC: 1, Roles: geostore.RoleAll, Fabric: net,
@@ -302,13 +275,13 @@ func releaseLeg(o ReleaseBenchOptions, blocking bool) (float64, error) {
 	start := time.Now()
 	for i := 0; i < o.Updates; i++ {
 		if err := c.Update(types.Key(fmt.Sprintf("bench%d", i)), []byte("v")); err != nil {
-			return 0, err
+			return ReleaseBenchResult{}, err
 		}
 	}
 	select {
 	case <-done:
 	case <-time.After(120 * time.Second):
-		return 0, fmt.Errorf("only %d/%d updates visible", applied.Load(), o.Updates)
+		return ReleaseBenchResult{}, fmt.Errorf("only %d/%d updates visible", applied.Load(), o.Updates)
 	}
-	return float64(o.Updates) / time.Since(start).Seconds(), nil
+	return ReleaseBenchResult{WindowedPerSec: float64(o.Updates) / time.Since(start).Seconds()}, nil
 }

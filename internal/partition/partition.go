@@ -13,6 +13,7 @@
 package partition
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -227,7 +228,9 @@ func (p *Partition) Update(key types.Key, value types.Value, dep vclock.V) vcloc
 // metadata; they are buffered until the receiver releases the metadata.
 // Durable partitions log the payload first: the sibling prunes it once
 // the transport acknowledges delivery, so a crash would otherwise lose
-// every buffered payload and stall the release stream on recovery.
+// every buffered payload and stall the release stream on recovery. A
+// payload arriving after the store closed (a delivery racing shutdown) is
+// dropped: the origin re-ships it when the recovered stream pulls it.
 func (p *Partition) ReceivePayload(u *types.Update) {
 	id := u.ID()
 	if p.cfg.Store == nil {
@@ -250,6 +253,9 @@ func (p *Partition) ReceivePayload(u *types.Update) {
 		if _, err := p.cfg.Store.AppendNoWait(wal.EncodeUpdate(wal.KindPayload, u)); err != nil {
 			p.payloadMu.Unlock()
 			p.durMu.RUnlock()
+			if errors.Is(err, wal.ErrClosed) {
+				return
+			}
 			panic("partition: WAL append failed: " + err.Error())
 		}
 		p.payloads[id] = u

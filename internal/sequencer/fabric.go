@@ -31,11 +31,6 @@ type NextAckMsg struct {
 	Err   string
 }
 
-func init() {
-	fabric.RegisterPayload(NextMsg{})
-	fabric.RegisterPayload(NextAckMsg{})
-}
-
 // ErrTimeout is returned by Remote.Next when no reply arrives in time;
 // callers treat the service as failed for that request.
 var ErrTimeout = errors.New("sequencer: remote sequencer timeout")

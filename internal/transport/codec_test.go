@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"eunomia/internal/compress"
 	"eunomia/internal/fabric"
 	"eunomia/internal/hlc"
 	"eunomia/internal/types"
@@ -15,8 +16,8 @@ import (
 )
 
 // codecPayloads is one instance of every protocol payload the fabric
-// ships, with every field populated — the round-trip corpus both codecs
-// must carry byte-identically.
+// ships, with every field populated — the round-trip corpus every
+// compression scheme must carry byte-identically.
 func codecPayloads() []any {
 	u := &types.Update{
 		Key: "k1", Value: []byte("v1"), Origin: 1, Partition: 3, Seq: 9,
@@ -33,18 +34,22 @@ func codecPayloads() []any {
 }
 
 // TestCodecRoundTripTCP sends every protocol payload across a real
-// socket under each codec and checks exact structural equality after
-// decode.
+// socket under each dial scheme (every frame compressed where the scheme
+// compresses) and checks exact structural equality after decode.
 func TestCodecRoundTripTCP(t *testing.T) {
-	for _, codec := range []fabric.Codec{fabric.CodecWire, fabric.CodecGob} {
-		t.Run(string(codec), func(t *testing.T) {
-			server := listen(t, Config{Codec: codec})
+	for _, tc := range []struct {
+		name   string
+		scheme compress.Scheme
+	}{{"wire", compress.Off}, {"wire-snappy", compress.Snappy}, {"wire-zstd", compress.Zstd}} {
+		t.Run(tc.name, func(t *testing.T) {
+			server := listen(t, Config{})
 			defer server.Close()
 			dst := fabric.ReceiverAddr(1)
 			col := &collector{}
 			server.Register(dst, col.handle)
 
-			client := listen(t, Config{Codec: codec, Routes: map[fabric.Addr]string{dst: server.Addr().String()}})
+			client := listen(t, Config{Compress: tc.scheme, CompressMin: -1,
+				Routes: map[fabric.Addr]string{dst: server.Addr().String()}})
 			defer client.Close()
 
 			want := codecPayloads()
@@ -55,7 +60,7 @@ func TestCodecRoundTripTCP(t *testing.T) {
 			waitFor(t, 5*time.Second, func() bool { return col.len() == len(want) })
 			for i, m := range col.snapshot() {
 				if !reflect.DeepEqual(m.Payload, want[i]) {
-					t.Fatalf("payload %d over %s codec:\n got %#v\nwant %#v", i, codec, m.Payload, want[i])
+					t.Fatalf("payload %d over %s:\n got %#v\nwant %#v", i, tc.name, m.Payload, want[i])
 				}
 				if m.From != src || m.To != dst {
 					t.Fatalf("addressing corrupted: %v→%v", m.From, m.To)
@@ -65,10 +70,10 @@ func TestCodecRoundTripTCP(t *testing.T) {
 	}
 }
 
-// TestMixedCodecPeersInteroperate runs a wire-codec dialer and a
-// gob-codec dialer against one server: the magic byte lets the accept
-// side speak each dialer's codec, so mixed deployments work during a
-// rollout.
+// TestMixedCodecPeersInteroperate runs a plain wire dialer and a
+// snappy-compressed dialer against one server at once: the magic byte
+// lets the accept side speak each dialer's scheme per connection, so
+// mixed deployments work during a rollout.
 func TestMixedCodecPeersInteroperate(t *testing.T) {
 	server := listen(t, Config{})
 	defer server.Close()
@@ -76,30 +81,31 @@ func TestMixedCodecPeersInteroperate(t *testing.T) {
 	col := &collector{}
 	server.Register(dst, col.handle)
 
-	wireClient := listen(t, Config{Codec: fabric.CodecWire, Routes: map[fabric.Addr]string{dst: server.Addr().String()}})
-	defer wireClient.Close()
-	gobClient := listen(t, Config{Codec: fabric.CodecGob, Routes: map[fabric.Addr]string{dst: server.Addr().String()}})
-	defer gobClient.Close()
+	plainClient := listen(t, Config{Routes: map[fabric.Addr]string{dst: server.Addr().String()}})
+	defer plainClient.Close()
+	snappyClient := listen(t, Config{Compress: compress.Snappy, CompressMin: -1,
+		Routes: map[fabric.Addr]string{dst: server.Addr().String()}})
+	defer snappyClient.Close()
 
 	const n = 50
 	for i := 0; i < n; i++ {
-		wireClient.Send(fabric.PartitionAddr(0, 0), dst, testMsg{N: i})
-		gobClient.Send(fabric.PartitionAddr(0, 1), dst, testMsg{N: 1000 + i})
+		plainClient.Send(fabric.PartitionAddr(0, 0), dst, testMsg{N: i})
+		snappyClient.Send(fabric.PartitionAddr(0, 1), dst, testMsg{N: 1000 + i})
 	}
 	waitFor(t, 5*time.Second, func() bool { return col.len() == 2*n })
 
-	var wireSeen, gobSeen []int
+	var plainSeen, snappySeen []int
 	for _, m := range col.snapshot() {
 		v := m.Payload.(testMsg).N
 		if v < 1000 {
-			wireSeen = append(wireSeen, v)
+			plainSeen = append(plainSeen, v)
 		} else {
-			gobSeen = append(gobSeen, v-1000)
+			snappySeen = append(snappySeen, v-1000)
 		}
 	}
 	for i := 0; i < n; i++ {
-		if wireSeen[i] != i || gobSeen[i] != i {
-			t.Fatalf("per-sender FIFO broken at %d (wire=%v gob=%v)", i, wireSeen[i], gobSeen[i])
+		if plainSeen[i] != i || snappySeen[i] != i {
+			t.Fatalf("per-sender FIFO broken at %d (plain=%v snappy=%v)", i, plainSeen[i], snappySeen[i])
 		}
 	}
 }
@@ -200,47 +206,16 @@ func TestCodecStatsRecordSamples(t *testing.T) {
 	}
 	waitFor(t, 5*time.Second, func() bool { return col.len() == n })
 
-	enc, _, flush := client.CodecStats(fabric.CodecWire)
+	enc, _, flush := client.CodecStats()
 	if enc.Count() < n {
 		t.Fatalf("encode histogram has %d samples, want >= %d", enc.Count(), n)
 	}
 	if flush.Count() == 0 {
 		t.Fatal("flush histogram empty")
 	}
-	_, dec, _ := server.CodecStats(fabric.CodecWire)
+	_, dec, _ := server.CodecStats()
 	if dec.Count() == 0 {
 		t.Fatal("decode histogram empty on the receiving side")
-	}
-}
-
-// TestCodecStatsKeyedByConnectionCodec pins the mixed-rollout property:
-// a wire endpoint accepting a gob dialer's connection must record those
-// samples under gob, not under its own dial codec — or the dashboard's
-// wire-vs-gob comparison is polluted by exactly the traffic it exists
-// to compare.
-func TestCodecStatsKeyedByConnectionCodec(t *testing.T) {
-	server := listen(t, Config{}) // dials with wire
-	defer server.Close()
-	dst := fabric.ReceiverAddr(1)
-	col := &collector{}
-	server.Register(dst, col.handle)
-
-	gobClient := listen(t, Config{Codec: fabric.CodecGob, Routes: map[fabric.Addr]string{dst: server.Addr().String()}})
-	defer gobClient.Close()
-
-	const n = 32
-	for i := 0; i < n; i++ {
-		gobClient.Send(fabric.PartitionAddr(0, 0), dst, testMsg{N: i})
-	}
-	waitFor(t, 5*time.Second, func() bool { return col.len() == n })
-
-	_, wireDec, _ := server.CodecStats(fabric.CodecWire)
-	if wireDec.Count() != 0 {
-		t.Fatalf("gob-connection samples landed in the wire histogram (%d)", wireDec.Count())
-	}
-	_, gobDec, _ := server.CodecStats(fabric.CodecGob)
-	if gobDec.Count() == 0 {
-		t.Fatal("gob-connection decode samples recorded nowhere")
 	}
 }
 

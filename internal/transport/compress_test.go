@@ -2,10 +2,10 @@ package transport
 
 // Compression negotiation tests: the one-byte announcement must keep
 // every dialer/listener combination interoperable — wire-off, snappy,
-// and zstd dialers against compress-enabled and plain listeners, and the
-// gob ablation falling back loudly but safely when it dials a
-// compress-enabled endpoint. Plus the byte accounting the WAN benchmarks
-// ride on and the allocation guard for the compressed flush path.
+// and zstd dialers against compress-enabled and plain listeners — and
+// must refuse a dialer announcing anything else, such as the retired gob
+// codec. Plus the byte accounting the WAN benchmarks ride on and the
+// allocation guard for the compressed flush path.
 
 import (
 	"encoding/binary"
@@ -36,10 +36,12 @@ func compressibleBatch(n int) fabric.BatchMsg {
 }
 
 // TestCompressionMatrixInteroperates runs every dialer scheme (wire
-// uncompressed, snappy, zstd, and the gob ablation) against listeners
-// configured with and without compression: the dialer's announcement
-// byte decides each connection, so all sixteen combinations must deliver
-// everything intact.
+// uncompressed, snappy, zstd) against listeners configured with and
+// without compression: the dialer's announcement byte decides each
+// connection, so every combination must deliver everything intact. The
+// gob column dials with the retired gob codec's announcement byte: the
+// listener must close that connection without delivering its frames,
+// and a wire peer on the same listener must keep working.
 func TestCompressionMatrixInteroperates(t *testing.T) {
 	listenerCfgs := []struct {
 		name string
@@ -47,17 +49,17 @@ func TestCompressionMatrixInteroperates(t *testing.T) {
 	}{
 		{"wire-off", Config{}},
 		{"wire-zstd", Config{Compress: compress.Zstd}},
-		{"gob-off", Config{Codec: fabric.CodecGob}},
-		{"gob-zstd-misconfig", Config{Codec: fabric.CodecGob, Compress: compress.Zstd}},
 	}
 	dialerCfgs := []struct {
 		name string
 		cfg  Config
+		// refused, if set, is a foreign announcement byte dialed first.
+		refused byte
 	}{
-		{"wire-off", Config{}},
-		{"wire-snappy", Config{Compress: compress.Snappy, CompressMin: -1}},
-		{"wire-zstd", Config{Compress: compress.Zstd, CompressMin: -1}},
-		{"gob", Config{Codec: fabric.CodecGob}},
+		{"wire-off", Config{}, 0},
+		{"wire-snappy", Config{Compress: compress.Snappy, CompressMin: -1}, 0},
+		{"wire-zstd", Config{Compress: compress.Zstd, CompressMin: -1}, 0},
+		{"gob", Config{}, 'G'},
 	}
 	for _, lc := range listenerCfgs {
 		for _, dc := range dialerCfgs {
@@ -67,6 +69,12 @@ func TestCompressionMatrixInteroperates(t *testing.T) {
 				dst := fabric.ReceiverAddr(1)
 				col := &collector{}
 				server.Register(dst, col.handle)
+				if dc.refused != 0 {
+					assertRefused(t, server.Addr().String(), dc.refused, dst)
+					if col.len() != 0 {
+						t.Fatalf("refused dialer's frames were delivered: %v", col.snapshot())
+					}
+				}
 
 				cfg := dc.cfg
 				cfg.Routes = map[fabric.Addr]string{dst: server.Addr().String()}
@@ -97,32 +105,40 @@ func TestCompressionMatrixInteroperates(t *testing.T) {
 	}
 }
 
-// TestGobDialerUncountedOnCompressedListener pins the fallback contract:
-// a gob peer dialing a compress-enabled listener gets a plain gob
-// stream — never a mis-framed one — and its traffic stays out of the
-// compression byte counters, which are defined on wire records only.
-func TestGobDialerUncountedOnCompressedListener(t *testing.T) {
-	server := listen(t, Config{Compress: compress.Zstd})
-	defer server.Close()
-	dst := fabric.ReceiverAddr(1)
-	col := &collector{}
-	server.Register(dst, col.handle)
+// assertRefused dials addr and announces magic: a listener that does not
+// speak it must close the connection on the announcement alone. The
+// well-formed wire hello and data frame sent afterwards must go nowhere.
+func assertRefused(t *testing.T, addr string, magic byte, dst fabric.Addr) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte{magic}); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	one := make([]byte, 1)
+	if n, err := conn.Read(one); err == nil {
+		t.Fatalf("listener answered a %q dialer (%d bytes) instead of closing", magic, n)
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("listener kept a %q dialer's connection open", magic)
+	}
 
-	client := listen(t, Config{Codec: fabric.CodecGob,
-		Routes: map[fabric.Addr]string{dst: server.Addr().String()}})
-	defer client.Close()
-
-	const n = 16
-	for i := 0; i < n; i++ {
-		client.Send(fabric.PartitionAddr(0, 0), dst, compressibleBatch(64))
+	hello := []byte{byte(frameHello)}
+	hello = wire.AppendString(hello, "foreign-proc")
+	hello = wire.AppendString(hello, "")
+	buf := binary.BigEndian.AppendUint32(nil, uint32(len(hello)))
+	buf = append(buf, hello...)
+	data, err := appendFrame(nil, &frame{Kind: frameData, Seq: 1,
+		From: fabric.PartitionAddr(0, 0), To: dst, SentAt: time.Now(), Payload: testMsg{N: 1}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, func() bool { return col.len() == n })
-	if st := server.CompressStats(); st.RxRaw != 0 || st.RxWire != 0 {
-		t.Fatalf("gob connection advanced wire byte counters: %+v", st)
-	}
-	if st := client.CompressStats(); st.TxRaw != 0 || st.TxWire != 0 {
-		t.Fatalf("gob dialer advanced wire byte counters: %+v", st)
-	}
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(data)))
+	buf = append(buf, data...)
+	_, _ = conn.Write(buf) // the socket is closed at the far end; errors are expected
 }
 
 // TestCompressStatsCounters pins the byte accounting end to end: the

@@ -17,12 +17,10 @@
 // This replaces the original one-request-one-response protocol, in which
 // every flush paid a full RTT before the next batch could be sent.
 //
-// Config.Codec selects the frame codec (the fabric.Codec seam): the
-// default wire codec above, or the original persistent-gob streams
-// (fabric.CodecGob, cmd/eunomia-server -codec gob) kept as the benchmark
-// ablation. The dialer announces its choice in the first byte of every
-// connection, so the accept side speaks whatever the dialer chose and
-// mixed deployments interoperate.
+// The dialer announces the connection's compression scheme in the first
+// byte of every connection, so the accept side speaks whatever the dialer
+// chose and mixed-compression deployments interoperate. A connection
+// opening with any other byte is not a fabric peer and is closed.
 //
 // Delivery semantics match what the protocols tolerate (and what simnet
 // provides): FIFO per ordered process pair, at-least-once across process
@@ -39,14 +37,9 @@
 package transport
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"math/rand"
 	"net"
 	"sync"
@@ -86,20 +79,12 @@ type Config struct {
 	// that run each datacenter as a single process.
 	DCRoutes map[types.DCID]string
 
-	// Codec selects the frame encoding for connections this endpoint
-	// dials: fabric.CodecWire (default) or the fabric.CodecGob ablation.
-	// Inbound connections follow the remote dialer's choice.
-	Codec fabric.Codec
-
-	// Compress selects per-frame compression for the wire-codec
-	// connections this endpoint dials (compress.Off, Snappy, or Zstd;
-	// cmd/eunomia-server -compress). The dialer announces codec and
-	// scheme in one magic byte, so compressed, plain-wire, and gob peers
-	// interoperate per connection; inbound connections follow the remote
-	// dialer's announcement regardless of this setting. Compression is
-	// defined only on the wire record layout — with Codec gob the
-	// setting is ignored (loudly, once): gob connections are always
-	// plain gob streams, never a mis-framed hybrid.
+	// Compress selects per-frame compression for the connections this
+	// endpoint dials (compress.Off, Snappy, or Zstd; cmd/eunomia-server
+	// -compress). The dialer announces the scheme in one magic byte, so
+	// compressed and plain peers interoperate per connection; inbound
+	// connections follow the remote dialer's announcement regardless of
+	// this setting.
 	Compress compress.Scheme
 	// CompressMin is the minimum encoded frame size that gets
 	// compressed; smaller records (heartbeats, acks, tiny batches) ship
@@ -149,9 +134,6 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.Codec == "" {
-		c.Codec = fabric.CodecWire
-	}
 	if c.Routes == nil {
 		c.Routes = make(map[fabric.Addr]string)
 	}
@@ -187,7 +169,8 @@ const (
 	frameAck
 )
 
-// frame is the wire unit: one gob message behind a 4-byte length prefix.
+// frame is the transport's unit: one wire-encoded envelope behind a
+// 4-byte length prefix.
 type frame struct {
 	Kind int8
 	// Seq numbers data frames per sender process, contiguously.
@@ -204,7 +187,7 @@ type frame struct {
 
 	// wireBytes is the socket footprint of the record that carried this
 	// frame (length prefix included), set by decoders for the WAN
-	// shaper's bandwidth model. Not serialized; 0 on the gob ablation.
+	// shaper's bandwidth model. Not serialized.
 	wireBytes int
 }
 
@@ -237,19 +220,13 @@ type TCP struct {
 
 	wg sync.WaitGroup
 
-	// Codec latency histograms, one set per codec: an endpoint can speak
-	// both at once (inbound connections follow the remote dialer's magic
-	// byte), and samples must land under the codec that produced them or
-	// a mixed-rollout dashboard compares garbage.
-	statsWire, statsGob *codecStats
+	// stats holds the codec latency histograms, all connections merged.
+	stats *codecStats
 
-	// comp aggregates compression byte counters over every wire-codec
-	// connection (compressed or not — uncompressed connections count
-	// raw == wire, so bytes-on-wire is always measurable).
+	// comp aggregates compression byte counters over every connection
+	// (compressed or not — uncompressed connections count raw == wire,
+	// so bytes-on-wire is always measurable).
 	comp compressCounters
-	// gobFallback logs once when a gob connection meets a
-	// compress-enabled endpoint: the connection proceeds as plain gob.
-	gobFallback sync.Once
 
 	// Stats count fabric activity for tests and reports.
 	Sent       atomic.Int64
@@ -263,20 +240,10 @@ var _ fabric.Fabric = (*TCP)(nil)
 // Listen binds the endpoint and starts accepting peers.
 func Listen(cfg Config) (*TCP, error) {
 	cfg.fill()
-	if cfg.Codec != fabric.CodecWire && cfg.Codec != fabric.CodecGob {
-		return nil, fmt.Errorf("transport: unknown codec %q (want %q or %q)", cfg.Codec, fabric.CodecWire, fabric.CodecGob)
-	}
 	switch cfg.Compress {
 	case compress.Off, compress.Snappy, compress.Zstd:
 	default:
 		return nil, fmt.Errorf("transport: unknown compression scheme %v", cfg.Compress)
-	}
-	if cfg.Codec == fabric.CodecGob && cfg.Compress != compress.Off {
-		// Compression is defined only on the wire record layout; with the
-		// gob ablation the setting cannot apply. Say so once and proceed
-		// with plain gob rather than producing a mis-framed stream.
-		log.Printf("transport: -compress %s requires the wire codec; %q dials plain gob connections uncompressed",
-			cfg.Compress, cfg.Listen)
 	}
 	ln, err := net.Listen("tcp", cfg.Listen)
 	if err != nil {
@@ -302,8 +269,7 @@ func Listen(cfg Config) (*TCP, error) {
 		inSeq:        make(map[string]uint64),
 		incarnations: make(map[string]string),
 		conns:        make(map[net.Conn]struct{}),
-		statsWire:    newCodecStats(),
-		statsGob:     newCodecStats(),
+		stats:        newCodecStats(),
 		ready:        make(chan struct{}),
 		done:         make(chan struct{}),
 	}
@@ -530,43 +496,32 @@ func (t *TCP) serveInbound(conn net.Conn) {
 		return
 	}
 
-	// The first byte announces the dialer's codec and compression scheme;
-	// everything after it — the inbound frames and our acks — speaks that
-	// codec, both directions compressed (or not) alike.
+	// The first byte announces the dialer's compression scheme;
+	// everything after it — the inbound frames and our acks — is
+	// compressed (or not) alike in both directions.
 	var magic [1]byte
 	if _, err := io.ReadFull(conn, magic[:]); err != nil {
 		return
 	}
-	var codec fabric.Codec
-	scheme := compress.Off
+	var scheme compress.Scheme
 	switch magic[0] {
 	case codecMagicWire:
-		codec = fabric.CodecWire
+		scheme = compress.Off
 	case codecMagicWireSnappy:
-		codec, scheme = fabric.CodecWire, compress.Snappy
+		scheme = compress.Snappy
 	case codecMagicWireZstd:
-		codec, scheme = fabric.CodecWire, compress.Zstd
-	case codecMagicGob:
-		codec = fabric.CodecGob
-		if t.cfg.Compress != compress.Off {
-			// A gob peer reached a compress-enabled endpoint: legal, but
-			// worth one loud line — the connection (and our acks on it)
-			// proceeds as a plain gob stream, never a mis-framed hybrid.
-			t.gobFallback.Do(func() {
-				log.Printf("transport: gob peer %s on compress-enabled endpoint %s: connection falls back to plain gob, uncompressed",
-					conn.RemoteAddr(), t.cfg.Advertise)
-			})
-		}
+		scheme = compress.Zstd
 	default:
 		return // not a fabric peer
 	}
-	fr := t.decoderFor(codec, scheme, conn)
+	fr := newWireFrameReader(conn, t.cfg.MaxFrame, t.stats, scheme, &t.comp)
 	var hello frame
 	if err := fr.next(&hello); err != nil || hello.Kind != frameHello || hello.Process == "" {
 		return
 	}
 	proc := hello.Process
-	fw := t.encoderFor(codec, scheme, conn, false)
+	// No magic byte on answers: the dialer already knows the scheme.
+	fw := newWireFrameWriter(conn, t.cfg.MaxFrame, t.stats, false, scheme, t.cfg.CompressMin, &t.comp)
 	defer fw.release()
 
 	t.mu.Lock()
@@ -756,63 +711,15 @@ func (t *TCP) PeerStats() []PeerStat {
 	return stats
 }
 
-// statsFor returns the histogram set samples of the given codec land in.
-func (t *TCP) statsFor(codec fabric.Codec) *codecStats {
-	if codec == fabric.CodecGob {
-		return t.statsGob
-	}
-	return t.statsWire
-}
-
-// encoderFor builds a frame encoder speaking the given codec and
-// compression scheme. withMagic prepends the codec announcement byte
-// (dialed connections only; the accept side answers without one — the
-// dialer already knows, and answers speak the dialer's scheme).
-func (t *TCP) encoderFor(codec fabric.Codec, scheme compress.Scheme, conn net.Conn, withMagic bool) frameEncoder {
-	if codec == fabric.CodecGob {
-		fw := newFrameWriter(conn, t.cfg.MaxFrame)
-		fw.stats = t.statsGob
-		if withMagic {
-			_ = fw.w.WriteByte(codecMagicGob)
-		}
-		return fw
-	}
-	return newWireFrameWriter(conn, t.cfg.MaxFrame, t.statsWire, withMagic, scheme, t.cfg.CompressMin, &t.comp)
-}
-
-// decoderFor builds a frame decoder speaking the given codec and scheme.
-func (t *TCP) decoderFor(codec fabric.Codec, scheme compress.Scheme, conn net.Conn) frameDecoder {
-	if codec == fabric.CodecGob {
-		fr := newFrameReader(conn, t.cfg.MaxFrame)
-		fr.stats = t.statsGob
-		return fr
-	}
-	return newWireFrameReader(conn, t.cfg.MaxFrame, t.statsWire, scheme, &t.comp)
-}
-
-// dialScheme is the compression scheme for connections this endpoint
-// dials: the configured scheme on the wire codec, Off on the gob
-// ablation (compression is only defined on the wire record layout).
-func (t *TCP) dialScheme() compress.Scheme {
-	if t.cfg.Codec != fabric.CodecWire {
-		return compress.Off
-	}
-	return t.cfg.Compress
-}
-
-// Codec reports the frame codec this endpoint dials with.
-func (t *TCP) Codec() fabric.Codec { return t.cfg.Codec }
-
 // Compress reports the compression scheme this endpoint dials with.
-func (t *TCP) Compress() compress.Scheme { return t.dialScheme() }
+func (t *TCP) Compress() compress.Scheme { return t.cfg.Compress }
 
 // CompressStats is a snapshot of an endpoint's compression byte
-// accounting, all wire-codec connections merged. Raw counts record bytes
-// as they would ship uncompressed (length prefixes included), Wire the
-// bytes that actually crossed sockets; Raw/Wire is the realized
-// compression ratio, and Wire alone is bytes-on-wire (uncompressed
-// connections advance both equally). Gob-ablation traffic is not
-// counted.
+// accounting, all connections merged. Raw counts record bytes as they
+// would ship uncompressed (length prefixes included), Wire the bytes that
+// actually crossed sockets; Raw/Wire is the realized compression ratio,
+// and Wire alone is bytes-on-wire (uncompressed connections advance both
+// equally).
 type CompressStats struct {
 	TxRaw, TxWire, RxRaw, RxWire int64
 }
@@ -827,16 +734,11 @@ func (t *TCP) CompressStats() CompressStats {
 	}
 }
 
-// CodecStats returns the endpoint's serialization latency histograms for
-// one codec: frame encode, frame decode, and socket flush (all
-// connections speaking that codec merged, nanosecond samples). Both sets
-// exist on every endpoint — inbound connections follow the remote
-// dialer's codec, so a wire endpoint can still record gob samples during
-// a mixed rollout. cmd/eunomia-server exports the non-empty sets on
-// -metrics-addr.
-func (t *TCP) CodecStats(codec fabric.Codec) (enc, dec, flush *metrics.Histogram) {
-	s := t.statsFor(codec)
-	return s.enc, s.dec, s.flush
+// CodecStats returns the endpoint's serialization latency histograms:
+// frame encode, frame decode, and socket flush (all connections merged,
+// nanosecond samples). cmd/eunomia-server exports them on -metrics-addr.
+func (t *TCP) CodecStats() (enc, dec, flush *metrics.Histogram) {
+	return t.stats.enc, t.stats.dec, t.stats.flush
 }
 
 func (p *peer) enqueue(f *frame) {
@@ -938,7 +840,8 @@ func (p *peer) serveConn(conn net.Conn) {
 		<-ackDone
 	}()
 
-	fw := p.t.encoderFor(p.t.cfg.Codec, p.t.dialScheme(), conn, true)
+	t := p.t
+	fw := newWireFrameWriter(conn, t.cfg.MaxFrame, t.stats, true, t.cfg.Compress, t.cfg.CompressMin, &t.comp)
 	defer fw.release()
 	if fw.write(&frame{Kind: frameHello, Process: p.t.cfg.Process, Advertise: p.t.cfg.Advertise}) != nil || fw.flush() != nil {
 		close(ackDone)
@@ -1014,7 +917,7 @@ func (p *peer) dropFrame(f *frame) {
 // any read error it detaches the socket so the writer reconnects.
 func (p *peer) readAcks(conn net.Conn, done chan struct{}) {
 	defer close(done)
-	fr := p.t.decoderFor(p.t.cfg.Codec, p.t.dialScheme(), conn)
+	fr := newWireFrameReader(conn, p.t.cfg.MaxFrame, p.t.stats, p.t.cfg.Compress, &p.t.comp)
 	for {
 		var f frame
 		if err := fr.next(&f); err != nil {
@@ -1052,136 +955,10 @@ func (p *peer) readAcks(conn net.Conn, done chan struct{}) {
 	p.mu.Unlock()
 }
 
-// frameWriter encodes frames with a persistent gob stream behind 4-byte
-// length prefixes (gob transmits each type descriptor once per
-// connection; the length prefix gives the reader wire-level framing and a
-// size guard). It is the fabric.CodecGob ablation's encoder; the default
-// path is wireFrameWriter.
-type frameWriter struct {
-	w     *bufio.Writer
-	buf   bytes.Buffer
-	enc   *gob.Encoder
-	max   int
-	stats *codecStats
-}
-
-func newFrameWriter(conn net.Conn, maxFrame int) *frameWriter {
-	fw := &frameWriter{w: bufio.NewWriter(conn), max: maxFrame}
-	fw.enc = gob.NewEncoder(&fw.buf)
-	return fw
-}
-
-// encodeError marks a frame that can never be serialized (e.g. a payload
-// type missing from the gob registry) — permanent, unlike socket errors.
+// encodeError marks a frame that can never be serialized (a payload type
+// without a wire.Marshaler, or an oversized frame) — permanent, unlike
+// socket errors.
 type encodeError struct{ err error }
 
 func (e *encodeError) Error() string { return "transport: frame encode: " + e.err.Error() }
 func (e *encodeError) Unwrap() error { return e.err }
-
-func (fw *frameWriter) write(f *frame) error {
-	start := time.Now()
-	fw.buf.Reset()
-	if err := fw.enc.Encode(f); err != nil {
-		// The encoder may have buffered (and now lost) type descriptors;
-		// the connection's codec state is unusable either way, so the
-		// caller must tear the connection down — but after discarding
-		// the poison frame, or reconnect would replay it forever.
-		return &encodeError{err}
-	}
-	if fw.buf.Len() > fw.max {
-		// Enforced at the writer too: the receiver's frameReader would
-		// reject an oversized frame, and unlike a socket error it would
-		// reproduce on every retransmission — the caller must discard
-		// it, not replay it.
-		return &encodeError{fmt.Errorf("frame length %d exceeds max %d", fw.buf.Len(), fw.max)}
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(fw.buf.Len()))
-	if fw.stats != nil {
-		fw.stats.enc.RecordDuration(time.Since(start))
-	}
-	if _, err := fw.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := fw.w.Write(fw.buf.Bytes())
-	return err
-}
-
-func (fw *frameWriter) flush() error {
-	start := time.Now()
-	err := fw.w.Flush()
-	if fw.stats != nil {
-		fw.stats.flush.RecordDuration(time.Since(start))
-	}
-	return err
-}
-
-// release implements frameEncoder; the gob writer owns no pooled
-// resources.
-func (fw *frameWriter) release() {}
-
-// frameReader validates length prefixes and feeds the framed byte stream
-// to a persistent gob decoder (the fabric.CodecGob ablation; the default
-// path is wireFrameReader).
-type frameReader struct {
-	r         *bufio.Reader
-	dec       *gob.Decoder
-	remaining int
-	max       int
-	stats     *codecStats
-	// blocked records whether a Read since the last next() had to pull
-	// from the socket: such a decode measures network wait, not codec
-	// cost, and must not pollute the latency histogram.
-	blocked bool
-}
-
-func newFrameReader(conn net.Conn, maxFrame int) *frameReader {
-	fr := &frameReader{r: bufio.NewReader(conn), max: maxFrame}
-	fr.dec = gob.NewDecoder(fr)
-	return fr
-}
-
-// Read implements io.Reader over the framed stream for the gob decoder.
-func (fr *frameReader) Read(b []byte) (int, error) {
-	for fr.remaining == 0 {
-		if fr.r.Buffered() < 4 {
-			fr.blocked = true
-		}
-		var hdr [4]byte
-		if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
-			return 0, err
-		}
-		n := int(binary.BigEndian.Uint32(hdr[:]))
-		if n <= 0 || n > fr.max {
-			return 0, fmt.Errorf("transport: frame length %d out of range (max %d)", n, fr.max)
-		}
-		fr.remaining = n
-	}
-	if len(b) > fr.remaining {
-		b = b[:fr.remaining]
-	}
-	if fr.r.Buffered() == 0 {
-		fr.blocked = true // this read pulls from the socket
-	}
-	n, err := fr.r.Read(b)
-	fr.remaining -= n
-	return n, err
-}
-
-func (fr *frameReader) next(f *frame) error {
-	*f = frame{}
-	// Only a decode whose every byte was already buffered yields an
-	// honest sample: if any Read under the Decode pulled from the socket
-	// (fr.blocked), the elapsed time measures network wait, and
-	// recording it would bias the wire-vs-gob dashboard against gob.
-	fr.blocked = false
-	start := time.Now()
-	err := fr.dec.Decode(f)
-	if fr.stats != nil && !fr.blocked && err == nil {
-		fr.stats.dec.RecordDuration(time.Since(start))
-	}
-	return err
-}
-
-// buffered reports bytes already read off the socket but not yet decoded.
-func (fr *frameReader) buffered() int { return fr.r.Buffered() + fr.remaining }

@@ -23,7 +23,6 @@ func (m testMsg) WireTag() wire.Tag { return wire.TagTest }
 func (m testMsg) AppendWire(b []byte) []byte { return wire.AppendUvarint(b, uint64(m.N)) }
 
 func init() {
-	fabric.RegisterPayload(testMsg{})
 	wire.Register(wire.TagTest, func(d *wire.Dec) any { return testMsg{N: int(d.Uvarint())} })
 }
 
@@ -478,12 +477,24 @@ func TestPeerStatsCountersAdvance(t *testing.T) {
 		t.Fatalf("Retransmits=%d on a healthy stream, want 0", stats[0].Retransmits)
 	}
 
-	// Kill the server with frames in flight; the reconnect retransmits
-	// the unacknowledged suffix and the counter must say so.
+	// Kill a server with frames in flight; the reconnect retransmits the
+	// unacknowledged suffix and the counter must say so. The server in
+	// between holds delivery, so it never reads or acknowledges: every
+	// frame written to its socket is still in flight when it dies.
 	server.Close()
+	held := listen(t, Config{Listen: port, HoldDelivery: true})
 	for i := n; i < 2*n; i++ {
 		client.Send(src, dst, testMsg{N: i})
 	}
+	waitFor(t, 5*time.Second, func() bool {
+		client.mu.Lock()
+		p := client.peers[port]
+		client.mu.Unlock()
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return p.maxSent == 2*n
+	})
+	held.Close()
 	server2 := listen(t, Config{Listen: port})
 	defer server2.Close()
 	server2.Register(dst, col.handle)

@@ -1,13 +1,13 @@
 package transport
 
 // The zero-reflection frame path: type-tagged wire frames (internal/wire)
-// behind the same 4-byte length prefixes the gob path uses. The writer
-// appends every frame of a flush batch into one pooled buffer and hands
-// the whole batch to the socket in a single write; the reader parses
-// frames in place out of its read buffer when they fit, so a steady-state
-// frame round trip allocates only the decoded payload values. The
-// first byte of every dialed connection announces the codec (wire or the
-// gob ablation), so the accept side speaks whatever the dialer chose.
+// behind 4-byte length prefixes. The writer appends every frame of a
+// flush batch into one pooled buffer and hands the whole batch to the
+// socket in a single write; the reader parses frames in place out of its
+// read buffer when they fit, so a steady-state frame round trip allocates
+// only the decoded payload values. The first byte of every dialed
+// connection announces the compression scheme, so the accept side speaks
+// whatever the dialer chose.
 
 import (
 	"bufio"
@@ -26,14 +26,12 @@ import (
 )
 
 // Codec magic: the first byte a dialer writes on a fresh connection. It
-// announces the codec and, for wire-codec connections, the negotiated
-// compression scheme — one byte carries the whole negotiation, so plain,
-// compressed, and gob peers interoperate per connection. Gob has no
-// compressed variants on purpose: compression is defined only on top of
-// the wire record layout (see Config.Compress).
+// announces the negotiated compression scheme — one byte carries the
+// whole negotiation, so plain and compressed peers interoperate per
+// connection. Any other first byte (including 'G', the retired gob
+// codec's) marks a non-fabric peer, whose connection is closed.
 const (
 	codecMagicWire       = 'W'
-	codecMagicGob        = 'G'
 	codecMagicWireSnappy = 'S'
 	codecMagicWireZstd   = 'Z'
 )
@@ -66,22 +64,6 @@ const (
 // per operation is measurable in every mode.
 type compressCounters struct {
 	txRaw, txWire, rxRaw, rxWire atomic.Int64
-}
-
-// frameEncoder writes frames to one connection; implementations are the
-// wire writer below and the persistent-gob frameWriter (the ablation).
-// release returns pooled resources on connection teardown; the encoder
-// must not be used afterwards.
-type frameEncoder interface {
-	write(f *frame) error
-	flush() error
-	release()
-}
-
-// frameDecoder reads frames off one connection.
-type frameDecoder interface {
-	next(f *frame) error
-	buffered() int
 }
 
 // codecStats aggregates the transport's serialization latency histograms
@@ -207,9 +189,9 @@ func (fw *wireFrameWriter) flush() error {
 	return err
 }
 
-// release implements frameEncoder: the accumulation buffer goes back to
-// the pool when the connection dies, so reconnect churn reuses buffers
-// instead of draining the pool into the garbage collector.
+// release returns the accumulation buffer to the pool when the connection
+// dies, so reconnect churn reuses buffers instead of draining the pool
+// into the garbage collector; the writer must not be used afterwards.
 func (fw *wireFrameWriter) release() {
 	wire.PutBuf(fw.buf)
 	fw.buf = nil

@@ -8,6 +8,7 @@ package wire_test
 // for a short -fuzztime smoke on every push.
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -20,6 +21,32 @@ import (
 	"eunomia/internal/vclock"
 	"eunomia/internal/wire"
 )
+
+// retiredPayloads are frames only a peer predating the tags' retirement
+// sends: the blocking-release request and reply (TagApply, TagApplyAck)
+// in their last layout.
+func retiredPayloads() [][]byte {
+	apply := wire.AppendUvarint(nil, uint64(wire.TagApply))
+	apply = wire.AppendUvarint(apply, 1)  // ID
+	apply = wire.AppendBool(apply, false) // no update
+	apply = wire.AppendUint64(apply, 2)   // arrival instant
+	ack := wire.AppendUvarint(nil, uint64(wire.TagApplyAck))
+	ack = wire.AppendUvarint(ack, 1) // ID
+	ack = wire.AppendBool(ack, true) // OK
+	return [][]byte{apply, ack}
+}
+
+// TestRetiredTagsCorrupt pins the registry's retirement rule with every
+// protocol package linked in: no decoder claims a retired tag, so its
+// frames are corrupt rather than silently decoded as something else.
+func TestRetiredTagsCorrupt(t *testing.T) {
+	for _, b := range retiredPayloads() {
+		d := wire.NewDec(b)
+		if v, err := wire.ReadPayload(&d); !errors.Is(err, wire.ErrCorrupt) {
+			t.Fatalf("retired payload decoded as %T (err %v), want ErrCorrupt", v, err)
+		}
+	}
+}
 
 func fuzzSeed(payload any) []byte {
 	b, err := wire.AppendPayload(nil, payload)
@@ -48,7 +75,7 @@ func FuzzReadPayload(f *testing.F) {
 	f.Add(fuzzSeed(geostore.ShipMsg{Origin: 1, Ops: []*types.Update{u}}))
 	f.Add(fuzzSeed(geostore.ReleaseMsg{Epoch: 9, Seq: 4, U: u, ArrivedUnixNano: 5}))
 	f.Add(fuzzSeed(geostore.ReleaseAckMsg{Epoch: 9, Cum: 4, Durable: 3, Admitted: 5, NeedReset: true}))
-	f.Add(fuzzSeed(geostore.ApplyMsg{ID: 1, U: nil, ArrivedUnixNano: 2}))
+	f.Add(retiredPayloads()[0])
 	f.Add(fuzzSeed(geostore.PayloadPullMsg{Dest: 1, U: u}))
 	f.Add(fuzzSeed(geostore.PayloadSupersededMsg{ID: u.ID()}))
 	// Hostile shapes: truncated, tag garbage, dishonest lengths.

@@ -24,9 +24,14 @@ const (
 	TagHeartbeat Tag = 3
 	TagAck       Tag = 4
 
-	// internal/geostore: shipping, blocking release, payload healing, and
-	// the windowed release stream.
-	TagShip              Tag = 5
+	// internal/geostore: shipping, payload healing, and the windowed
+	// release stream.
+	TagShip Tag = 5
+	// TagApply and TagApplyAck are retired: they carried the blocking
+	// one-update-per-round-trip release (ApplyMsg/ApplyAckMsg) that the
+	// windowed release stream replaced. No decoder is registered for
+	// them, so a frame carrying either is corrupt; the numbers stay
+	// bound to the retired messages and are never reused.
 	TagApply             Tag = 6
 	TagApplyAck          Tag = 7
 	TagPayloadPull       Tag = 8
@@ -72,9 +77,9 @@ const (
 
 // Marshaler is implemented by every protocol payload that travels a
 // networked fabric: a stable type tag plus an append-based encoder.
-// Implementations live next to the type declarations (the packages that
-// already call fabric.RegisterPayload) and register a matching decoder
-// with Register from the same init function.
+// Implementations live next to the type declarations and register a
+// matching decoder with Register from an init function in the same
+// package.
 type Marshaler interface {
 	// WireTag returns the payload's registered tag.
 	WireTag() Tag
@@ -90,8 +95,8 @@ var (
 	}
 )
 
-// Register installs the decoder for a payload tag. Like gob.Register it
-// is meant for init functions; reusing a live tag panics, because two
+// Register installs the decoder for a payload tag. It is meant for init
+// functions; reusing a live tag panics, because two
 // types decoding one tag is a protocol bug, not a configuration.
 func Register(tag Tag, decode func(*Dec) any) {
 	regMu.Lock()
@@ -105,8 +110,7 @@ func Register(tag Tag, decode func(*Dec) any) {
 // AppendPayload appends a type-tagged payload encoding to b: uvarint tag,
 // then the payload body. Payload types must implement Marshaler (or be
 // []*types.Update, which this package encodes itself); anything else is a
-// permanent encode error, the wire codec's analogue of a type missing
-// from the gob registry.
+// permanent encode error.
 func AppendPayload(b []byte, payload any) ([]byte, error) {
 	switch p := payload.(type) {
 	case Marshaler:

@@ -4,13 +4,13 @@
 // batches, ack watermarks, shipping, release streams, sequencer round
 // trips), and the write-ahead log's records (internal/wal).
 //
-// It replaces encoding/gob on those paths. Gob pays reflection, per-stream
-// type descriptors, and fresh allocations for every message; wire encodes
-// with append-only writes into caller-supplied (usually pooled) buffers
-// and decodes with a cursor over the received frame, so a steady-state
-// encode performs zero heap allocations and a decode allocates only the
-// payload values themselves. Gob survives behind the transport's codec
-// seam as the benchmark ablation (fabric.CodecGob).
+// It replaced the standard library's gob encoding on those paths
+// (DESIGN.md "Retired ablations"). Gob pays reflection, per-stream type
+// descriptors, and fresh allocations for every message; wire encodes with
+// append-only writes into caller-supplied (usually pooled) buffers and
+// decodes with a cursor over the received frame, so a steady-state encode
+// performs zero heap allocations and a decode allocates only the payload
+// values themselves.
 //
 // Encoding conventions, shared by every codec in this package and
 // documented in DESIGN.md ("The wire format"):
