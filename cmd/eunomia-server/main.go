@@ -143,9 +143,9 @@ func main() {
 		aggFlush   = flag.Duration("agg-flush", 0, "-role aggregator: merge-and-forward period (default -batch-interval)")
 		listen     = flag.String("listen", ":7077", "fabric listen address")
 		advertise  = flag.String("advertise", "", "address peers dial to reach this process (default: listen address)")
-		batchIvl   = flag.Duration("batch-interval", time.Millisecond, "partition→Eunomia propagation period (baseline modes: inter-DC ship batching interval)")
-		stableIvl  = flag.Duration("stable-interval", time.Millisecond, "stabilization period θ")
-		checkIvl   = flag.Duration("check-interval", time.Millisecond, "receiver dependency-check period ρ")
+		batchIvl   = flag.Duration("batch-interval", time.Millisecond, "partition→Eunomia and payload propagation period, flushed on wall-clock multiples (baseline modes: inter-DC ship batching interval)")
+		stableIvl  = flag.Duration("stable-interval", time.Millisecond, "fallback stabilization and follower-announcement period θ (the leader also stabilizes on every arrival)")
+		checkIvl   = flag.Duration("check-interval", time.Millisecond, "receiver retry period ρ (releases also run on every arrival)")
 		statsIvl   = flag.Duration("stats-interval", time.Second, "stats reporting period")
 		tree       = flag.String("tree", "redblack", "pending-set structure: redblack|avl (mode eunomia)")
 		aseq       = flag.Bool("aseq", false, "mode sequencer: contact the sequencer asynchronously (A-Seq)")
@@ -611,6 +611,7 @@ func hostEunomia(fab *transport.TCP, role string, dcID, dcs, partitions, replica
 				Name: "eunomia_receiver_applied_total", Value: float64(node.Receiver().Applied.Load()),
 			})
 		}
+		samples = append(samples, stabilizationLag(node, time.Now())...)
 		// Propagation-tree fan-in: per-endpoint frame counters (the
 		// BatchesIn/BatchesOut ratio is the fan-in factor the tree
 		// achieves) and the merge-and-forward latency histogram, labeled
@@ -668,6 +669,35 @@ func hostEunomia(fab *transport.TCP, role string, dcID, dcs, partitions, replica
 		return samples
 	}
 	return h, nil
+}
+
+// stabilizationLag reports how far the hosted stabilization stages trail
+// the wall clock: the Eunomia leader's stable time, and the receiver's
+// SiteTime per origin (skew-inclusive: the origin's clock stamped it, and
+// it stops advancing while the origin is idle). A stage that has seen
+// nothing yet reports no series rather than the distance to the epoch.
+func stabilizationLag(node *geostore.Node, now time.Time) []metrics.PromSample {
+	var out []metrics.PromSample
+	if c := node.Cluster(); c != nil {
+		if l := c.Leader(); l != nil {
+			if st := l.Stats().StableTime; st > 0 {
+				out = append(out, metrics.PromSample{Name: "eunomia_stable_lag_seconds", Value: now.Sub(st.Time()).Seconds()})
+			}
+		}
+	}
+	if r := node.Receiver(); r != nil {
+		for k, ts := range r.SiteTime() {
+			if types.DCID(k) == node.DC() || ts == 0 {
+				continue
+			}
+			out = append(out, metrics.PromSample{
+				Name:   "eunomia_receiver_site_lag_seconds",
+				Labels: [][2]string{{"origin", strconv.Itoa(k)}},
+				Value:  now.Sub(ts.Time()).Seconds(),
+			})
+		}
+	}
+	return out
 }
 
 func boolGauge(b bool) float64 {

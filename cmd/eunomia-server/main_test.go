@@ -850,15 +850,32 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Skip("skipping process test in -short mode")
 	}
 	bin := buildServer(t)
-	addr, maddr := freePort(t), freePort(t)
-	p := startProc(t, bin,
-		"-mode", "eunomia", "-role", "dc", "-dc", "0", "-dcs", "1",
-		"-partitions", "2", "-agg-fanin", "1", "-listen", addr, "-metrics-addr", maddr,
-		"-compress", "snappy", "-stats-interval", "1h")
+	addr, maddr, writerAddr := freePort(t), freePort(t), freePort(t)
+	common := []string{"-mode", "eunomia", "-role", "dc", "-dcs", "2", "-partitions", "2",
+		"-agg-fanin", "1", "-compress", "snappy", "-stats-interval", "1h"}
+	p := startProc(t, bin, append([]string{
+		"-dc", "1", "-listen", addr, "-route", "dc0=" + writerAddr, "-metrics-addr", maddr,
+	}, common...)...)
 	defer p.kill()
+	// A writer at dc0 gives dc1's receiver an origin to trail.
+	writer := startProc(t, bin, append([]string{
+		"-dc", "0", "-listen", writerAddr, "-route", "dc1=" + addr, "-demo", "write:3",
+	}, common...)...)
+	defer writer.kill()
 
+	// Stabilization lag: the leader's stable time, and SiteTime per
+	// origin once something from it has been applied.
+	const siteLag = `eunomia_receiver_site_lag_seconds{origin="0"}`
 	body := scrapeMetrics(t, p, maddr)
+	for deadline := time.Now().Add(20 * time.Second); !strings.Contains(body, siteLag); {
+		if time.Now().After(deadline) {
+			t.Fatalf("metrics output never showed %q:\n%s\nwriter:\n%s", siteLag, body, writer.output())
+		}
+		time.Sleep(50 * time.Millisecond)
+		body = scrapeMetrics(t, p, maddr)
+	}
 	for _, want := range []string{
+		"eunomia_stable_lag_seconds", siteLag,
 		"eunomia_fabric_sent_total", "eunomia_local_updates_total", "eunomia_release_wedged 0",
 		// Compression byte accounting: pre/post totals per direction and
 		// the endpoint's ratio summary under its dialing scheme.

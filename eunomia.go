@@ -68,8 +68,8 @@ type Config struct {
 	// latencies). Ignored when RTT is set.
 	RTTScale float64
 
-	// BatchInterval is the partition→Eunomia propagation period and
-	// heartbeat period Δ (default 1 ms).
+	// BatchInterval is the partition→Eunomia propagation period, which
+	// is also the heartbeat period (default 1 ms).
 	BatchInterval time.Duration
 	// StabilizationInterval is Eunomia's θ (default 1 ms).
 	StabilizationInterval time.Duration

@@ -119,3 +119,17 @@ func (m *Manual) Set(t int64) { m.now.Store(t) }
 func (m *Manual) Advance(d time.Duration) int64 {
 	return m.now.Add(d.Microseconds())
 }
+
+// UntilBoundary returns how long from now until the next multiple of d on
+// the host's wall clock (d itself when now sits exactly on one). Periodic
+// senders that wait on it instead of "d after the last round" fire in
+// phase: every process on a host — and, up to NTP skew, every host — runs
+// its round at the same instants, so a stage that needs the minimum over
+// many senders (Eunomia's stable time) advances once per period for all of
+// them together instead of waiting for the latest-phased one.
+func UntilBoundary(d time.Duration) time.Duration {
+	if d <= 0 {
+		return 0
+	}
+	return d - time.Duration(time.Now().UnixNano()%int64(d))
+}

@@ -82,3 +82,22 @@ func TestSpinForApproximatesDuration(t *testing.T) {
 	SpinFor(0)  // must not hang
 	SpinFor(-1) // must not hang
 }
+
+func TestUntilBoundaryLandsOnMultiples(t *testing.T) {
+	const d = 7 * time.Millisecond
+	for i := 0; i < 5; i++ {
+		wait := UntilBoundary(d)
+		if wait <= 0 || wait > d {
+			t.Fatalf("UntilBoundary(%v) = %v, want in (0, %v]", d, wait, d)
+		}
+		at := time.Now().Add(wait).UnixNano()
+		// The instant it names is a multiple of d, up to the few
+		// microseconds between the two clock reads.
+		if off := at % int64(d); off > int64(time.Millisecond) && off < int64(d-time.Millisecond) {
+			t.Fatalf("boundary off by %v", time.Duration(off))
+		}
+	}
+	if UntilBoundary(0) != 0 {
+		t.Fatal("non-positive period must not wait")
+	}
+}

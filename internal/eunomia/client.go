@@ -1,11 +1,13 @@
 package eunomia
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"eunomia/internal/clock"
 	"eunomia/internal/hlc"
 	"eunomia/internal/types"
 )
@@ -34,16 +36,15 @@ type ClientConfig struct {
 	Partition types.PartitionID
 	// BatchInterval is how often buffered operations are propagated to
 	// the replicas (§5, Communication Patterns; the evaluation uses
-	// 1 ms). It doubles as the heartbeat period. Default 1ms.
+	// 1 ms). Flushes fire on wall-clock multiples of it, so every stream
+	// of a datacenter reports in the same instant; each flush also
+	// reports the stream's watermark. Default 1ms.
 	BatchInterval time.Duration
-	// HeartbeatDelta is Δ of Algorithm 2: a heartbeat is emitted only if
-	// the physical clock has advanced Δ past the last issued timestamp.
-	// Default equals BatchInterval.
-	HeartbeatDelta time.Duration
-	// MaxPending bounds the unacknowledged buffer; Add blocks beyond it.
-	// This is the in-process analogue of TCP backpressure from the
-	// service — without it an overdriven service would just grow the
-	// queue unboundedly. Default 16384.
+	// MaxPending bounds the operations buffered or reserved but not yet
+	// acknowledged; Issue and Reserve block beyond it. This is the
+	// in-process analogue of TCP backpressure from the service — without
+	// it an overdriven service would just grow the queue unboundedly.
+	// Default 16384.
 	MaxPending int
 	// FireAndForget disables the acknowledgement/resend machinery and
 	// sends each batch exactly once to the first replica only — the
@@ -66,34 +67,41 @@ func (c *ClientConfig) fill() {
 	if c.BatchInterval <= 0 {
 		c.BatchInterval = time.Millisecond
 	}
-	if c.HeartbeatDelta <= 0 {
-		c.HeartbeatDelta = c.BatchInterval
-	}
 	if c.MaxPending <= 0 {
 		c.MaxPending = 16384
 	}
 }
 
-// Client buffers one partition's operations and propagates them to every
-// Eunomia replica, implementing the partition side of Algorithm 4: batches
-// are sent to all replicas, per-replica acknowledgement watermarks are
-// tracked (Ack_n), and unacknowledged suffixes are resent each round,
-// which establishes the prefix property over at-least-once delivery.
+// Client is the sole issuer of one partition stream's timestamps. It
+// buffers the stream's operations and propagates them to every Eunomia
+// replica, implementing the partition side of Algorithm 4: batches are
+// sent to all replicas, per-replica acknowledgement watermarks are tracked
+// (Ack_n), and unacknowledged suffixes are resent each round, which
+// establishes the prefix property over at-least-once delivery.
 //
-// Heartbeats are emitted only when the buffer is fully acknowledged by
-// every live replica; together with the hybrid clock's monotonicity this
-// guarantees no operation can ever be filtered as a duplicate without
-// having been ingested (see TestClientHeartbeatNeverMasksOps).
+// Every flush reports the stream's watermark (a heartbeat) once
+// everything it has sent is acknowledged by every live replica. The
+// watermark never passes a timestamp that is issued but not yet
+// enqueued: Issue ticks and enqueues in one step under the client's lock,
+// and a timestamp taken with Reserve holds the stream back — flushes ship
+// only the operations below the oldest reservation and promise at most
+// one less than it — until Add enqueues it. So no operation can be
+// filtered as a duplicate without having been ingested, however long its
+// producer is descheduled (see TestClientHeartbeatNeverMasksOps and
+// TestClientHeldReservationIsNotMasked). This replaces Algorithm 2's Δ
+// test, which only made that loss unlikely.
 type Client struct {
 	cfg   ClientConfig
 	conns []Conn
 	clock *hlc.Clock
 
-	mu      sync.Mutex
-	notFull *sync.Cond
-	pending []*types.Update // ascending by TS
-	acked   []hlc.Timestamp // per replica
-	dead    []bool          // per replica, sticky
+	mu       sync.Mutex
+	notFull  *sync.Cond
+	pending  []*types.Update // ascending by TS
+	reserved []hlc.Timestamp // issued by Reserve, not yet added; ascending
+	closed   bool
+	acked    []hlc.Timestamp // per replica
+	dead     []bool          // per replica, sticky
 
 	interval atomic.Int64 // current batch interval in nanoseconds
 
@@ -110,9 +118,10 @@ type metrics64 struct{ v atomic.Int64 }
 func (m *metrics64) inc()        { m.v.Add(1) }
 func (m *metrics64) load() int64 { return m.v.Load() }
 
-// NewClient starts the propagation loop for one partition. clock must be
-// the same hybrid clock the partition tags updates with, so that heartbeat
-// timestamps dominate every issued timestamp.
+// NewClient starts the propagation loop for one partition. clock is the
+// partition's hybrid clock: the client ticks it for every timestamp the
+// stream issues, and the partition may only Observe it (remote applies,
+// recovery), never tick it itself.
 func NewClient(cfg ClientConfig, conns []Conn, clock *hlc.Clock) *Client {
 	cfg.fill()
 	c := &Client{
@@ -130,23 +139,107 @@ func NewClient(cfg ClientConfig, conns []Conn, clock *hlc.Clock) *Client {
 	return c
 }
 
-// Add enqueues an operation for propagation. Operations must be produced
-// in ascending timestamp order (the partition's own serialization provides
-// this). Add blocks only under backpressure.
+// Issue stamps u with the stream's next timestamp — strictly greater than
+// dep and than every timestamp issued before (Algorithm 2 line 5) — and
+// enqueues it for propagation, in one step under the client's lock, then
+// returns the timestamp. It blocks only under backpressure; after Close it
+// still issues but no longer enqueues.
+func (c *Client) Issue(dep hlc.Timestamp, u *types.Update) hlc.Timestamp {
+	c.mu.Lock()
+	c.waitRoomLocked()
+	u.TS = c.clock.Tick(dep)
+	closed := c.closed
+	if !closed {
+		// The fresh timestamp is the largest ever issued, so appending
+		// keeps pending sorted.
+		c.pending = append(c.pending, u)
+	}
+	c.mu.Unlock()
+	if !closed {
+		c.added.inc()
+	}
+	return u.TS
+}
+
+// Reserve issues the stream's next timestamp (as Issue does) for an
+// operation that is enqueued later with Add — the partition logs the
+// update to its WAL in between. Until then the stream's watermark stays
+// below the reservation. Reserve blocks only under backpressure, which
+// counts reservations; Add never blocks.
+func (c *Client) Reserve(dep hlc.Timestamp) hlc.Timestamp {
+	c.mu.Lock()
+	c.waitRoomLocked()
+	ts := c.clock.Tick(dep)
+	if !c.closed {
+		c.reserved = append(c.reserved, ts)
+	}
+	c.mu.Unlock()
+	return ts
+}
+
+// Add enqueues the operation for a timestamp obtained from Reserve and
+// releases the reservation. Operations from concurrent producers may be
+// added in any order: Add inserts by timestamp. After Close it drops the
+// operation. Adding a timestamp Reserve did not issue is a programming
+// error and panics.
 func (c *Client) Add(u *types.Update) {
 	c.mu.Lock()
-	for len(c.pending) >= c.cfg.MaxPending {
-		select {
-		case <-c.stop:
-			c.mu.Unlock()
-			return
-		default:
-		}
-		c.notFull.Wait()
+	if c.closed {
+		c.mu.Unlock()
+		return
 	}
-	c.pending = append(c.pending, u)
+	i := len(c.reserved) - 1
+	for i >= 0 && c.reserved[i] != u.TS {
+		i--
+	}
+	if i < 0 {
+		c.mu.Unlock()
+		panic(fmt.Sprintf("eunomia: Add of unreserved timestamp %v", u.TS))
+	}
+	c.reserved = append(c.reserved[:i], c.reserved[i+1:]...)
+	// Insert from the tail: the operation usually belongs at or near the
+	// end. Everything an in-flight flush reads sits below the oldest
+	// reservation, so the shift never touches it.
+	j := len(c.pending)
+	for j > 0 && c.pending[j-1].TS > u.TS {
+		j--
+	}
+	c.pending = append(c.pending, nil)
+	copy(c.pending[j+1:], c.pending[j:])
+	c.pending[j] = u
 	c.mu.Unlock()
 	c.added.inc()
+}
+
+// waitRoomLocked blocks while MaxPending operations are buffered or
+// reserved, until acknowledgements make room or the client closes.
+func (c *Client) waitRoomLocked() {
+	for !c.closed && len(c.pending)+len(c.reserved) >= c.cfg.MaxPending {
+		c.notFull.Wait()
+	}
+}
+
+// shippableLocked returns how many pending operations lie below the
+// oldest reservation: the prefix a flush may send. Anything above it
+// would move a replica's watermark past the reserved timestamp, which
+// would then be filtered as a duplicate.
+func (c *Client) shippableLocked() int {
+	if len(c.reserved) == 0 {
+		return len(c.pending)
+	}
+	oldest := c.reserved[0]
+	return sort.Search(len(c.pending), func(j int) bool { return c.pending[j].TS > oldest })
+}
+
+// watermarkLocked returns the timestamp a heartbeat may promise once the
+// shippable prefix is acknowledged: just below the oldest reservation, or
+// with none outstanding the clock advanced to max(physical, last), which
+// every later issue exceeds.
+func (c *Client) watermarkLocked() hlc.Timestamp {
+	if len(c.reserved) > 0 {
+		return c.reserved[0] - 1
+	}
+	return c.clock.Advance()
 }
 
 // SetInterval changes the propagation period at runtime. The straggler
@@ -169,20 +262,25 @@ func (c *Client) Pending() int {
 // Added returns the total number of operations enqueued.
 func (c *Client) Added() int64 { return c.added.load() }
 
-// Close stops the propagation loop after a final flush.
+// Close stops the propagation loop after a final flush and releases any
+// producer blocked on backpressure.
 func (c *Client) Close() {
 	c.stopOnce.Do(func() {
-		close(c.stop)
 		c.mu.Lock()
+		c.closed = true
 		c.notFull.Broadcast()
 		c.mu.Unlock()
+		close(c.stop)
 	})
 	c.wg.Wait()
 }
 
+// loop flushes on wall-clock multiples of the batch interval (see
+// clock.UntilBoundary), re-reading the interval each round so SetInterval
+// takes effect at the next boundary.
 func (c *Client) loop() {
 	defer c.wg.Done()
-	timer := time.NewTimer(time.Duration(c.interval.Load()))
+	timer := time.NewTimer(clock.UntilBoundary(time.Duration(c.interval.Load())))
 	defer timer.Stop()
 	for {
 		select {
@@ -192,13 +290,13 @@ func (c *Client) loop() {
 		case <-timer.C:
 		}
 		c.flush()
-		timer.Reset(time.Duration(c.interval.Load()))
+		timer.Reset(clock.UntilBoundary(time.Duration(c.interval.Load())))
 	}
 }
 
-// flush resends to each live replica the suffix of pending operations it
+// flush resends to each live replica the suffix of shippable operations it
 // has not acknowledged, prunes fully acknowledged operations, and emits a
-// heartbeat when there is nothing outstanding.
+// heartbeat when nothing it sent is outstanding.
 func (c *Client) flush() {
 	c.flushes.inc()
 	if c.cfg.FireAndForget {
@@ -206,7 +304,8 @@ func (c *Client) flush() {
 		return
 	}
 	c.mu.Lock()
-	snapshot := c.pending
+	n := c.shippableLocked()
+	snapshot := c.pending[:n:n]
 	acked := append([]hlc.Timestamp(nil), c.acked...)
 	dead := append([]bool(nil), c.dead...)
 	c.mu.Unlock()
@@ -273,23 +372,23 @@ func (c *Client) flush() {
 		c.pending = append([]*types.Update(nil), c.pending[drop:]...)
 		c.notFull.Broadcast()
 	}
-	outstanding := len(c.pending) > 0
-	c.mu.Unlock()
-
-	if outstanding {
-		return
+	if c.shippableLocked() > 0 {
+		c.mu.Unlock()
+		return // sent but unacknowledged: no promise yet
 	}
-	// Nothing outstanding anywhere: heartbeat (Algorithm 2 lines 10-12).
-	if hb, ok := c.clock.Heartbeat(c.cfg.HeartbeatDelta); ok {
-		for i, conn := range c.conns {
-			if dead[i] {
-				continue
-			}
-			if err := conn.Heartbeat(c.cfg.Partition, hb); err != nil {
-				c.mu.Lock()
-				c.dead[i] = true
-				c.mu.Unlock()
-			}
+	// Nothing sent is outstanding: report the watermark (Algorithm 2
+	// lines 10-12, without Δ). It is computed under the lock the issuing
+	// calls hold, so every timestamp issued after it is larger.
+	hb := c.watermarkLocked()
+	c.mu.Unlock()
+	for i, conn := range c.conns {
+		if dead[i] {
+			continue
+		}
+		if err := conn.Heartbeat(c.cfg.Partition, hb); err != nil {
+			c.mu.Lock()
+			c.dead[i] = true
+			c.mu.Unlock()
 		}
 	}
 }
@@ -299,18 +398,20 @@ func (c *Client) flush() {
 // operations dropped as soon as the send returns.
 func (c *Client) flushFireAndForget() {
 	c.mu.Lock()
-	batch := c.pending
-	c.pending = nil
-	c.notFull.Broadcast()
+	n := c.shippableLocked()
+	batch := c.pending[:n:n]
+	var hb hlc.Timestamp
+	if n > 0 {
+		c.pending = append([]*types.Update(nil), c.pending[n:]...)
+		c.notFull.Broadcast()
+	} else {
+		hb = c.watermarkLocked()
+	}
 	c.mu.Unlock()
 
-	if len(batch) > 0 {
-		if _, err := c.conns[0].NewBatch(c.cfg.Partition, batch); err != nil {
-			return // service down; Algorithm 3 has no recovery
-		}
+	if n > 0 {
+		_, _ = c.conns[0].NewBatch(c.cfg.Partition, batch) // service down: Algorithm 3 has no recovery
 		return
 	}
-	if hb, ok := c.clock.Heartbeat(c.cfg.HeartbeatDelta); ok {
-		_ = c.conns[0].Heartbeat(c.cfg.Partition, hb)
-	}
+	_ = c.conns[0].Heartbeat(c.cfg.Partition, hb)
 }

@@ -18,6 +18,7 @@ type fakeConn struct {
 	heartbeats []hlc.Timestamp
 	failN      int // fail the next N calls
 	failAll    bool
+	filtered   int // ops at or below the watermark when they arrived
 }
 
 var errFake = errors.New("fake conn failure")
@@ -33,6 +34,7 @@ func (f *fakeConn) NewBatch(_ types.PartitionID, ops []*types.Update) (hlc.Times
 	}
 	for _, u := range ops {
 		if u.TS <= f.watermark {
+			f.filtered++
 			continue // dedup, as the real replica does
 		}
 		f.watermark = u.TS
@@ -76,19 +78,18 @@ func (f *fakeConn) opTimestamps() []hlc.Timestamp {
 	return out
 }
 
-func newTestClient(conns []Conn, cfg ClientConfig) (*Client, *hlc.Clock) {
-	clock := hlc.NewClock(nil)
+func newTestClient(conns []Conn, cfg ClientConfig) *Client {
 	if cfg.BatchInterval == 0 {
 		cfg.BatchInterval = time.Millisecond
 	}
-	return NewClient(cfg, conns, clock), clock
+	return NewClient(cfg, conns, hlc.NewClock(nil))
 }
 
 func TestClientDeliversAllOpsToAllReplicas(t *testing.T) {
 	a, b := &fakeConn{}, &fakeConn{}
-	cl, clock := newTestClient([]Conn{a, b}, ClientConfig{Partition: 0})
+	cl := newTestClient([]Conn{a, b}, ClientConfig{Partition: 0})
 	for i := 1; i <= 100; i++ {
-		cl.Add(up(0, uint64(i), clock.Tick(0)))
+		cl.Issue(0, up(0, uint64(i), 0))
 	}
 	waitFor(t, time.Second, func() bool { return a.opCount() == 100 && b.opCount() == 100 })
 	cl.Close()
@@ -99,10 +100,10 @@ func TestClientResendsToRecoveredConn(t *testing.T) {
 	// property means the surviving replica still received everything.
 	good := &fakeConn{}
 	bad := &fakeConn{failN: 1000000}
-	cl, clock := newTestClient([]Conn{good, bad}, ClientConfig{Partition: 0})
+	cl := newTestClient([]Conn{good, bad}, ClientConfig{Partition: 0})
 	defer cl.Close()
 	for i := 1; i <= 50; i++ {
-		cl.Add(up(0, uint64(i), clock.Tick(0)))
+		cl.Issue(0, up(0, uint64(i), 0))
 	}
 	waitFor(t, time.Second, func() bool { return good.opCount() == 50 })
 	if bad.opCount() != 0 {
@@ -114,12 +115,12 @@ func TestClientResendEstablishesPrefixProperty(t *testing.T) {
 	// A replica that errors a few times still ends with a gap-free
 	// prefix of the stream once it starts answering.
 	flaky := &fakeConn{failN: 3}
-	cl, clock := newTestClient([]Conn{flaky}, ClientConfig{Partition: 0})
+	cl := newTestClient([]Conn{flaky}, ClientConfig{Partition: 0})
 	defer cl.Close()
 	// The client marks a replica dead on first error and never retries
 	// — with a single replica the stream must therefore stall, not gap.
 	for i := 1; i <= 10; i++ {
-		cl.Add(up(0, uint64(i), clock.Tick(0)))
+		cl.Issue(0, up(0, uint64(i), 0))
 	}
 	time.Sleep(20 * time.Millisecond)
 	if got := flaky.opCount(); got != 0 {
@@ -132,13 +133,9 @@ func TestClientResendEstablishesPrefixProperty(t *testing.T) {
 
 func TestClientHeartbeatWhenIdle(t *testing.T) {
 	a := &fakeConn{}
-	cl, clock := newTestClient([]Conn{a}, ClientConfig{
-		Partition:      0,
-		BatchInterval:  time.Millisecond,
-		HeartbeatDelta: time.Millisecond,
-	})
+	cl := newTestClient([]Conn{a}, ClientConfig{Partition: 0, BatchInterval: time.Millisecond})
 	defer cl.Close()
-	clock.Tick(0) // something was issued once
+	cl.Issue(0, up(0, 1, 0)) // something was issued once
 	waitFor(t, time.Second, func() bool { return a.hbCount() >= 3 })
 	// Heartbeats must be increasing.
 	hbs := func() []hlc.Timestamp {
@@ -156,34 +153,48 @@ func TestClientHeartbeatWhenIdle(t *testing.T) {
 // TestClientHeartbeatNeverMasksOps is the §3.3 safety property: no
 // heartbeat may advance a replica's watermark past an operation that the
 // replica has not ingested, or the operation would be filtered as a
-// duplicate on resend and lost. The client guarantees this by
-// heartbeating only when its buffer is fully acknowledged.
+// duplicate on resend and lost. Producers here race the 1-ms flushes from
+// several goroutines, through both issuing calls, with reservations held
+// across flushes: every flush heartbeats (there is no Δ), so only the
+// watermark rule — heartbeat below the oldest reservation, ship only the
+// prefix under it — keeps every operation.
 func TestClientHeartbeatNeverMasksOps(t *testing.T) {
 	a := &fakeConn{}
-	cl, clock := newTestClient([]Conn{a}, ClientConfig{
-		Partition:      0,
-		BatchInterval:  time.Millisecond,
-		HeartbeatDelta: time.Millisecond,
-	})
+	cl := newTestClient([]Conn{a}, ClientConfig{Partition: 0, BatchInterval: time.Millisecond})
 	defer cl.Close()
 
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 1; i <= 500; i++ {
-			cl.Add(up(0, uint64(i), clock.Tick(0)))
-			if i%50 == 0 {
-				time.Sleep(3 * time.Millisecond) // idle gaps: heartbeats fire
+	const producers, per = 4, 125
+	var wg sync.WaitGroup
+	for g := 0; g < producers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 1; i <= per; i++ {
+				seq := uint64(g*per + i)
+				if i%2 == 0 {
+					cl.Issue(0, up(0, seq, 0))
+					continue
+				}
+				ts := cl.Reserve(0)
+				if i%25 == 1 {
+					time.Sleep(3 * time.Millisecond) // held across flushes
+				}
+				cl.Add(up(0, seq, ts))
 			}
-		}
-	}()
-	<-done
-	waitFor(t, 2*time.Second, func() bool { return a.opCount() == 500 })
+		}(g)
+	}
+	wg.Wait()
+	waitFor(t, 2*time.Second, func() bool { return a.opCount() == producers*per })
 
-	// Interleave check: every op the replica holds arrived with a
-	// timestamp above the watermark at its arrival — i.e. nothing was
-	// filtered. 500 received == 500 sent proves it; also verify
-	// monotone arrival order.
+	a.mu.Lock()
+	filtered, hbs := a.filtered, len(a.heartbeats)
+	a.mu.Unlock()
+	if filtered != 0 {
+		t.Fatalf("%d operations arrived at or below a heartbeat watermark", filtered)
+	}
+	if hbs == 0 {
+		t.Fatal("no heartbeats were sent; the test exercised nothing")
+	}
 	ts := a.opTimestamps()
 	for i := 1; i < len(ts); i++ {
 		if ts[i] <= ts[i-1] {
@@ -192,43 +203,96 @@ func TestClientHeartbeatNeverMasksOps(t *testing.T) {
 	}
 }
 
+// TestClientHeldReservationIsNotMasked holds a reserved timestamp for many
+// flush periods — a producer descheduled between taking its timestamp and
+// enqueuing, or a slow WAL append — while the stream keeps issuing above
+// it. The real replica must still ingest the held operation: nothing
+// above the reservation ships and no heartbeat passes it until Add. A
+// raw clock tick in place of Reserve loses the operation as a duplicate.
+func TestClientHeldReservationIsNotMasked(t *testing.T) {
+	sink := &shipSink{}
+	c := NewCluster(1, Config{Partitions: 1, StableInterval: time.Millisecond}, sink.ship)
+	defer c.Stop()
+	cl := NewClient(ClientConfig{Partition: 0, BatchInterval: time.Millisecond}, ClusterConns(c), hlc.NewClock(nil))
+	defer cl.Close()
+
+	before := cl.Issue(0, up(0, 1, 0))
+	held := cl.Reserve(0)
+	after := cl.Issue(0, up(0, 3, 0))
+	time.Sleep(10 * time.Millisecond) // ≥ 5 flush periods
+	if st := c.Replica(0).Stats(); st.StableTime >= held || st.OpsReceived != 1 {
+		t.Fatalf("while held: stable %v, received %d; want stable below %v and only the op under it", st.StableTime, st.OpsReceived, held)
+	}
+	cl.Add(up(0, 2, held))
+
+	waitFor(t, 2*time.Second, func() bool { return c.Replica(0).Stats().OpsShipped == 3 })
+	st := c.Replica(0).Stats()
+	if st.Duplicates != 0 || st.OpsReceived != 3 {
+		t.Fatalf("received %d, duplicates %d; want 3 and 0", st.OpsReceived, st.Duplicates)
+	}
+	got := sink.snapshot()
+	if len(got) != 3 || got[0].TS != before || got[1].TS != held || got[2].TS != after {
+		t.Fatalf("shipped %d ops out of order, want [%v %v %v]", len(got), before, held, after)
+	}
+}
+
+// TestClientBackpressure: the issuing calls block once MaxPending
+// operations are buffered or reserved, and Close releases them.
 func TestClientBackpressure(t *testing.T) {
 	blocked := &fakeConn{failAll: true} // nothing ever acknowledged
-	cl, clock := newTestClient([]Conn{blocked}, ClientConfig{
+	cl := newTestClient([]Conn{blocked}, ClientConfig{
 		Partition:     0,
 		BatchInterval: time.Millisecond,
 		MaxPending:    10,
 	})
-	added := make(chan int, 1)
+	held := cl.Reserve(0) // reservations count toward the bound
+	issued := make(chan int, 1)
 	go func() {
 		n := 0
 		for i := 1; i <= 50; i++ {
-			cl.Add(up(0, uint64(i), clock.Tick(0)))
+			cl.Issue(0, up(0, uint64(i), 0))
 			n++
 		}
-		added <- n
+		issued <- n
 	}()
 	select {
-	case <-added:
-		t.Fatal("Add did not block at MaxPending with a dead service")
+	case <-issued:
+		t.Fatal("Issue did not block at MaxPending with a dead service")
 	case <-time.After(50 * time.Millisecond):
+	}
+	if got := cl.Pending(); got != 9 {
+		t.Fatalf("pending = %d, want 9 beside the reservation", got)
 	}
 	cl.Close() // releases the blocked producer
 	select {
-	case <-added:
+	case <-issued:
 	case <-time.After(time.Second):
-		t.Fatal("Close did not release the blocked Add")
+		t.Fatal("Close did not release the blocked Issue")
 	}
+	cl.Add(up(0, 99, held)) // after Close: dropped, never blocks
+}
+
+// TestClientAddRequiresReservation: enqueuing a self-stamped operation
+// would bypass the watermark rule, so Add refuses it.
+func TestClientAddRequiresReservation(t *testing.T) {
+	cl := newTestClient([]Conn{&fakeConn{}}, ClientConfig{Partition: 0})
+	defer cl.Close()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Add accepted a timestamp Reserve never issued")
+		}
+	}()
+	cl.Add(up(0, 1, hlc.New(1, 0)))
 }
 
 func TestClientFireAndForget(t *testing.T) {
 	a, b := &fakeConn{}, &fakeConn{}
-	cl, clock := newTestClient([]Conn{a, b}, ClientConfig{
+	cl := newTestClient([]Conn{a, b}, ClientConfig{
 		Partition:     0,
 		FireAndForget: true,
 	})
 	for i := 1; i <= 20; i++ {
-		cl.Add(up(0, uint64(i), clock.Tick(0)))
+		cl.Issue(0, up(0, uint64(i), 0))
 	}
 	waitFor(t, time.Second, func() bool { return a.opCount() == 20 })
 	cl.Close()
@@ -242,12 +306,12 @@ func TestClientFireAndForget(t *testing.T) {
 
 func TestClientSetInterval(t *testing.T) {
 	a := &fakeConn{}
-	cl, clock := newTestClient([]Conn{a}, ClientConfig{Partition: 0, BatchInterval: time.Millisecond})
+	cl := newTestClient([]Conn{a}, ClientConfig{Partition: 0, BatchInterval: time.Millisecond})
 	defer cl.Close()
 
 	cl.SetInterval(100 * time.Millisecond) // straggle
 	time.Sleep(5 * time.Millisecond)       // let the new interval arm
-	cl.Add(up(0, 1, clock.Tick(0)))
+	cl.Issue(0, up(0, 1, 0))
 	time.Sleep(20 * time.Millisecond)
 	early := a.opCount()
 	waitFor(t, time.Second, func() bool { return a.opCount() == 1 })
@@ -255,16 +319,16 @@ func TestClientSetInterval(t *testing.T) {
 		t.Log("straggling client flushed early; timing-sensitive, tolerated")
 	}
 	cl.SetInterval(0) // heals to the 1ms default
-	cl.Add(up(0, 2, clock.Tick(0)))
+	cl.Issue(0, up(0, 2, 0))
 	waitFor(t, time.Second, func() bool { return a.opCount() == 2 })
 }
 
 func TestClientAddedCounter(t *testing.T) {
 	a := &fakeConn{}
-	cl, clock := newTestClient([]Conn{a}, ClientConfig{Partition: 0})
+	cl := newTestClient([]Conn{a}, ClientConfig{Partition: 0})
 	defer cl.Close()
 	for i := 1; i <= 7; i++ {
-		cl.Add(up(0, uint64(i), clock.Tick(0)))
+		cl.Issue(0, up(0, uint64(i), 0))
 	}
 	if cl.Added() != 7 {
 		t.Fatalf("Added = %d", cl.Added())

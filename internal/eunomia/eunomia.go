@@ -76,8 +76,10 @@ type Config struct {
 	// service. Stability requires every partition to have reported at
 	// least once (by update or heartbeat).
 	Partitions int
-	// StableInterval is θ, the period of the PROCESS_STABLE loop.
-	// Default 1ms.
+	// StableInterval is θ. The leader runs PROCESS_STABLE whenever a
+	// batch or heartbeat arrives; θ is the period of the fallback round
+	// that also announces the stable time to followers, and of the
+	// followers' leader-suspicion check. Default 1ms.
 	StableInterval time.Duration
 	// SuspectAfter is how long a follower waits without a STABLE
 	// notification before probing for a dead leader. Default
@@ -136,6 +138,7 @@ type Replica struct {
 	leader  atomic.Int32
 	stopped atomic.Bool
 	done    chan struct{}
+	wake    chan struct{} // 1-slot: a partition watermark moved
 	loopWG  sync.WaitGroup
 
 	opsReceived   metrics.Counter
@@ -168,6 +171,7 @@ func NewCluster(n int, cfg Config, ship ShipFunc) *Cluster {
 			ops:           newSet(cfg.Tree),
 			partitionTime: make([]hlc.Timestamp, cfg.Partitions),
 			done:          make(chan struct{}),
+			wake:          make(chan struct{}, 1),
 			lastStableMsg: time.Now(),
 		}
 		c.replicas[i] = r
@@ -228,18 +232,23 @@ func (r *Replica) NewBatch(p types.PartitionID, ops []*types.Update) (hlc.Timest
 	clock.SpinFor(r.cfg.MessageCost)
 	r.batches.Inc()
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	w := r.partitionTime[p]
+	moved := false
 	for _, u := range ops {
 		if u.TS <= w {
 			r.duplicates.Inc()
 			continue
 		}
 		w = u.TS
+		moved = true
 		r.ops.Insert(ordered.Key{TS: u.TS, Partition: int32(u.Partition), Seq: u.Seq}, u)
 		r.opsReceived.Inc()
 	}
 	r.partitionTime[p] = w
+	r.mu.Unlock()
+	if moved {
+		r.poke()
+	}
 	return w, nil
 }
 
@@ -256,6 +265,7 @@ func (r *Replica) NewMultiBatch(batches []types.PartitionBatch) ([]types.Partiti
 	clock.SpinFor(r.cfg.MessageCost)
 	r.batches.Inc()
 	acks := make([]types.PartitionMark, 0, len(batches))
+	moved := false
 	r.mu.Lock()
 	for _, sb := range batches {
 		if !r.validPartition(sb.Partition) {
@@ -273,6 +283,7 @@ func (r *Replica) NewMultiBatch(batches []types.PartitionBatch) ([]types.Partiti
 				continue
 			}
 			w = u.TS
+			moved = true
 			r.ops.Insert(ordered.Key{TS: u.TS, Partition: int32(u.Partition), Seq: u.Seq}, u)
 			r.opsReceived.Inc()
 		}
@@ -280,6 +291,9 @@ func (r *Replica) NewMultiBatch(batches []types.PartitionBatch) ([]types.Partiti
 		acks = append(acks, types.PartitionMark{Partition: sb.Partition, TS: w})
 	}
 	r.mu.Unlock()
+	if moved {
+		r.poke()
+	}
 	return acks, nil
 }
 
@@ -299,12 +313,27 @@ func (r *Replica) Heartbeat(p types.PartitionID, ts hlc.Timestamp) error {
 		return ErrUnknownPartition
 	}
 	r.mu.Lock()
-	if ts > r.partitionTime[p] {
+	moved := ts > r.partitionTime[p]
+	if moved {
 		r.partitionTime[p] = ts
 	}
 	r.mu.Unlock()
 	r.heartbeats.Inc()
+	if moved {
+		r.poke()
+	}
 	return nil
+}
+
+// poke wakes the stabilization loop after a partition watermark moved.
+// The channel holds one token, so a burst of arrivals — every stream of a
+// datacenter reports on the same flush boundary — coalesces into one or
+// two PROCESS_STABLE rounds.
+func (r *Replica) poke() {
+	select {
+	case r.wake <- struct{}{}:
+	default:
+	}
 }
 
 // Ping reports liveness; the rank-based leader election probes with it.
@@ -367,7 +396,11 @@ func (r *Replica) Stats() Stats {
 }
 
 // loop is the PROCESS_STABLE driver (Algorithm 3 line 7 / Algorithm 4 line
-// 6) plus the follower-side leader suspicion.
+// 6) plus the follower-side leader suspicion. The leader stabilizes as
+// soon as a partition watermark moves, so the stable time follows the
+// last stream's report instead of the next θ tick; the θ ticker remains
+// for announcing the stable time to followers and for their suspicion of
+// a silent leader.
 func (r *Replica) loop() {
 	defer r.loopWG.Done()
 	ticker := time.NewTicker(r.cfg.StableInterval)
@@ -376,20 +409,24 @@ func (r *Replica) loop() {
 		select {
 		case <-r.done:
 			return
+		case <-r.wake:
+			if r.isLeader() {
+				r.processStable(false)
+			}
 		case <-ticker.C:
-		}
-		if r.isLeader() {
-			r.processStable()
-		} else {
-			r.maybeTakeOver()
+			if r.isLeader() {
+				r.processStable(true)
+			} else {
+				r.maybeTakeOver()
+			}
 		}
 	}
 }
 
 // processStable computes StableTime = MIN(PartitionTime), extracts every
-// pending operation at or below it in timestamp order, ships them, and
-// notifies follower replicas.
-func (r *Replica) processStable() {
+// pending operation at or below it in timestamp order, ships them, and —
+// when announce is set — notifies follower replicas.
+func (r *Replica) processStable(announce bool) {
 	r.mu.Lock()
 	stable := minTS(r.partitionTime)
 	var batch []*types.Update
@@ -404,8 +441,8 @@ func (r *Replica) processStable() {
 		r.ship(r.id, batch)
 		r.opsShipped.Add(int64(len(batch)))
 	}
-	if stable == 0 {
-		return // no partition has reported yet; nothing to announce
+	if stable == 0 || !announce {
+		return // no partition has reported yet, or not an announcing round
 	}
 	for _, peer := range r.peers {
 		if peer.id == r.id {

@@ -299,14 +299,12 @@ func TestShippedOrderIsTotalAndCausal(t *testing.T) {
 	c := NewCluster(1, Config{Partitions: parts, StableInterval: time.Millisecond}, sink.ship)
 	defer c.Stop()
 
-	clocks := make([]*hlc.Clock, parts)
 	clients := make([]*Client, parts)
-	for i := range clocks {
-		clocks[i] = hlc.NewClock(nil)
+	for i := range clients {
 		clients[i] = NewClient(ClientConfig{
 			Partition:     types.PartitionID(i),
 			BatchInterval: time.Millisecond,
-		}, ClusterConns(c), clocks[i])
+		}, ClusterConns(c), hlc.NewClock(nil))
 	}
 
 	const perPart = 300
@@ -322,8 +320,7 @@ func TestShippedOrderIsTotalAndCausal(t *testing.T) {
 				sharedMu.Lock()
 				dep := shared
 				sharedMu.Unlock()
-				ts := clocks[i].Tick(dep)
-				clients[i].Add(up(types.PartitionID(i), uint64(s), ts))
+				ts := clients[i].Issue(dep, up(types.PartitionID(i), uint64(s), 0))
 				sharedMu.Lock()
 				if ts > shared {
 					shared = ts

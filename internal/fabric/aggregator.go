@@ -209,7 +209,7 @@ func (a *Aggregator) handle(m Message) {
 		// transparent watermarks, means the parents already hold it — so
 		// a relayed heartbeat can never mask a buffered operation, and
 		// acknowledging it immediately (as a served replica would) is
-		// safe: a lost heartbeat is regenerated within Δ.
+		// safe: a lost heartbeat is regenerated at the next flush.
 		a.BatchesIn.Inc()
 		a.heartbeat(m.From, false, v.Partition, v.TS)
 		a.f.Send(a.local, m.From, AckMsg{ID: v.ID, Partition: v.Partition, Watermark: v.TS})

@@ -61,7 +61,7 @@ func zeroNet() *simnet.Network {
 // treeClient wires one partition's batching client at a set of fabric
 // endpoints (aggregators or the replica itself), registering the
 // partition address to route acknowledgements back to the conns.
-func treeClient(net fabric.Fabric, pid types.PartitionID, remotes []fabric.Addr, redundant bool) (*eunomia.Client, *hlc.Clock) {
+func treeClient(net fabric.Fabric, pid types.PartitionID, remotes []fabric.Addr, redundant bool) *eunomia.Client {
 	local := fabric.PartitionAddr(0, pid)
 	rcs := make([]*fabric.ReplicaConn, len(remotes))
 	conns := make([]eunomia.Conn, len(remotes))
@@ -77,12 +77,11 @@ func treeClient(net fabric.Fabric, pid types.PartitionID, remotes []fabric.Addr,
 			}
 		}
 	})
-	clock := hlc.NewClock(nil)
 	return eunomia.NewClient(eunomia.ClientConfig{
 		Partition:      pid,
 		BatchInterval:  time.Millisecond,
 		RedundantPaths: redundant,
-	}, conns, clock), clock
+	}, conns, hlc.NewClock(nil))
 }
 
 // verifyStreams asserts the shipped output is totally ordered by
@@ -132,15 +131,14 @@ func TestAggregatorForwardsAllOpsInOrder(t *testing.T) {
 	var wg sync.WaitGroup
 	clients := make([]*eunomia.Client, 4)
 	for i := range clients {
-		client, clock := treeClient(net, types.PartitionID(i), pair, true)
-		clients[i] = client
+		clients[i] = treeClient(net, types.PartitionID(i), pair, true)
 		wg.Add(1)
-		go func(i int, clock *hlc.Clock) {
+		go func(i int) {
 			defer wg.Done()
 			for s := 1; s <= per; s++ {
-				clients[i].Add(&types.Update{Partition: types.PartitionID(i), Seq: uint64(s), TS: clock.Tick(0)})
+				clients[i].Issue(0, &types.Update{Partition: types.PartitionID(i), Seq: uint64(s)})
 			}
-		}(i, clock)
+		}(i)
 	}
 	wg.Wait()
 	waitFor(t, 10*time.Second, "all ops shipped", func() bool { return sink.len() == 4*per })
@@ -234,10 +232,10 @@ func TestAggregatorTreeComposes(t *testing.T) {
 	pair := []fabric.Addr{leaves[0].LocalAddr(), leaves[1].LocalAddr()}
 	clients := make([]*eunomia.Client, 4)
 	for i := range clients {
-		client, clock := treeClient(net, types.PartitionID(i), pair, true)
+		client := treeClient(net, types.PartitionID(i), pair, true)
 		clients[i] = client
 		for s := 1; s <= 50; s++ {
-			client.Add(&types.Update{Partition: types.PartitionID(i), Seq: uint64(s), TS: clock.Tick(0)})
+			client.Issue(0, &types.Update{Partition: types.PartitionID(i), Seq: uint64(s)})
 		}
 	}
 	waitFor(t, 10*time.Second, "all ops shipped through two levels", func() bool { return sink.len() == 200 })
@@ -270,12 +268,11 @@ func TestAggregatorCrashFailover(t *testing.T) {
 
 	const per = 300
 	clients := make([]*eunomia.Client, 4)
-	clocks := make([]*hlc.Clock, 4)
 	for i := range clients {
-		clients[i], clocks[i] = treeClient(net, types.PartitionID(i), pair, true)
+		clients[i] = treeClient(net, types.PartitionID(i), pair, true)
 	}
 	emit := func(i, s int) {
-		clients[i].Add(&types.Update{Partition: types.PartitionID(i), Seq: uint64(s), TS: clocks[i].Tick(0)})
+		clients[i].Issue(0, &types.Update{Partition: types.PartitionID(i), Seq: uint64(s)})
 	}
 	for s := 1; s <= per/3; s++ {
 		for i := range clients {
@@ -324,10 +321,9 @@ func TestAggregatorRelaysHeartbeats(t *testing.T) {
 	agg := fabric.NewAggregator(fabric.AggregatorConfig{Fabric: net, Local: fabric.AggregatorAddr(0, 0), Parents: []fabric.Addr{root}})
 	defer agg.Close()
 
-	client, clock := treeClient(net, 0, []fabric.Addr{agg.LocalAddr()}, true)
+	client := treeClient(net, 0, []fabric.Addr{agg.LocalAddr()}, true)
 	defer client.Close()
-	ts := clock.Tick(0)
-	client.Add(&types.Update{Partition: 0, Seq: 1, TS: ts})
+	ts := client.Issue(0, &types.Update{Partition: 0, Seq: 1})
 
 	// The op ships once its own heartbeat-advanced stability covers it,
 	// and stable time then keeps climbing on relayed heartbeats alone.

@@ -3,11 +3,13 @@ package fabric
 import (
 	"sync"
 	"time"
+
+	"eunomia/internal/clock"
 )
 
 // Batcher accumulates items per destination and flushes each destination's
-// accumulated slice as a single message every interval, preserving FIFO
-// order per destination. It implements the §5 "Communication Patterns"
+// accumulated slice as a single message at every wall-clock multiple of
+// the interval, preserving FIFO order per destination. It implements the §5 "Communication Patterns"
 // optimization — batch at the sender, propagate periodically — for every
 // component that ships streams across the fabric (payload shipping,
 // baseline replication, heartbeats ride along implicitly).
@@ -69,17 +71,21 @@ func (b *Batcher[T]) Close() {
 	b.wg.Wait()
 }
 
+// loop flushes on wall-clock multiples of the interval, the same
+// boundaries the Eunomia clients flush on (clock.UntilBoundary), so a
+// payload leaves together with the metadata batch that carries its id.
 func (b *Batcher[T]) loop() {
 	defer b.wg.Done()
-	ticker := time.NewTicker(b.interval)
-	defer ticker.Stop()
+	timer := time.NewTimer(clock.UntilBoundary(b.interval))
+	defer timer.Stop()
 	for {
 		select {
 		case <-b.stop:
 			b.Flush()
 			return
-		case <-ticker.C:
+		case <-timer.C:
 			b.Flush()
+			timer.Reset(clock.UntilBoundary(b.interval))
 		}
 	}
 }

@@ -305,11 +305,11 @@ func (c *ReplicaConn) Heartbeat(p types.PartitionID, ts hlc.Timestamp) error {
 	drop := false
 	if failed == "" {
 		if now := time.Now(); now.Sub(c.lastAlive) > peerSuspendAfter {
-			// Same suspension as NewBatch: heartbeats fire every Δ, and a
-			// silent peer's transport window must not absorb them all. A
-			// heartbeat makes a fine probe, so one goes through per
-			// peerProbeEvery; heartbeats are regenerated each Δ, so the
-			// dropped ones cost nothing.
+			// Same suspension as NewBatch: heartbeats fire every flush,
+			// and a silent peer's transport window must not absorb them
+			// all. A heartbeat makes a fine probe, so one goes through
+			// per peerProbeEvery; heartbeats are regenerated each flush,
+			// so the dropped ones cost nothing.
 			if now.Sub(c.lastProbe) < peerProbeEvery {
 				drop = true
 			} else {

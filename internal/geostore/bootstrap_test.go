@@ -241,11 +241,12 @@ func TestBootstrapDonorCrashFailsOverToNextPeer(t *testing.T) {
 	t.Cleanup(net.Close)
 	const keys = 200
 	// Two donors with identical data: dc0 seeds, dc1 receives the
-	// replicated copy over the normal release path.
-	donor0 := newDonorNode(t, net, cfg, 0, keys)
+	// replicated copy over the normal release path. dc1 joins the fabric
+	// first: a shipment to an endpoint not yet registered is dropped, and
+	// dc1 would then hold only the keys shipped after it came up.
 	donor1 := NewNode(NodeConfig{Config: cfg, DC: 1, Roles: RoleAll, Fabric: net})
 	t.Cleanup(func() { donor1.CloseIngress(); donor1.CloseServices() })
-	_ = donor0
+	newDonorNode(t, net, cfg, 0, keys)
 	r1 := donor1.NewClient()
 	waitUntil(t, 20*time.Second, "replication to the second donor", func() bool {
 		v, _ := r1.Read(bootKey(keys - 1))

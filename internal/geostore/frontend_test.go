@@ -3,6 +3,7 @@ package geostore
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -187,5 +188,61 @@ func TestFrontendScalarAblation(t *testing.T) {
 	}
 	if !got.Found || string(got.Value) != "sv" {
 		t.Fatalf("scalar migrated read found=%v value=%q", got.Found, got.Value)
+	}
+}
+
+// TestFrontendMigrationWaitParksOnSiteAdvance: a migrated read's
+// visibility wait is answered by the receiver's SiteTime-advance
+// notification, not by a poll on the receiver's check cadence. With that
+// cadence at one second, each read must still return within 100 ms of
+// the write becoming visible at the destination.
+func TestFrontendMigrationWaitParksOnSiteAdvance(t *testing.T) {
+	var mu sync.Mutex
+	visibleAt := map[string]time.Time{}
+	s := NewStore(Config{
+		DCs:           2,
+		Partitions:    2,
+		Delay:         simnet.LatencyMatrix(simnet.PaperRTTs(0.01), 0),
+		CheckInterval: time.Second,
+		OnVisible: func(dest types.DCID, u *types.Update, _ time.Time) {
+			if dest == 1 {
+				mu.Lock()
+				visibleAt[string(u.Key)] = time.Now()
+				mu.Unlock()
+			}
+		},
+	})
+	defer s.Close()
+	fe0, fe1 := s.Frontend(0), s.Frontend(1)
+	// Start half a check period in: a wait that polled on the check
+	// cadence would then wake half a period after the receiver's own
+	// tick, instead of lining up with it by accident.
+	time.Sleep(500 * time.Millisecond)
+
+	token := ""
+	for i := 0; i < 3; i++ {
+		key := types.Key(fmt.Sprintf("parked%d", i))
+		put, err := fe0.Put(token, key, types.Value("v"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := fe1.Get(put.Token, key)
+		answered := time.Now()
+		if err != nil || !got.Found {
+			t.Fatalf("migrated read %d: found=%v err=%v", i, got.Found, err)
+		}
+		mu.Lock()
+		at, ok := visibleAt[string(key)]
+		mu.Unlock()
+		if !ok {
+			t.Fatalf("read %d answered before the write was visible at dc1", i)
+		}
+		if lag := answered.Sub(at); lag > 100*time.Millisecond {
+			t.Fatalf("read %d answered %v after the write became visible; want ≤ 100ms", i, lag)
+		}
+		token = got.Token
+	}
+	if fe1.Waits.Load() == 0 {
+		t.Fatal("dc1 frontend never took a visibility wait")
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"log"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"eunomia/internal/compress"
@@ -98,10 +99,13 @@ type Config struct {
 	// ignore it — real sockets bring their own latency.
 	Delay simnet.DelayFunc
 
-	// BatchInterval is the partition→Eunomia propagation period (and
-	// heartbeat period Δ). Default 1ms.
+	// BatchInterval is the partition→Eunomia and payload propagation
+	// period; flushes (and the watermark each reports) fire on its
+	// wall-clock multiples. Default 1ms.
 	BatchInterval time.Duration
-	// StableInterval is Eunomia's θ. Default 1ms.
+	// StableInterval is Eunomia's θ: the fallback stabilization round,
+	// follower announcements and leader suspicion (the leader otherwise
+	// stabilizes on every arrival). Default 1ms.
 	StableInterval time.Duration
 	// CheckInterval is the receiver's ρ. Default 1ms.
 	CheckInterval time.Duration
@@ -312,6 +316,10 @@ type Node struct {
 	cluster    *eunomia.Cluster
 	recv       *receiver.Receiver
 	aggs       []*fabric.Aggregator
+	// localRecv is recv when it releases to the partitions above by
+	// direct call; the partition ingress (registered before the receiver
+	// exists) kicks it when a parked payload arrives.
+	localRecv atomic.Pointer[receiver.Receiver]
 
 	// Windowed cross-process release: relWin on receiver-only nodes,
 	// app on partition-hosting nodes whose receiver lives elsewhere.
@@ -797,7 +805,6 @@ func (n *Node) buildPartitions(nc NodeConfig) error {
 		euClient := eunomia.NewClient(eunomia.ClientConfig{
 			Partition:      pid,
 			BatchInterval:  cfg.BatchInterval,
-			HeartbeatDelta: cfg.BatchInterval,
 			RedundantPaths: cfg.Aggregators > 0,
 		}, euConns, p.Clock())
 
@@ -821,8 +828,14 @@ func (n *Node) buildPartitions(nc NodeConfig) error {
 		n.fab.Register(local, func(msg fabric.Message) {
 			switch v := msg.Payload.(type) {
 			case []*types.Update:
+				unparked := false
 				for _, u := range v {
-					part.ReceivePayload(u)
+					unparked = part.ReceivePayload(u) || unparked
+				}
+				if r := n.localRecv.Load(); unparked && r != nil {
+					// A colocated release was parked on a missing
+					// payload: retry now, not at the receiver's next ρ.
+					r.Kick()
 				}
 			case fabric.AckMsg:
 				for _, rc := range pconns {
@@ -952,6 +965,13 @@ func (n *Node) buildReceiver(nc NodeConfig) error {
 		n.recv = receiver.New(rcfg)
 	}
 	recv := n.recv
+	if n.relWin == nil {
+		n.localRecv.Store(recv)
+	} else {
+		// Split role: acknowledgements move the watermark visibility
+		// waits answer from, so they wake the waits too.
+		n.relWin.onAcked = recv.NotifyAdvance
+	}
 	n.fab.Register(fabric.ReceiverAddr(m), func(msg fabric.Message) {
 		switch v := msg.Payload.(type) {
 		case ShipMsg:
@@ -960,8 +980,9 @@ func (n *Node) buildReceiver(nc NodeConfig) error {
 			// A frontend's migration visibility wait: answer once
 			// SiteTime dominates the dependency's remote entries —
 			// everything the migrating client ever observed is then
-			// applied datacenter-wide. Polls on the receiver's check
-			// cadence, off the delivery goroutine.
+			// applied datacenter-wide. Parks on the receiver's advance
+			// notification until the deadline, off the delivery
+			// goroutine.
 			from := msg.From
 			budget := time.Duration(v.WaitNanos)
 			if budget <= 0 {
@@ -969,7 +990,10 @@ func (n *Node) buildReceiver(nc NodeConfig) error {
 			}
 			go func() {
 				deadline := time.Now().Add(budget)
+				timer := time.NewTimer(time.Until(deadline))
+				defer timer.Stop()
 				for {
+					advanced := recv.Advanced()
 					st := recv.SiteTime()
 					if n.relWin != nil {
 						// Split role: SiteTime advances on admission into
@@ -1006,7 +1030,10 @@ func (n *Node) buildReceiver(nc NodeConfig) error {
 						n.fab.Send(fabric.ReceiverAddr(m), from, WaitAckMsg{ID: v.ID, OK: ok, Site: st})
 						return
 					}
-					time.Sleep(n.cfg.CheckInterval)
+					select {
+					case <-advanced:
+					case <-timer.C:
+					}
 				}
 			}()
 		case ReleaseAckMsg:

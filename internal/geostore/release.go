@@ -124,6 +124,9 @@ type releaseWindow struct {
 	// it into receiver.MarkDurable so a durable receiver's persisted
 	// SiteTime only covers applies that can no longer be lost.
 	onDurable func(ReleaseMsg)
+	// onAcked, optional, is called after an acknowledgement advanced the
+	// acknowledged site watermark (ackedEntry).
+	onAcked func()
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -261,12 +264,15 @@ func (w *releaseWindow) handleAck(ack ReleaseAckMsg) {
 		// the suffix on its next tick instead of waiting out the stall.
 		w.progress = time.Time{}
 	}
-	cb := w.onDurable
+	cb, acked := w.onDurable, w.onAcked
 	w.mu.Unlock()
 	if cb != nil {
 		for _, m := range durable {
 			cb(m)
 		}
+	}
+	if drop > 0 && acked != nil {
+		acked()
 	}
 }
 

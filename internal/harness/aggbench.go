@@ -206,18 +206,17 @@ func aggregatorTreeLeg(o ServiceOptions, partitions, fanIn, depth int) (Aggregat
 				}
 			}
 		})
-		clock := hlc.NewClock(nil)
 		clients[i] = eunomia.NewClient(eunomia.ClientConfig{
 			Partition:      pid,
 			BatchInterval:  o.BatchInterval,
 			MaxPending:     o.MaxPending,
 			RedundantPaths: depth > 0,
-		}, conns, clock)
+		}, conns, hlc.NewClock(nil))
 		wg.Add(1)
-		go func(i int, clock *hlc.Clock) {
+		go func(i int) {
 			defer wg.Done()
-			producePartition(stop, clients[i], clock, types.PartitionID(i), o.PerPartitionRate)
-		}(i, clock)
+			producePartition(stop, clients[i], types.PartitionID(i), o.PerPartitionRate)
+		}(i)
 	}
 
 	time.Sleep(o.Warmup)

@@ -140,18 +140,17 @@ func eunomiaSaturation(o ServiceOptions, p, replicas int, fireAndForget bool, tr
 	var wg sync.WaitGroup
 	clients := make([]*eunomia.Client, p)
 	for i := 0; i < p; i++ {
-		clock := hlc.NewClock(nil)
 		clients[i] = eunomia.NewClient(eunomia.ClientConfig{
 			Partition:     types.PartitionID(i),
 			BatchInterval: o.BatchInterval,
 			MaxPending:    o.MaxPending,
 			FireAndForget: fireAndForget,
-		}, eunomia.ClusterConns(cluster), clock)
+		}, eunomia.ClusterConns(cluster), hlc.NewClock(nil))
 		wg.Add(1)
-		go func(i int, clock *hlc.Clock) {
+		go func(i int) {
 			defer wg.Done()
-			producePartition(stop, clients[i], clock, types.PartitionID(i), o.PerPartitionRate)
-		}(i, clock)
+			producePartition(stop, clients[i], types.PartitionID(i), o.PerPartitionRate)
+		}(i)
 	}
 
 	time.Sleep(o.Warmup)
@@ -160,7 +159,7 @@ func eunomiaSaturation(o ServiceOptions, p, replicas int, fireAndForget bool, tr
 	after := counter.total()
 	close(stop)
 	// Close clients before joining producers: Close is what wakes a
-	// producer parked in Add's backpressure wait.
+	// producer parked in Issue's backpressure wait.
 	for _, c := range clients {
 		c.Close()
 	}
@@ -170,11 +169,11 @@ func eunomiaSaturation(o ServiceOptions, p, replicas int, fireAndForget bool, tr
 
 // producePartition emulates one partition stream: at rate ops/s (in 1ms
 // bursts) when rate > 0, or eagerly otherwise.
-func producePartition(stop <-chan struct{}, client *eunomia.Client, clock *hlc.Clock, p types.PartitionID, rate int) {
+func producePartition(stop <-chan struct{}, client *eunomia.Client, p types.PartitionID, rate int) {
 	var seq uint64
 	emit := func() {
 		seq++
-		client.Add(&types.Update{Partition: p, Seq: seq, TS: clock.Tick(0)})
+		client.Issue(0, &types.Update{Partition: p, Seq: seq})
 	}
 	if rate <= 0 {
 		for {

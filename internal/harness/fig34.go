@@ -136,18 +136,17 @@ func Fig4(o Fig4Options) Fig4Result {
 		var wg sync.WaitGroup
 		clients := make([]*eunomia.Client, o.Partitions)
 		for i := 0; i < o.Partitions; i++ {
-			clock := hlc.NewClock(nil)
 			clients[i] = eunomia.NewClient(eunomia.ClientConfig{
 				Partition:     types.PartitionID(i),
 				BatchInterval: o.BatchInterval,
 				MaxPending:    o.MaxPending,
 				FireAndForget: fireAndForget,
-			}, eunomia.ClusterConns(cluster), clock)
+			}, eunomia.ClusterConns(cluster), hlc.NewClock(nil))
 			wg.Add(1)
-			go func(i int, clock *hlc.Clock) {
+			go func(i int) {
 				defer wg.Done()
-				producePartition(stop, clients[i], clock, types.PartitionID(i), o.PerPartitionRate)
-			}(i, clock)
+				producePartition(stop, clients[i], types.PartitionID(i), o.PerPartitionRate)
+			}(i)
 		}
 
 		if crashes {
@@ -160,7 +159,7 @@ func Fig4(o Fig4Options) Fig4Result {
 		time.Sleep(o.Total)
 		close(stop)
 		// Close clients before joining producers: a producer can be
-		// parked in Add's backpressure wait (all replicas dead in the
+		// parked in Issue's backpressure wait (all replicas dead in the
 		// 1-FT run) and only Close wakes it.
 		for _, c := range clients {
 			c.Close()

@@ -552,18 +552,17 @@ func wanTreeLeg(o WANTreeOptions, scheme compress.Scheme) (WANTreePoint, error) 
 				}
 			}
 		})
-		clock := hlc.NewClock(nil)
 		clients[i] = eunomia.NewClient(eunomia.ClientConfig{
 			Partition:      pid,
 			BatchInterval:  o.BatchInterval,
 			MaxPending:     o.MaxPending,
 			RedundantPaths: true,
-		}, conns, clock)
+		}, conns, hlc.NewClock(nil))
 		wg.Add(1)
-		go func(i int, clock *hlc.Clock) {
+		go func(i int) {
 			defer wg.Done()
-			producePartition(stop, clients[i], clock, types.PartitionID(i), o.PerPartitionRate)
-		}(i, clock)
+			producePartition(stop, clients[i], types.PartitionID(i), o.PerPartitionRate)
+		}(i)
 	}
 
 	time.Sleep(o.Warmup)

@@ -171,6 +171,23 @@ func TestHeartbeatNeverExceededByLaterTick(t *testing.T) {
 	}
 }
 
+func TestAdvanceDominatesIssuedAndLaterTicks(t *testing.T) {
+	src := &manualSource{t: 1000}
+	c := NewClock(src)
+	c.Observe(New(3000, 2)) // remote timestamp ahead of physical time
+	if w := c.Advance(); w != New(3000, 2) {
+		t.Fatalf("Advance behind the clock = %v, want last 3000.2", w)
+	}
+	src.set(5000)
+	w := c.Advance()
+	if w != New(5000, 0) {
+		t.Fatalf("Advance = %v, want physical 5000.0", w)
+	}
+	if ts := c.Tick(0); ts <= w {
+		t.Fatalf("Tick after Advance = %v, not above the watermark %v", ts, w)
+	}
+}
+
 func TestObserveAdvancesWatermark(t *testing.T) {
 	src := &manualSource{t: 1000}
 	c := NewClock(src)

@@ -102,6 +102,10 @@ type Partition struct {
 	// at-least-once — idempotent even if the stored version has since
 	// been overwritten.
 	appliedRemote map[types.DCID]hlc.Timestamp
+	// parked records that a release found its payload missing since the
+	// last payload arrival; ReceivePayload reports it so the deployment
+	// can wake the receiver instead of waiting for its retry tick.
+	parked bool
 
 	// Reads, Updates, RemoteApplied count operations for reports.
 	Reads         metrics.Counter
@@ -172,7 +176,15 @@ func (p *Partition) Read(key types.Key) (types.Value, vclock.V) {
 func (p *Partition) Update(key types.Key, value types.Value, dep vclock.V) vclock.V {
 	p.Updates.Inc()
 	m := int(p.cfg.DC)
-	ts := p.clock.Tick(dep.Get(m))
+	// The Eunomia client issues the stream's timestamps. Reserving holds
+	// the stream's watermark below ts while the WAL append runs, so no
+	// heartbeat can promise past the update before Add enqueues it.
+	var ts hlc.Timestamp
+	if p.euClient != nil {
+		ts = p.euClient.Reserve(dep.Get(m))
+	} else {
+		ts = p.clock.Tick(dep.Get(m)) // no stream to propagate on
+	}
 
 	vts := vclock.New(p.cfg.DCs)
 	copy(vts, dep)
@@ -226,12 +238,14 @@ func (p *Partition) Update(key types.Key, value types.Value, dep vclock.V) vcloc
 // ReceivePayload ingests an update payload shipped directly by a sibling
 // partition (§5). Payloads may arrive in any order and ahead of their
 // metadata; they are buffered until the receiver releases the metadata.
+// It reports whether a release was parked on a missing payload since the
+// previous arrival — the caller's cue to retry releases now.
 // Durable partitions log the payload first: the sibling prunes it once
 // the transport acknowledges delivery, so a crash would otherwise lose
 // every buffered payload and stall the release stream on recovery. A
 // payload arriving after the store closed (a delivery racing shutdown) is
 // dropped: the origin re-ships it when the recovered stream pulls it.
-func (p *Partition) ReceivePayload(u *types.Update) {
+func (p *Partition) ReceivePayload(u *types.Update) (unparked bool) {
 	id := u.ID()
 	if p.cfg.Store == nil {
 		p.payloadMu.Lock()
@@ -239,8 +253,9 @@ func (p *Partition) ReceivePayload(u *types.Update) {
 			p.payloads[id] = u
 			p.arrivals[id] = time.Now()
 		}
+		unparked, p.parked = p.parked, false
 		p.payloadMu.Unlock()
-		return
+		return unparked
 	}
 	p.durMu.RLock()
 	p.payloadMu.Lock()
@@ -254,15 +269,17 @@ func (p *Partition) ReceivePayload(u *types.Update) {
 			p.payloadMu.Unlock()
 			p.durMu.RUnlock()
 			if errors.Is(err, wal.ErrClosed) {
-				return
+				return false
 			}
 			panic("partition: WAL append failed: " + err.Error())
 		}
 		p.payloads[id] = u
 		p.arrivals[id] = time.Now()
 	}
+	unparked, p.parked = p.parked, false
 	p.payloadMu.Unlock()
 	p.durMu.RUnlock()
+	return unparked
 }
 
 // SkipRemote resolves a release whose payload was lost to a crash and
@@ -322,6 +339,7 @@ func (p *Partition) ApplyRemote(u *types.Update, metaArrived time.Time) bool {
 		id := u.ID()
 		payload, ok := p.payloads[id]
 		if !ok {
+			p.parked = true
 			p.payloadMu.Unlock()
 			p.PayloadWait.Inc()
 			return false
@@ -391,6 +409,7 @@ func (p *Partition) ApplyRemoteBatch(us []*types.Update, metaArrived []time.Time
 			id := u.ID()
 			payload, ok := p.payloads[id]
 			if !ok {
+				p.parked = true
 				p.PayloadWait.Inc()
 				break // park here; nothing behind it may jump the queue
 			}

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"eunomia/internal/hlc"
 	"eunomia/internal/types"
 	"eunomia/internal/vclock"
+	"eunomia/internal/wal"
 )
 
 func newPart(dc types.DCID, dcs int) *Partition {
@@ -281,5 +283,70 @@ func TestApplyRemoteIdempotentAfterAckLoss(t *testing.T) {
 	missing := &types.Update{Key: "other", Origin: 0, Partition: 0, Seq: 2, TS: 11, VTS: dep(11, 0)}
 	if p.ApplyRemote(missing.Meta(), time.Now()) {
 		t.Fatal("apply succeeded with no payload and nothing stored")
+	}
+}
+
+// TestConcurrentUpdatesAllReachEunomia drives one durable partition from
+// two goroutines while its Eunomia client flushes every millisecond. Each
+// update's WAL append sits between taking its timestamp and enqueuing it,
+// so the two writers constantly enqueue out of timestamp order and flushes
+// land in between. Every update must still be ingested — none filtered as
+// a duplicate below a watermark another writer's update or a heartbeat
+// already advanced — and shipped in timestamp order.
+func TestConcurrentUpdatesAllReachEunomia(t *testing.T) {
+	st, err := wal.OpenStore(t.TempDir(), wal.SyncEachAppend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	p := New(Config{DC: 0, ID: 0, DCs: 2, SeparateData: true, Store: st})
+	var mu sync.Mutex
+	var shipped []hlc.Timestamp
+	cluster := eunomia.NewCluster(1, eunomia.Config{Partitions: 1, StableInterval: time.Millisecond},
+		func(_ types.ReplicaID, ops []*types.Update) {
+			mu.Lock()
+			for _, u := range ops {
+				shipped = append(shipped, u.TS)
+			}
+			mu.Unlock()
+		})
+	defer cluster.Stop()
+	euc := eunomia.NewClient(eunomia.ClientConfig{Partition: 0, BatchInterval: time.Millisecond},
+		eunomia.ClusterConns(cluster), p.Clock())
+	p.Attach(euc, nil)
+	defer p.Close()
+
+	const writers, per = 2, 1000
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				p.Update(types.Key(fmt.Sprintf("w%d-%d", w, i)), []byte("v"), nil)
+			}
+		}(w)
+	}
+	wg.Wait()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		mu.Lock()
+		n := len(shipped)
+		mu.Unlock()
+		if n == writers*per || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	stats := cluster.Replica(0).Stats()
+	mu.Lock()
+	defer mu.Unlock()
+	if len(shipped) != writers*per || stats.Duplicates != 0 {
+		t.Fatalf("shipped %d of %d updates, %d filtered as duplicates", len(shipped), writers*per, stats.Duplicates)
+	}
+	for i := 1; i < len(shipped); i++ {
+		if shipped[i] <= shipped[i-1] {
+			t.Fatalf("shipped out of timestamp order at %d: %v after %v", i, shipped[i], shipped[i-1])
+		}
 	}
 }

@@ -37,8 +37,10 @@ type ApplyFunc func(u *types.Update, metaArrived time.Time) bool
 type Config struct {
 	DC  types.DCID // m, the local datacenter
 	DCs int        // M
-	// CheckInterval is ρ, the period of the CHECK_PENDING loop.
-	// Default 1ms.
+	// CheckInterval is ρ, the period of the fallback CHECK_PENDING
+	// round. The loop also runs as soon as Enqueue accepts updates or
+	// Kick reports a parked payload's arrival; ρ bounds only the retry
+	// of releases nothing kicks. Default 1ms.
 	CheckInterval time.Duration
 	Apply         ApplyFunc
 }
@@ -51,6 +53,10 @@ type Receiver struct {
 	queues   [][]entry // indexed by origin DC; queues[m] unused
 	lastEnq  vclock.V  // largest origin timestamp enqueued per origin
 	siteTime vclock.V  // SiteTime_m: latest applied per origin
+	// advanced is closed (and replaced) whenever SiteTime advances, or
+	// when NotifyAdvance reports a watermark the deployment derives from
+	// it; visibility waits park on it.
+	advanced chan struct{}
 
 	// Durable state (nil st = volatile receiver, the original behavior).
 	// Everything the receiver must not lose across a crash goes through
@@ -65,6 +71,8 @@ type Receiver struct {
 	durableSite vclock.V
 	retain      [][]entry
 
+	flushMu  sync.Mutex    // one Flush at a time
+	wake     chan struct{} // 1-slot: new work for the CHECK_PENDING loop
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
@@ -128,7 +136,9 @@ func build(cfg Config, st *wal.Store) (*Receiver, error) {
 		queues:   make([][]entry, cfg.DCs),
 		lastEnq:  vclock.New(cfg.DCs),
 		siteTime: vclock.New(cfg.DCs),
+		advanced: make(chan struct{}),
 		st:       st,
+		wake:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 	}
 	if st != nil {
@@ -213,7 +223,7 @@ func (r *Receiver) replay() error {
 // are duplicates from a prior or concurrent leader and are dropped.
 func (r *Receiver) Enqueue(k types.DCID, batch []*types.Update) {
 	now := time.Now()
-	accepted := false
+	accepted, enqueued := false, false
 	var lastLSN uint64
 	r.mu.Lock()
 	for _, u := range batch {
@@ -243,6 +253,7 @@ func (r *Receiver) Enqueue(k types.DCID, batch []*types.Update) {
 		r.lastEnq[k] = ts
 		r.queues[k] = append(r.queues[k], entry{u: u, arrived: now})
 		r.Enqueued.Inc()
+		enqueued = true
 	}
 	st := r.st
 	r.mu.Unlock()
@@ -261,6 +272,38 @@ func (r *Receiver) Enqueue(k types.DCID, batch []*types.Update) {
 			panic("receiver: WAL flush failed: " + err.Error())
 		}
 	}
+	if enqueued {
+		r.Kick() // release now, not at the next ρ tick
+	}
+}
+
+// Kick wakes the CHECK_PENDING loop now instead of at the next ρ tick.
+// Enqueue kicks itself; a colocated deployment kicks when a payload that
+// a parked release waits for arrives at a partition. Kicks coalesce.
+func (r *Receiver) Kick() {
+	select {
+	case r.wake <- struct{}{}:
+	default:
+	}
+}
+
+// Advanced returns a channel that is closed the next time SiteTime
+// advances (or NotifyAdvance is called). Take it before reading the state
+// it guards, so an advance between the read and the wait is not missed.
+func (r *Receiver) Advanced() <-chan struct{} {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.advanced
+}
+
+// NotifyAdvance wakes every Advanced waiter. The receiver calls it when
+// SiteTime advances; a split-role deployment also calls it when release
+// acknowledgements move the watermark its visibility waits answer from.
+func (r *Receiver) NotifyAdvance() {
+	r.mu.Lock()
+	close(r.advanced)
+	r.advanced = make(chan struct{})
+	r.mu.Unlock()
 }
 
 // SiteTime returns a copy of the applied-updates vector.
@@ -279,8 +322,11 @@ func (r *Receiver) QueueLen(k types.DCID) int {
 
 // Flush runs dependency resolution until no further progress is possible,
 // equivalent to the tail-recursive FLUSH of Algorithm 5. It is exported so
-// tests can drive the receiver deterministically without the timer.
+// tests can drive the receiver deterministically; calls serialize with
+// the loop's, since each pops the queue heads it applied.
 func (r *Receiver) Flush() {
+	r.flushMu.Lock()
+	defer r.flushMu.Unlock()
 	m := int(r.cfg.DC)
 	for {
 		progress := false
@@ -288,6 +334,7 @@ func (r *Receiver) Flush() {
 			if k == m {
 				continue
 			}
+			applied := false
 			for {
 				r.mu.Lock()
 				if len(r.queues[k]) == 0 {
@@ -321,7 +368,10 @@ func (r *Receiver) Flush() {
 				}
 				r.mu.Unlock()
 				r.Applied.Inc()
-				progress = true
+				progress, applied = true, true
+			}
+			if applied {
+				r.NotifyAdvance()
 			}
 		}
 		if !progress {
@@ -490,6 +540,9 @@ func (r *Receiver) Close() {
 	}
 }
 
+// loop is the CHECK_PENDING driver: it resolves dependencies as soon as
+// updates arrive or a parked payload lands, and every ρ as the retry
+// fallback.
 func (r *Receiver) loop() {
 	defer r.wg.Done()
 	ticker := time.NewTicker(r.cfg.CheckInterval)
@@ -498,8 +551,9 @@ func (r *Receiver) loop() {
 		select {
 		case <-r.stop:
 			return
+		case <-r.wake:
 		case <-ticker.C:
-			r.Flush()
 		}
+		r.Flush()
 	}
 }

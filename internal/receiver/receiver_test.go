@@ -236,3 +236,36 @@ func TestApplyRequired(t *testing.T) {
 	}()
 	New(Config{DC: 0, DCs: 2})
 }
+
+// TestEnqueueReleasesWithoutWaitingForTheTick: arrivals wake the release
+// loop, so with ρ at an hour an enqueued update still applies at once, and
+// a SiteTime advance closes the channel a visibility wait parks on.
+func TestEnqueueReleasesWithoutWaitingForTheTick(t *testing.T) {
+	sink := newApplySink()
+	r := newRecv(sink.apply)
+	defer r.Close()
+	advanced := r.Advanced()
+	r.Enqueue(1, []*types.Update{ru(1, "x", 0, 10, 0)})
+	select {
+	case <-advanced:
+	case <-time.After(time.Second):
+		t.Fatal("SiteTime advance not signalled; the enqueue did not wake the loop")
+	}
+	if r.SiteTimeEntry(1) != 10 || len(sink.snapshot()) != 1 {
+		t.Fatalf("SiteTime[1] = %v, applied %d; want 10 and 1", r.SiteTimeEntry(1), len(sink.snapshot()))
+	}
+
+	// A parked release retries when kicked, not at the next tick.
+	u := ru(1, "late", 0, 20, 0)
+	sink.setRefuse(u.ID(), true)
+	r.Enqueue(1, []*types.Update{u})
+	r.Flush() // serializes with the loop's pass: the release is parked now
+	advanced = r.Advanced()
+	sink.setRefuse(u.ID(), false)
+	r.Kick()
+	select {
+	case <-advanced:
+	case <-time.After(time.Second):
+		t.Fatal("Kick did not retry the parked release")
+	}
+}

@@ -303,17 +303,15 @@ func TestPipelinedProtocolOrdering(t *testing.T) {
 	defer f.Close()
 
 	clients := make([]*eunomia.Client, partitions)
-	clocks := make([]*hlc.Clock, partitions)
 	fabrics := make([]*TCP, partitions)
 	for i := range clients {
 		cf, conn := dialReplica(t, f.Addr().String(), fabric.PipelinedConn, types.PartitionID(i))
 		fabrics[i] = cf
 		defer cf.Close()
-		clocks[i] = hlc.NewClock(nil)
 		clients[i] = eunomia.NewClient(eunomia.ClientConfig{
 			Partition:     types.PartitionID(i),
 			BatchInterval: time.Millisecond,
-		}, []eunomia.Conn{conn}, clocks[i])
+		}, []eunomia.Conn{conn}, hlc.NewClock(nil))
 	}
 
 	const per = 100
@@ -323,9 +321,7 @@ func TestPipelinedProtocolOrdering(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for s := 1; s <= per; s++ {
-				clients[i].Add(&types.Update{
-					Partition: types.PartitionID(i), Seq: uint64(s), TS: clocks[i].Tick(0),
-				})
+				clients[i].Issue(0, &types.Update{Partition: types.PartitionID(i), Seq: uint64(s)})
 			}
 		}(i)
 	}

@@ -2,7 +2,7 @@ package eunomia
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	internal "eunomia/internal/eunomia"
@@ -166,16 +166,15 @@ func (o *Orderer) stabilization() time.Duration {
 }
 
 // PartitionHandle is one input stream of an Orderer. Submissions on one
-// handle are serialized by the handle itself (matching the paper's
-// assumption that updates within a partition are serialized by the native
-// update protocol).
+// handle are serialized by the stream's client, which timestamps and
+// enqueues each under one lock (matching the paper's assumption that
+// updates within a partition are serialized by the native update
+// protocol).
 type PartitionHandle struct {
 	partition int
 	clock     *hlc.Clock
 	client    *internal.Client
-
-	mu  sync.Mutex
-	seq uint64
+	seq       atomic.Uint64
 }
 
 // Submit tags data with a hybrid timestamp strictly greater than dep and
@@ -186,18 +185,11 @@ type PartitionHandle struct {
 // To capture causality across handles, pass as dep the largest Timestamp
 // the submitting actor has observed (the paper's client clock).
 func (h *PartitionHandle) Submit(dep Timestamp, data []byte) Timestamp {
-	h.mu.Lock()
-	ts := h.clock.Tick(dep)
-	h.seq++
-	u := &types.Update{
+	return h.client.Issue(dep, &types.Update{
 		Partition: types.PartitionID(h.partition),
-		Seq:       h.seq,
-		TS:        ts,
+		Seq:       h.seq.Add(1),
 		Value:     data,
-	}
-	h.mu.Unlock()
-	h.client.Add(u)
-	return ts
+	})
 }
 
 // Timestamp returns the largest timestamp issued by this handle.
