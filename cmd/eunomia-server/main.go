@@ -611,6 +611,16 @@ func hostEunomia(fab *transport.TCP, role string, dcID, dcs, partitions, replica
 				Name: "eunomia_receiver_applied_total", Value: float64(node.Receiver().Applied.Load()),
 			})
 		}
+		if c := node.Cluster(); c != nil {
+			// Nonzero rate: a stream's mark overtook a lost batch (late
+			// route, suspended peer) and the stall resend is healing the
+			// gap; the stream's watermark holds until it does.
+			var refused int64
+			for _, r := range c.Replicas() {
+				refused += r.Stats().MarksRefused
+			}
+			samples = append(samples, metrics.PromSample{Name: "eunomia_marks_refused_total", Value: float64(refused)})
+		}
 		samples = append(samples, stabilizationLag(node, time.Now())...)
 		// Propagation-tree fan-in: per-endpoint frame counters (the
 		// BatchesIn/BatchesOut ratio is the fan-in factor the tree

@@ -864,18 +864,22 @@ func TestMetricsEndpoint(t *testing.T) {
 	defer writer.kill()
 
 	// Stabilization lag: the leader's stable time, and SiteTime per
-	// origin once something from it has been applied.
+	// origin once something from it has been applied. The two appear
+	// independently — the writer's updates can be applied here before
+	// this process's first aggregator flush sets its stable time — so
+	// wait for both.
+	const stableLag = "eunomia_stable_lag_seconds"
 	const siteLag = `eunomia_receiver_site_lag_seconds{origin="0"}`
 	body := scrapeMetrics(t, p, maddr)
-	for deadline := time.Now().Add(20 * time.Second); !strings.Contains(body, siteLag); {
+	for deadline := time.Now().Add(20 * time.Second); !strings.Contains(body, siteLag) || !strings.Contains(body, stableLag); {
 		if time.Now().After(deadline) {
-			t.Fatalf("metrics output never showed %q:\n%s\nwriter:\n%s", siteLag, body, writer.output())
+			t.Fatalf("metrics output never showed %q and %q:\n%s\nwriter:\n%s", stableLag, siteLag, body, writer.output())
 		}
 		time.Sleep(50 * time.Millisecond)
 		body = scrapeMetrics(t, p, maddr)
 	}
 	for _, want := range []string{
-		"eunomia_stable_lag_seconds", siteLag,
+		stableLag, siteLag, "eunomia_marks_refused_total",
 		"eunomia_fabric_sent_total", "eunomia_local_updates_total", "eunomia_release_wedged 0",
 		// Compression byte accounting: pre/post totals per direction and
 		// the endpoint's ratio summary under its dialing scheme.

@@ -17,7 +17,11 @@ import (
 // duplicating connections to exercise the at-least-once tolerance.
 type Conn interface {
 	NewBatch(p types.PartitionID, ops []*types.Update) (hlc.Timestamp, error)
-	Heartbeat(p types.PartitionID, ts hlc.Timestamp) error
+	// Heartbeat offers the stream's watermark ts, to be adopted only by
+	// a replica that already holds the stream up to base (see
+	// Replica.Heartbeat). It returns the acknowledged watermark, as
+	// NewBatch does.
+	Heartbeat(p types.PartitionID, base, ts hlc.Timestamp) (hlc.Timestamp, error)
 }
 
 // ClusterConns adapts a Cluster's replicas to the Conn slice a Client
@@ -79,15 +83,18 @@ func (c *ClientConfig) fill() {
 // (Ack_n), and unacknowledged suffixes are resent each round, which
 // establishes the prefix property over at-least-once delivery.
 //
-// Every flush reports the stream's watermark (a heartbeat) once
-// everything it has sent is acknowledged by every live replica. The
-// watermark never passes a timestamp that is issued but not yet
-// enqueued: Issue ticks and enqueues in one step under the client's lock,
-// and a timestamp taken with Reserve holds the stream back — flushes ship
-// only the operations below the oldest reservation and promise at most
-// one less than it — until Add enqueues it. So no operation can be
-// filtered as a duplicate without having been ingested, however long its
-// producer is descheduled (see TestClientHeartbeatNeverMasksOps and
+// Every flush reports the stream's watermark (a heartbeat) right behind
+// the batch it ships, with a base: the last operation of that batch. A
+// replica adopts the mark only if it already holds the stream up to the
+// base, so a mark that overtakes a lost batch is refused instead of
+// masking it. The watermark never passes a timestamp that is issued but
+// not yet enqueued: Issue ticks and enqueues in one step under the
+// client's lock, and a timestamp taken with Reserve holds the stream
+// back — flushes ship only the operations below the oldest reservation
+// and promise at most one less than it — until Add enqueues it. So no
+// operation can be filtered as a duplicate without having been ingested,
+// however long its producer is descheduled (see
+// TestClientHeartbeatNeverMasksOps and
 // TestClientHeldReservationIsNotMasked). This replaces Algorithm 2's Δ
 // test, which only made that loss unlikely.
 type Client struct {
@@ -232,9 +239,9 @@ func (c *Client) shippableLocked() int {
 }
 
 // watermarkLocked returns the timestamp a heartbeat may promise once the
-// shippable prefix is acknowledged: just below the oldest reservation, or
-// with none outstanding the clock advanced to max(physical, last), which
-// every later issue exceeds.
+// shippable prefix is held: just below the oldest reservation, or with
+// none outstanding the clock advanced to max(physical, last), which every
+// later issue exceeds.
 func (c *Client) watermarkLocked() hlc.Timestamp {
 	if len(c.reserved) > 0 {
 		return c.reserved[0] - 1
@@ -295,17 +302,27 @@ func (c *Client) loop() {
 }
 
 // flush resends to each live replica the suffix of shippable operations it
-// has not acknowledged, prunes fully acknowledged operations, and emits a
-// heartbeat when nothing it sent is outstanding.
+// has not acknowledged, followed by the stream's watermark, then prunes
+// fully acknowledged operations.
 func (c *Client) flush() {
 	c.flushes.inc()
 	if c.cfg.FireAndForget {
 		c.flushFireAndForget()
 		return
 	}
+	// The watermark is taken under the lock the issuing calls hold, with
+	// the snapshot: it lies below every outstanding reservation and every
+	// later issue, so every operation at or below it is in the snapshot,
+	// and a replica holding the snapshot's last operation (the base) holds
+	// them all (Algorithm 2 lines 10-12, without Δ).
 	c.mu.Lock()
 	n := c.shippableLocked()
 	snapshot := c.pending[:n:n]
+	mark := c.watermarkLocked()
+	var base hlc.Timestamp
+	if n > 0 {
+		base = snapshot[n-1].TS
+	}
 	acked := append([]hlc.Timestamp(nil), c.acked...)
 	dead := append([]bool(nil), c.dead...)
 	c.mu.Unlock()
@@ -317,27 +334,35 @@ func (c *Client) flush() {
 		}
 		// Suffix of operations with TS > acked[i].
 		start := sort.Search(len(snapshot), func(j int) bool { return snapshot[j].TS > acked[i] })
-		if start == len(snapshot) {
-			anyAlive = true
-			continue
+		if start < len(snapshot) {
+			w, err := conn.NewBatch(c.cfg.Partition, snapshot[start:])
+			if err != nil {
+				dead[i] = true
+				continue
+			}
+			acked[i] = max(acked[i], w)
 		}
-		w, err := conn.NewBatch(c.cfg.Partition, snapshot[start:])
+		w, err := conn.Heartbeat(c.cfg.Partition, base, mark)
 		if err != nil {
 			dead[i] = true
 			continue
 		}
 		anyAlive = true
-		if w > acked[i] {
-			acked[i] = w
-		}
+		acked[i] = max(acked[i], w)
 	}
 
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	for i := range c.acked {
 		if acked[i] > c.acked[i] {
 			c.acked[i] = acked[i]
 		}
 		c.dead[i] = c.dead[i] || dead[i]
+	}
+	if !anyAlive {
+		// Every replica is gone; hold operations (the service is down,
+		// Figure 4's 1-FT case) and let backpressure stall producers.
+		return
 	}
 	// Prune the prefix acknowledged by every live replica — or, when the
 	// conns are redundant paths to one service, the prefix acknowledged
@@ -361,41 +386,17 @@ func (c *Client) flush() {
 			}
 		}
 	}
-	if !anyAlive {
-		// Every replica is gone; hold operations (the service is down,
-		// Figure 4's 1-FT case) and let backpressure stall producers.
-		c.mu.Unlock()
-		return
-	}
 	drop := sort.Search(len(c.pending), func(j int) bool { return c.pending[j].TS > minAck })
 	if drop > 0 {
 		c.pending = append([]*types.Update(nil), c.pending[drop:]...)
 		c.notFull.Broadcast()
 	}
-	if c.shippableLocked() > 0 {
-		c.mu.Unlock()
-		return // sent but unacknowledged: no promise yet
-	}
-	// Nothing sent is outstanding: report the watermark (Algorithm 2
-	// lines 10-12, without Δ). It is computed under the lock the issuing
-	// calls hold, so every timestamp issued after it is larger.
-	hb := c.watermarkLocked()
-	c.mu.Unlock()
-	for i, conn := range c.conns {
-		if dead[i] {
-			continue
-		}
-		if err := conn.Heartbeat(c.cfg.Partition, hb); err != nil {
-			c.mu.Lock()
-			c.dead[i] = true
-			c.mu.Unlock()
-		}
-	}
 }
 
 // flushFireAndForget is the Algorithm 3 (non-fault-tolerant) propagation
 // path: one send to one replica, no watermark bookkeeping, buffered
-// operations dropped as soon as the send returns.
+// operations dropped as soon as the send returns. With nothing to send it
+// reports the watermark; nothing is unacknowledged, so the base is 0.
 func (c *Client) flushFireAndForget() {
 	c.mu.Lock()
 	n := c.shippableLocked()
@@ -413,5 +414,5 @@ func (c *Client) flushFireAndForget() {
 		_, _ = c.conns[0].NewBatch(c.cfg.Partition, batch) // service down: Algorithm 3 has no recovery
 		return
 	}
-	_ = c.conns[0].Heartbeat(c.cfg.Partition, hb)
+	_, _ = c.conns[0].Heartbeat(c.cfg.Partition, 0, hb)
 }

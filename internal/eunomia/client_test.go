@@ -19,6 +19,9 @@ type fakeConn struct {
 	failN      int // fail the next N calls
 	failAll    bool
 	filtered   int // ops at or below the watermark when they arrived
+	masked     int // of those, ops never ingested before: lost to a mark
+	refused    int // marks whose base was not yet held
+	seen       map[hlc.Timestamp]bool
 }
 
 var errFake = errors.New("fake conn failure")
@@ -32,29 +35,114 @@ func (f *fakeConn) NewBatch(_ types.PartitionID, ops []*types.Update) (hlc.Times
 		}
 		return 0, errFake
 	}
+	if f.seen == nil {
+		f.seen = make(map[hlc.Timestamp]bool)
+	}
 	for _, u := range ops {
 		if u.TS <= f.watermark {
 			f.filtered++
+			if !f.seen[u.TS] {
+				f.masked++
+			}
 			continue // dedup, as the real replica does
 		}
 		f.watermark = u.TS
+		f.seen[u.TS] = true
 		f.ops = append(f.ops, u)
 	}
 	return f.watermark, nil
 }
 
-func (f *fakeConn) Heartbeat(_ types.PartitionID, ts hlc.Timestamp) error {
+// Heartbeat adopts the mark only when the stream is held up to base, as
+// the real replica does.
+func (f *fakeConn) Heartbeat(_ types.PartitionID, base, ts hlc.Timestamp) (hlc.Timestamp, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.failAll {
-		return errFake
+		return 0, errFake
 	}
 	f.heartbeats = append(f.heartbeats, ts)
-	if ts > f.watermark {
+	switch {
+	case ts <= f.watermark:
+	case f.watermark < base:
+		f.refused++
+	default:
 		f.watermark = ts
 	}
-	return nil
+	return f.watermark, nil
 }
+
+// asyncConn is a pipelined link in front of a fakeConn: calls return the
+// last acknowledged watermark at once, and batches and marks reach the
+// fake in send order a few flush periods later. Every dropEvery-th batch
+// that carries an operation not sent before is lost on the way while the
+// mark behind it still arrives — the gap a replica must refuse to paper
+// over. Unlike fabric.ReplicaConn, it forwards every flush's whole
+// unacknowledged suffix, so it exercises marks over a gap, not a later
+// batch crossing one.
+type asyncConn struct {
+	inner     *fakeConn
+	dropEvery int
+	delay     time.Duration
+	line      chan asyncCall
+
+	mu    sync.Mutex
+	acked hlc.Timestamp
+	sent  hlc.Timestamp // highest timestamp ever offered
+	fresh int           // batches that carried something new
+}
+
+type asyncCall struct {
+	due     time.Time
+	deliver func() (hlc.Timestamp, error)
+}
+
+func newAsyncConn(inner *fakeConn, dropEvery int, delay time.Duration) *asyncConn {
+	// Sized above any test's flush count × two calls per flush, so a send
+	// never waits on the delivery goroutine.
+	a := &asyncConn{inner: inner, dropEvery: dropEvery, delay: delay, line: make(chan asyncCall, 1<<16)}
+	go func() {
+		for call := range a.line {
+			time.Sleep(time.Until(call.due))
+			if w, err := call.deliver(); err == nil {
+				a.mu.Lock()
+				a.acked = max(a.acked, w)
+				a.mu.Unlock()
+			}
+		}
+	}()
+	return a
+}
+
+func (a *asyncConn) send(deliver func() (hlc.Timestamp, error)) hlc.Timestamp {
+	a.line <- asyncCall{due: time.Now().Add(a.delay), deliver: deliver}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.acked
+}
+
+func (a *asyncConn) NewBatch(p types.PartitionID, ops []*types.Update) (hlc.Timestamp, error) {
+	a.mu.Lock()
+	drop := false
+	if last := ops[len(ops)-1].TS; last > a.sent {
+		a.sent = last
+		a.fresh++
+		drop = a.fresh%a.dropEvery == 0
+	}
+	w := a.acked
+	a.mu.Unlock()
+	if drop {
+		return w, nil
+	}
+	ops = append([]*types.Update(nil), ops...)
+	return a.send(func() (hlc.Timestamp, error) { return a.inner.NewBatch(p, ops) }), nil
+}
+
+func (a *asyncConn) Heartbeat(p types.PartitionID, base, ts hlc.Timestamp) (hlc.Timestamp, error) {
+	return a.send(func() (hlc.Timestamp, error) { return a.inner.Heartbeat(p, base, ts) }), nil
+}
+
+func (a *asyncConn) close() { close(a.line) }
 
 func (f *fakeConn) opCount() int {
 	f.mu.Lock()
@@ -157,10 +245,42 @@ func TestClientHeartbeatWhenIdle(t *testing.T) {
 // several goroutines, through both issuing calls, with reservations held
 // across flushes: every flush heartbeats (there is no Δ), so only the
 // watermark rule — heartbeat below the oldest reservation, ship only the
-// prefix under it — keeps every operation.
+// prefix under it — keeps every operation. The async variant adds a
+// pipelined link whose acknowledgements trail by several flushes and
+// which loses batches while the marks behind them arrive: only the base
+// check keeps those marks from masking the lost operations.
 func TestClientHeartbeatNeverMasksOps(t *testing.T) {
-	a := &fakeConn{}
-	cl := newTestClient([]Conn{a}, ClientConfig{Partition: 0, BatchInterval: time.Millisecond})
+	t.Run("sync", func(t *testing.T) {
+		a := &fakeConn{}
+		produceRacing(t, a, a)
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		if a.filtered != 0 {
+			t.Fatalf("%d operations arrived at or below a heartbeat watermark", a.filtered)
+		}
+	})
+	t.Run("async-lossy", func(t *testing.T) {
+		a := &fakeConn{}
+		link := newAsyncConn(a, 3, 3*time.Millisecond)
+		produceRacing(t, link, a)
+		defer link.close()
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		if a.masked != 0 {
+			t.Fatalf("%d operations were masked by a mark and never ingested", a.masked)
+		}
+		if a.refused == 0 {
+			t.Fatal("no mark was refused; the lossy link exercised nothing")
+		}
+	})
+}
+
+// produceRacing drives four producers through conn and waits until a,
+// the fake behind it, has ingested every operation, in order, with
+// heartbeats.
+func produceRacing(t *testing.T, conn Conn, a *fakeConn) {
+	t.Helper()
+	cl := newTestClient([]Conn{conn}, ClientConfig{Partition: 0, BatchInterval: time.Millisecond})
 	defer cl.Close()
 
 	const producers, per = 4, 125
@@ -176,7 +296,7 @@ func TestClientHeartbeatNeverMasksOps(t *testing.T) {
 					continue
 				}
 				ts := cl.Reserve(0)
-				if i%25 == 1 {
+				if i%10 == 1 {
 					time.Sleep(3 * time.Millisecond) // held across flushes
 				}
 				cl.Add(up(0, seq, ts))
@@ -184,15 +304,9 @@ func TestClientHeartbeatNeverMasksOps(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	waitFor(t, 2*time.Second, func() bool { return a.opCount() == producers*per })
+	waitFor(t, 5*time.Second, func() bool { return a.opCount() == producers*per })
 
-	a.mu.Lock()
-	filtered, hbs := a.filtered, len(a.heartbeats)
-	a.mu.Unlock()
-	if filtered != 0 {
-		t.Fatalf("%d operations arrived at or below a heartbeat watermark", filtered)
-	}
-	if hbs == 0 {
+	if a.hbCount() == 0 {
 		t.Fatal("no heartbeats were sent; the test exercised nothing")
 	}
 	ts := a.opTimestamps()

@@ -114,6 +114,7 @@ type Stats struct {
 	Duplicates    int64 // resent operations filtered by watermark
 	Batches       int64 // NewBatch calls (messages) received
 	Heartbeats    int64
+	MarksRefused  int64 // heartbeats refused: their base was not yet held
 	OpsShipped    int64 // operations handed to ShipFunc (leader only)
 	Stabilization int64 // PROCESS_STABLE rounds executed as leader
 	Pending       int   // current pending-set size
@@ -145,6 +146,7 @@ type Replica struct {
 	duplicates    metrics.Counter
 	batches       metrics.Counter
 	heartbeats    metrics.Counter
+	marksRefused  metrics.Counter
 	opsShipped    metrics.Counter
 	stabilization metrics.Counter
 }
@@ -303,26 +305,40 @@ func (r *Replica) validPartition(p types.PartitionID) bool {
 	return p >= 0 && int(p) < len(r.partitionTime)
 }
 
-// Heartbeat advances partition p's watermark without carrying an operation
-// (Algorithm 3 line 5). Stale heartbeats are ignored.
-func (r *Replica) Heartbeat(p types.PartitionID, ts hlc.Timestamp) error {
+// Heartbeat advances partition p's watermark to ts without carrying an
+// operation (Algorithm 3 line 5), provided the replica already holds the
+// stream up to base: the last operation the sender had shipped when it
+// took the mark (0 when it had nothing unacknowledged). A stream travels
+// in timestamp order over a FIFO conn, so PartitionTime ≥ base means
+// every operation up to base is here, and the sender issues nothing at or
+// below ts afterwards. A mark above a gap — a batch lost on the way — is
+// refused (Stats.MarksRefused) and the sender's resend fills the gap.
+// Stale marks are ignored. It returns the watermark the replica holds
+// afterwards, which is what the sender may treat as acknowledged.
+func (r *Replica) Heartbeat(p types.PartitionID, base, ts hlc.Timestamp) (hlc.Timestamp, error) {
 	if r.stopped.Load() {
-		return ErrStopped
+		return 0, ErrStopped
 	}
 	if !r.validPartition(p) {
-		return ErrUnknownPartition
+		return 0, ErrUnknownPartition
 	}
 	r.mu.Lock()
-	moved := ts > r.partitionTime[p]
+	w := r.partitionTime[p]
+	refused := ts > w && w < base
+	moved := ts > w && !refused
 	if moved {
 		r.partitionTime[p] = ts
+		w = ts
 	}
 	r.mu.Unlock()
 	r.heartbeats.Inc()
+	if refused {
+		r.marksRefused.Inc()
+	}
 	if moved {
 		r.poke()
 	}
-	return nil
+	return w, nil
 }
 
 // poke wakes the stabilization loop after a partition watermark moved.
@@ -387,6 +403,7 @@ func (r *Replica) Stats() Stats {
 		Duplicates:    r.duplicates.Load(),
 		Batches:       r.batches.Load(),
 		Heartbeats:    r.heartbeats.Load(),
+		MarksRefused:  r.marksRefused.Load(),
 		OpsShipped:    r.opsShipped.Load(),
 		Stabilization: r.stabilization.Load(),
 		Pending:       pending,

@@ -78,7 +78,7 @@ func TestSingleReplicaOrdersAcrossPartitions(t *testing.T) {
 	}
 
 	// A heartbeat from partition 1 releases the rest.
-	if err := r.Heartbeat(1, 40); err != nil {
+	if _, err := r.Heartbeat(1, 25, 40); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, time.Second, func() bool { return sink.len() == 4 })
@@ -98,7 +98,7 @@ func TestNoStabilityUntilEveryPartitionReports(t *testing.T) {
 	if sink.len() != 0 {
 		t.Fatal("ops shipped before partition 2 ever reported — Property 2 basis violated")
 	}
-	r.Heartbeat(2, 15)
+	r.Heartbeat(2, 0, 15)
 	waitFor(t, time.Second, func() bool { return sink.len() == 2 })
 }
 
@@ -127,7 +127,7 @@ func TestMultiBatchSkipsUnknownPartitions(t *testing.T) {
 	if st := r.Stats(); st.OpsReceived != 2 {
 		t.Fatalf("received %d ops, want 2 (the unknown stream skipped)", st.OpsReceived)
 	}
-	if err := r.Heartbeat(99, 30); err == nil {
+	if _, err := r.Heartbeat(99, 0, 30); err == nil {
 		t.Fatal("direct heartbeat for an unknown partition must error")
 	}
 }
@@ -156,9 +156,41 @@ func TestStaleHeartbeatIgnored(t *testing.T) {
 	defer c.Stop()
 	r := c.Replica(0)
 	r.NewBatch(0, []*types.Update{up(0, 1, 100)})
-	r.Heartbeat(0, 50) // stale
+	if w, _ := r.Heartbeat(0, 0, 50); w != 100 { // stale
+		t.Fatalf("stale heartbeat answered %v, want the held 100", w)
+	}
 	if w, _ := r.NewBatch(0, nil); w != 100 {
 		t.Fatalf("watermark = %v after stale heartbeat, want 100", w)
+	}
+}
+
+// TestHeartbeatRequiresBase pins the mark rule: a replica adopts a
+// stream's watermark only when it already holds the stream up to the
+// mark's base, so a mark that overtook a lost batch cannot move the
+// watermark past the lost operations and turn their resend into
+// duplicates. The refusal answers with the watermark actually held.
+func TestHeartbeatRequiresBase(t *testing.T) {
+	c := NewCluster(1, Config{Partitions: 1, StableInterval: time.Hour}, nil)
+	defer c.Stop()
+	r := c.Replica(0)
+	r.NewBatch(0, []*types.Update{up(0, 1, 10)})
+
+	// The batch carrying ts 20 was lost; its mark arrives.
+	if w, err := r.Heartbeat(0, 20, 30); err != nil || w != 10 {
+		t.Fatalf("mark above a gap answered %v, %v; want the held 10", w, err)
+	}
+	if st := r.Stats(); st.MarksRefused != 1 {
+		t.Fatalf("MarksRefused = %d, want 1", st.MarksRefused)
+	}
+	// The resend fills the gap and is ingested, not filtered.
+	if w, _ := r.NewBatch(0, []*types.Update{up(0, 2, 20)}); w != 20 {
+		t.Fatalf("resend acknowledged %v, want 20", w)
+	}
+	if w, _ := r.Heartbeat(0, 20, 30); w != 30 {
+		t.Fatalf("covered mark answered %v, want 30", w)
+	}
+	if st := r.Stats(); st.OpsReceived != 2 || st.Duplicates != 0 || st.MarksRefused != 1 {
+		t.Fatalf("received=%d dups=%d refused=%d, want 2/0/1", st.OpsReceived, st.Duplicates, st.MarksRefused)
 	}
 }
 
@@ -169,7 +201,7 @@ func TestStoppedReplicaRefuses(t *testing.T) {
 	if _, err := r.NewBatch(0, nil); err != ErrStopped {
 		t.Fatalf("NewBatch after Stop: %v", err)
 	}
-	if err := r.Heartbeat(0, 1); err != ErrStopped {
+	if _, err := r.Heartbeat(0, 0, 1); err != ErrStopped {
 		t.Fatalf("Heartbeat after Stop: %v", err)
 	}
 	if err := r.Ping(); err != ErrStopped {

@@ -204,15 +204,15 @@ func (a *Aggregator) handle(m Message) {
 		w := a.ingest(m.From, false, v.Partition, v.Ops)
 		a.f.Send(a.local, m.From, AckMsg{ID: v.ID, Partition: v.Partition, Watermark: w})
 	case HeartbeatMsg:
-		// Relay on the next flush. The sender only heartbeats when
-		// everything it sent is acknowledged — which, through this node's
-		// transparent watermarks, means the parents already hold it — so
-		// a relayed heartbeat can never mask a buffered operation, and
-		// acknowledging it immediately (as a served replica would) is
-		// safe: a lost heartbeat is regenerated at the next flush.
+		// The mark follows the child's batch, which this node may still
+		// be buffering: it is relayed only once the parents hold its
+		// base, so a relayed mark can never mask a buffered operation.
+		// The ack is the watermark that is then safe to promise — the
+		// mark if relayed, else the parents' — as a served replica's is;
+		// a lost or dropped mark is regenerated at the next flush.
 		a.BatchesIn.Inc()
-		a.heartbeat(m.From, false, v.Partition, v.TS)
-		a.f.Send(a.local, m.From, AckMsg{ID: v.ID, Partition: v.Partition, Watermark: v.TS})
+		w := a.heartbeat(m.From, false, v.Partition, v.Base, v.TS)
+		a.f.Send(a.local, m.From, AckMsg{ID: v.ID, Partition: v.Partition, Watermark: w})
 	case MultiBatchMsg:
 		a.BatchesIn.Inc()
 		acks := make([]types.PartitionMark, 0, len(v.Batches)+len(v.Marks))
@@ -221,8 +221,10 @@ func (a *Aggregator) handle(m Message) {
 			acks = append(acks, types.PartitionMark{Partition: sb.Partition, TS: w})
 		}
 		for _, hb := range v.Marks {
-			a.heartbeat(m.From, true, hb.Partition, hb.TS)
-			acks = append(acks, hb)
+			// A child aggregator relays only marks its parents (this
+			// node) hold the base of: base 0.
+			w := a.heartbeat(m.From, true, hb.Partition, 0, hb.TS)
+			acks = append(acks, types.PartitionMark{Partition: hb.Partition, TS: w})
 		}
 		a.f.Send(a.local, m.From, MultiAckMsg{ID: v.ID, Acks: acks})
 	case MultiAckMsg:
@@ -247,14 +249,20 @@ func (a *Aggregator) ingest(child Addr, multi bool, p types.PartitionID, ops []*
 	return s.acked
 }
 
-func (a *Aggregator) heartbeat(child Addr, multi bool, p types.PartitionID, ts hlc.Timestamp) {
+// heartbeat queues a child's mark for relay if the parents hold the
+// stream up to base, and otherwise drops it: the child sends a fresh mark
+// every flush. It returns the watermark the child may treat as
+// acknowledged.
+func (a *Aggregator) heartbeat(child Addr, multi bool, p types.PartitionID, base, ts hlc.Timestamp) hlc.Timestamp {
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	s := a.stream(p)
 	s.children[child] = multi
-	if ts > s.hb {
-		s.hb = ts
+	if s.acked < base {
+		return s.acked
 	}
-	a.mu.Unlock()
+	s.hb = max(s.hb, ts)
+	return max(s.acked, ts)
 }
 
 // flush merges every stream's unacknowledged suffix into one frame per

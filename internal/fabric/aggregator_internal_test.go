@@ -101,3 +101,45 @@ func TestAggregatorFlushPrioritizesReadyStreams(t *testing.T) {
 		t.Fatalf("retransmit carries %d ops, want the full 3-op window", got)
 	}
 }
+
+// TestAggregatorRelaysMarkOnlyOverParentHeldBase pins the tree's mark
+// rule: a child's mark that arrives while its base is still only
+// buffered here is neither relayed nor acknowledged (the child hears the
+// parent-held watermark and sends a fresh mark next flush); once the
+// parents acknowledge the base, a mark over it is relayed and
+// acknowledged.
+func TestAggregatorRelaysMarkOnlyOverParentHeldBase(t *testing.T) {
+	fake := &recordingFabric{}
+	parent := EunomiaAddr(0, 0)
+	child := PartitionAddr(0, 0)
+	a := NewAggregator(AggregatorConfig{
+		Fabric: fake, Local: AggregatorAddr(0, 0),
+		Parents: []Addr{parent}, FlushInterval: time.Hour,
+	})
+	defer a.Close()
+
+	a.ingest(child, false, 1, seqOps(1, 1, 3))
+	if w := a.heartbeat(child, false, 1, 3, 9); w != 0 {
+		t.Fatalf("mark above an unacknowledged base answered %v, want the parent-held 0", w)
+	}
+	a.flush()
+	first := fake.frames()[0]
+	if len(first.Marks) != 0 {
+		t.Fatalf("relayed %+v before the parents held the base", first.Marks)
+	}
+
+	a.handleParentAck(parent, MultiAckMsg{ID: first.ID, Acks: []types.PartitionMark{{Partition: 1, TS: 3}}})
+	a.flush()
+	frames := fake.frames()
+	if last := frames[len(frames)-1]; len(last.Marks) != 0 {
+		t.Fatalf("the refused mark was relayed later: %+v", last.Marks)
+	}
+	if w := a.heartbeat(child, false, 1, 3, 12); w != 12 {
+		t.Fatalf("mark over a parent-held base answered %v, want 12", w)
+	}
+	a.flush()
+	frames = fake.frames()
+	if last := frames[len(frames)-1]; len(last.Marks) != 1 || last.Marks[0] != (types.PartitionMark{Partition: 1, TS: 12}) {
+		t.Fatalf("after the base was acknowledged the flush relayed %+v, want the mark 12", last.Marks)
+	}
+}

@@ -25,12 +25,15 @@ type BatchMsg struct {
 	Ops       []*types.Update
 }
 
-// HeartbeatMsg advances a partition's watermark without an operation
-// (Algorithm 3 line 5).
+// HeartbeatMsg offers a partition's watermark TS without an operation
+// (Algorithm 3 line 5). It travels right behind the batch of the same
+// flush, and the replica adopts it only if it already holds the stream
+// up to Base, that batch's last operation (0: nothing was unacknowledged).
 type HeartbeatMsg struct {
 	ID        uint64
 	Partition types.PartitionID
 	TS        hlc.Timestamp
+	Base      hlc.Timestamp
 }
 
 // AckMsg is the replica's acknowledgement: the watermark is the largest
@@ -292,16 +295,19 @@ func (c *ReplicaConn) NewBatch(p types.PartitionID, ops []*types.Update) (hlc.Ti
 	return w, nil
 }
 
-// Heartbeat implements eunomia.Conn.
-func (c *ReplicaConn) Heartbeat(p types.PartitionID, ts hlc.Timestamp) error {
+// Heartbeat implements eunomia.Conn. In pipelined mode the mark follows
+// the flush's batch on the same FIFO stream, so the replica can adopt it
+// in the same round; the returned watermark is the latest acknowledged.
+func (c *ReplicaConn) Heartbeat(p types.PartitionID, base, ts hlc.Timestamp) (hlc.Timestamp, error) {
 	id, ch := c.newCall()
+	msg := HeartbeatMsg{ID: id, Partition: p, TS: ts, Base: base}
 	if c.mode == SyncConn {
-		c.send(HeartbeatMsg{ID: id, Partition: p, TS: ts})
-		_, err := c.await(id, ch)
-		return err
+		c.send(msg)
+		ack, err := c.await(id, ch)
+		return ack.Watermark, err
 	}
 	c.mu.Lock()
-	failed := c.failed
+	failed, w := c.failed, c.marks[p]
 	drop := false
 	if failed == "" {
 		if now := time.Now(); now.Sub(c.lastAlive) > peerSuspendAfter {
@@ -319,19 +325,20 @@ func (c *ReplicaConn) Heartbeat(p types.PartitionID, ts hlc.Timestamp) error {
 	}
 	c.mu.Unlock()
 	if failed != "" {
-		return errors.New(failed)
+		return 0, errors.New(failed)
 	}
-	if drop {
-		return nil
+	if !drop {
+		c.send(msg)
 	}
-	c.send(HeartbeatMsg{ID: id, Partition: p, TS: ts})
-	return nil
+	return w, nil
 }
 
 // ServeReplica registers a handler at addr that feeds batches, merged
 // propagation-tree frames, and heartbeats into the replica and returns
-// acknowledgement watermarks to the sender. Unknown payloads are ignored,
-// so the address can be shared with other protocols if needed.
+// acknowledgement watermarks to the sender: always the watermark the
+// replica holds afterwards, never a refused mark's, or the sender would
+// prune operations the replica never received. Unknown payloads are
+// ignored, so the address can be shared with other protocols if needed.
 func ServeReplica(f Fabric, at Addr, r *eunomia.Replica) {
 	f.Register(at, func(m Message) {
 		switch v := m.Payload.(type) {
@@ -339,20 +346,21 @@ func ServeReplica(f Fabric, at Addr, r *eunomia.Replica) {
 			w, err := r.NewBatch(v.Partition, v.Ops)
 			f.Send(at, m.From, AckMsg{ID: v.ID, Partition: v.Partition, Watermark: w, Err: errString(err)})
 		case HeartbeatMsg:
-			err := r.Heartbeat(v.Partition, v.TS)
-			f.Send(at, m.From, AckMsg{ID: v.ID, Partition: v.Partition, Watermark: v.TS, Err: errString(err)})
+			w, err := r.Heartbeat(v.Partition, v.Base, v.TS)
+			f.Send(at, m.From, AckMsg{ID: v.ID, Partition: v.Partition, Watermark: w, Err: errString(err)})
 		case MultiBatchMsg:
 			// The propagation-tree root: one message receive ingests a
 			// whole fan-in set's streams, plus any heartbeats the tree
-			// relayed (only emitted by partitions whose operations are
-			// already fully acknowledged, so a relayed heartbeat can never
-			// mask a buffered operation — see the aggregator's contract).
+			// relayed. An aggregator relays a mark only once its parents
+			// hold the mark's base, so a relayed mark can never mask a
+			// buffered operation and needs no base of its own (see the
+			// aggregator's contract).
 			acks, err := r.NewMultiBatch(v.Batches)
 			if err == nil {
 				for _, hb := range v.Marks {
-					switch hbErr := r.Heartbeat(hb.Partition, hb.TS); {
+					switch w, hbErr := r.Heartbeat(hb.Partition, 0, hb.TS); {
 					case hbErr == nil:
-						acks = append(acks, hb)
+						acks = append(acks, types.PartitionMark{Partition: hb.Partition, TS: w})
 					case errors.Is(hbErr, eunomia.ErrUnknownPartition):
 						// One misconfigured sender's heartbeat must not
 						// poison the merged frame; skip it, like

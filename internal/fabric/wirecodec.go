@@ -27,7 +27,8 @@ func (m HeartbeatMsg) WireTag() wire.Tag { return wire.TagHeartbeat }
 func (m HeartbeatMsg) AppendWire(b []byte) []byte {
 	b = wire.AppendUvarint(b, m.ID)
 	b = wire.AppendUvarint(b, uint64(m.Partition))
-	return wire.AppendTimestamp(b, m.TS)
+	b = wire.AppendTimestamp(b, m.TS)
+	return wire.AppendTimestamp(b, m.Base)
 }
 
 // WireTag implements wire.Marshaler.
@@ -74,6 +75,7 @@ func init() {
 			ID:        d.Uvarint(),
 			Partition: types.PartitionID(d.Uvarint()),
 			TS:        d.Timestamp(),
+			Base:      d.Timestamp(),
 		}
 	})
 	wire.Register(wire.TagAck, func(d *wire.Dec) any {

@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"eunomia/internal/compress"
@@ -149,6 +150,10 @@ type WANBenchCell struct {
 	// (origin, destination) pair, with VisSamples updates observed.
 	VisP50, VisP90, VisP99 time.Duration
 	VisSamples             int64
+	// VisUnstable counts remote updates a destination made visible
+	// before their origin's Eunomia had stabilized them (EunomiaKV only;
+	// a correct store keeps it 0).
+	VisUnstable int64
 }
 
 // WANBenchResult reports the full matrix under one topology.
@@ -180,6 +185,11 @@ type wanDeployment struct {
 	vis     *VisMatrix
 	factory workload.ClientFactory
 	close   func()
+
+	// stableAt, when set, reads a datacenter's Eunomia stable time;
+	// unstable counts visible updates above it at their origin.
+	stableAt func(types.DCID) hlc.Timestamp
+	unstable atomic.Int64
 }
 
 // snapTxBytes sums transmit counters over every endpoint.
@@ -230,6 +240,9 @@ func buildWANDeployment(o WANBenchOptions, kind SystemKind, scheme compress.Sche
 
 	record := func(dest types.DCID, u *types.Update, arrived time.Time) {
 		d.vis.Record(u.Origin, dest, time.Since(arrived))
+		if d.stableAt != nil && d.stableAt(u.Origin) < u.TS {
+			d.unstable.Add(1)
+		}
 	}
 	// Skewed, drifting physical clocks per datacenter: the HLC absorbs
 	// the skew in its logical component, so only visibility shifts.
@@ -265,6 +278,16 @@ func buildWANDeployment(o WANBenchOptions, kind SystemKind, scheme compress.Sche
 			})
 		}
 		d.factory = func(w int) workload.Client { return nodes[w%o.DCs].NewClient() }
+		// A remote update is visible only after its origin stabilized
+		// it, so the origin's stable time (highest over its replicas)
+		// already covers it when the destination applies it.
+		d.stableAt = func(dc types.DCID) hlc.Timestamp {
+			var st hlc.Timestamp
+			for _, r := range nodes[dc].Cluster().Replicas() {
+				st = max(st, r.Stats().StableTime)
+			}
+			return st
+		}
 		d.close = func() {
 			for _, n := range nodes {
 				n.CloseIngress()
@@ -397,6 +420,7 @@ func wanBenchCell(o WANBenchOptions, kind SystemKind, scheme compress.Scheme) (W
 	}
 	all := d.vis.All()
 	cell.VisSamples = all.Count()
+	cell.VisUnstable = d.unstable.Load()
 	cell.VisP50 = time.Duration(all.Percentile(50))
 	cell.VisP90 = time.Duration(all.Percentile(90))
 	cell.VisP99 = time.Duration(all.Percentile(99))

@@ -125,12 +125,19 @@ func (s *Single) Next() (uint64, error) {
 		replyPool.Put(reply)
 		return 0, ErrStopped
 	}
-	n := <-reply
-	replyPool.Put(reply)
-	if s.Delay > 0 {
-		time.Sleep(s.Delay - s.Delay/2)
+	select {
+	case n := <-reply:
+		replyPool.Put(reply)
+		if s.Delay > 0 {
+			time.Sleep(s.Delay - s.Delay/2)
+		}
+		return n, nil
+	case <-s.done:
+		// The select above may enqueue after Stop, once run has drained
+		// the queue and returned: nothing will answer. The channel stays
+		// out of the pool, since a drained request may still be answered.
+		return 0, ErrStopped
 	}
-	return n, nil
 }
 
 // Issued returns the highest number handed out so far.

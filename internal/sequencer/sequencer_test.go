@@ -171,6 +171,37 @@ func TestChainStopUnblocksClients(t *testing.T) {
 	}
 }
 
+// TestSingleStopUnblocksClients stops a single sequencer under clients
+// calling Next back to back, many times: a request that lands after the
+// service drained its queue on Stop must fail, not wait for a reply that
+// never comes.
+func TestSingleStopUnblocksClients(t *testing.T) {
+	for round := 0; round < 300; round++ {
+		s := NewSingle()
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					if _, err := s.Next(); err != nil {
+						return
+					}
+				}
+			}()
+		}
+		time.Sleep(100 * time.Microsecond)
+		s.Stop()
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: a client hung after Stop", round)
+		}
+	}
+}
+
 func TestChainMinimumOneReplica(t *testing.T) {
 	c := NewChain(0) // clamps to 1
 	defer c.Stop()

@@ -27,7 +27,7 @@ func codecPayloads() []any {
 	return []any{
 		[]*types.Update{u, u.Meta()},
 		fabric.BatchMsg{ID: 7, Partition: 2, Ops: []*types.Update{u}},
-		fabric.HeartbeatMsg{ID: 8, Partition: 2, TS: u.TS},
+		fabric.HeartbeatMsg{ID: 8, Partition: 2, TS: u.TS, Base: u.TS - 1},
 		fabric.AckMsg{ID: 9, Partition: 2, Watermark: u.TS, Err: "boom"},
 		testMsg{N: 77},
 	}

@@ -95,7 +95,8 @@ type Config struct {
 	// WANShaper, if set, delays inbound cross-datacenter data frames by
 	// the shaper's per-link model (latency, jitter, loss-as-retransmit,
 	// bandwidth) before dispatch, sized by actual bytes on the wire.
-	// Shaping is receiver-side and FIFO-preserving: the emulated-WAN
+	// Shaping is receiver-side and FIFO-preserving, through a delay line
+	// rather than a per-frame stall (see serveShaped): the emulated-WAN
 	// benchmarks and the -wan flag use it to make loopback TCP honest
 	// about distance. Ack and hello frames are not shaped (the data
 	// direction carries the modeled cost).
@@ -536,111 +537,222 @@ func (t *TCP) serveInbound(conn net.Conn) {
 	last := t.inSeq[proc]
 	t.mu.Unlock()
 
+	in := &inbound{proc: proc, advertise: hello.Advertise, last: last, learned: make(map[fabric.Addr]bool)}
 	ackEvery := t.cfg.Window / 4
 	if ackEvery < 1 {
 		ackEvery = 1
 	}
-	sinceAck := 0
-	// Learn each source address once per connection, not once per frame —
-	// the advertise only changes with a new hello anyway, and learning is
-	// a fabric-wide mutex acquisition on the hot receive path.
-	learnedFrom := make(map[fabric.Addr]bool)
-	var shapeTimer *time.Timer
-	for {
-		var f frame
-		if err := fr.next(&f); err != nil {
-			break
-		}
-		if f.Kind != frameData {
-			continue
-		}
-		// Emulated-WAN shaping: hold each cross-datacenter data frame for
-		// its modeled link delay before dispatch. Receiver-side and
-		// in-order, so FIFO survives; the stall also delays our acks,
-		// which is exactly the window backpressure a slow pipe exerts.
-		if sh := t.cfg.WANShaper; sh != nil && f.From.DC != f.To.DC {
-			if d, ok := sh.PlanReliable(f.From.DC, f.To.DC, f.wireBytes, time.Now()); ok && d > 0 {
-				if shapeTimer == nil {
-					shapeTimer = time.NewTimer(d)
-				} else {
-					shapeTimer.Reset(d)
-				}
-				select {
-				case <-shapeTimer.C:
-				case <-t.done:
-					return
-				}
+	if t.cfg.WANShaper != nil {
+		t.serveShaped(conn, fr, fw, in, ackEvery)
+	} else {
+		sinceAck := 0
+		for {
+			var f frame
+			if err := fr.next(&f); err != nil {
+				break
 			}
-		}
-		if f.Seq <= last {
-			t.DupDropped.Add(1)
-		} else {
-			// Fault injection (new cross-DC data frames only — frames the
-			// dedup watermark already covers were dispatched in a prior
-			// life and just burn a duplicate). Corrupt tears the
-			// connection down before the watermark advances: a framing
-			// checksum failure kills the stream, the dialer's reconnect
-			// retransmits everything unacked, and the retried frame
-			// redraws its fate. Drop consumes and acknowledges the frame
-			// without dispatching it: loss at the fabric layer, exactly
-			// what a simnet SetDrop delivers, so the protocols' own
-			// recovery paths must absorb it.
-			fate := faults.FateDeliver
-			if inj := t.cfg.Faults; inj != nil && f.From.DC != f.To.DC {
-				var fdelay time.Duration
-				fate, fdelay = inj.FrameFate(f.From.DC, f.To.DC)
-				if fate == faults.FateCorrupt {
-					// Exit the frame loop, not the function: the
-					// delivered prefix's watermark below must persist
-					// into inSeq or the reconnect would re-dispatch it
-					// as duplicates.
+			if f.Kind != frameData {
+				continue
+			}
+			if !t.deliver(in, &f) {
+				break
+			}
+			sinceAck++
+			if sinceAck >= ackEvery || fr.buffered() == 0 {
+				if t.ack(in, fw) != nil {
 					break
 				}
-				if fdelay > 0 {
-					if shapeTimer == nil {
-						shapeTimer = time.NewTimer(fdelay)
-					} else {
-						shapeTimer.Reset(fdelay)
-					}
-					select {
-					case <-shapeTimer.C:
-					case <-t.done:
-						return
-					}
-				}
-			}
-			last = f.Seq
-			if fate == faults.FateDrop {
-				t.Dropped.Add(1)
-			} else {
-				if hello.Advertise != "" && !learnedFrom[f.From] {
-					learnedFrom[f.From] = true
-					t.learn(f.From, hello.Advertise)
-				}
-				t.dispatch(fabric.Message{From: f.From, To: f.To, Payload: f.Payload, SentAt: f.SentAt})
-				if fate == faults.FateDup {
-					t.dispatch(fabric.Message{From: f.From, To: f.To, Payload: f.Payload, SentAt: f.SentAt})
-				}
+				sinceAck = 0
 			}
 		}
-		sinceAck++
-		if sinceAck >= ackEvery || fr.buffered() == 0 {
-			t.mu.Lock()
-			if last > t.inSeq[proc] {
-				t.inSeq[proc] = last
+	}
+	t.mu.Lock()
+	if in.last > t.inSeq[proc] {
+		t.inSeq[proc] = in.last
+	}
+	t.mu.Unlock()
+}
+
+// inbound is one inbound connection's delivery state.
+type inbound struct {
+	proc      string // the dialer's process name (duplicate-filter key)
+	advertise string // the dialer's listen address, for learned routes
+	last      uint64 // highest sequence delivered (or dropped by a fault)
+	// learned holds the source addresses already learned on this
+	// connection: learning is a fabric-wide mutex acquisition, so it
+	// happens once per source rather than once per frame.
+	learned    map[fabric.Addr]bool
+	faultTimer *time.Timer
+}
+
+// deliver dedupes one data frame by sequence, applies any injected
+// fault, and dispatches it. It returns false when the connection must be
+// torn down (an injected corruption) or the endpoint is closing.
+func (t *TCP) deliver(in *inbound, f *frame) bool {
+	if f.Seq <= in.last {
+		t.DupDropped.Add(1)
+		return true
+	}
+	// Fault injection (new cross-DC data frames only — frames the dedup
+	// watermark already covers were dispatched in a prior life and just
+	// burn a duplicate). Corrupt tears the connection down before the
+	// watermark advances: a framing checksum failure kills the stream,
+	// the dialer's reconnect retransmits everything unacked, and the
+	// retried frame redraws its fate. Drop consumes and acknowledges the
+	// frame without dispatching it: loss at the fabric layer, exactly what
+	// a simnet SetDrop delivers, so the protocols' own recovery paths must
+	// absorb it.
+	fate := faults.FateDeliver
+	if inj := t.cfg.Faults; inj != nil && f.From.DC != f.To.DC {
+		var fdelay time.Duration
+		fate, fdelay = inj.FrameFate(f.From.DC, f.To.DC)
+		if fate == faults.FateCorrupt {
+			// The caller leaves the frame loop and persists the
+			// delivered prefix's watermark into inSeq, or the reconnect
+			// would re-dispatch it as duplicates.
+			return false
+		}
+		if fdelay > 0 && !t.sleep(&in.faultTimer, fdelay) {
+			return false
+		}
+	}
+	in.last = f.Seq
+	if fate == faults.FateDrop {
+		t.Dropped.Add(1)
+		return true
+	}
+	if in.advertise != "" && !in.learned[f.From] {
+		in.learned[f.From] = true
+		t.learn(f.From, in.advertise)
+	}
+	m := fabric.Message{From: f.From, To: f.To, Payload: f.Payload, SentAt: f.SentAt}
+	t.dispatch(m)
+	if fate == faults.FateDup {
+		t.dispatch(m)
+	}
+	return true
+}
+
+// ack records the delivered watermark for the dialer's process and
+// returns it as a cumulative acknowledgement.
+func (t *TCP) ack(in *inbound, fw *wireFrameWriter) error {
+	t.mu.Lock()
+	if in.last > t.inSeq[in.proc] {
+		t.inSeq[in.proc] = in.last
+	}
+	t.mu.Unlock()
+	if err := fw.write(&frame{Kind: frameAck, Ack: in.last}); err != nil {
+		return err
+	}
+	return fw.flush()
+}
+
+// sleep waits d on a reusable timer; false means the endpoint closed.
+func (t *TCP) sleep(timer **time.Timer, d time.Duration) bool {
+	if *timer == nil {
+		*timer = time.NewTimer(d)
+	} else {
+		(*timer).Reset(d)
+	}
+	select {
+	case <-(*timer).C:
+		return true
+	case <-t.done:
+		return false
+	}
+}
+
+// shapedFrame is a data frame in a connection's WAN delay line, with the
+// instant it is due for dispatch.
+type shapedFrame struct {
+	f   frame
+	due time.Time
+}
+
+// serveShaped is the inbound frame loop behind the emulated WAN
+// (Config.WANShaper). A reader goroutine stamps each data frame on
+// arrival with its due instant — arrival plus the link's planned delay
+// for a cross-datacenter frame, and never before its predecessor's, so
+// FIFO survives — and queues it on a delay line; this goroutine
+// dispatches each frame when it falls due. The reader never sleeps, so a
+// link's frame rate is bounded by its bandwidth model, not by one frame
+// per link delay. Only dispatched frames are acknowledged: frames still
+// in the line when the connection breaks are retransmitted by the
+// dialer, and the dialer's window is the backpressure a slow pipe
+// exerts.
+func (t *TCP) serveShaped(conn net.Conn, fr *wireFrameReader, fw *wireFrameWriter, in *inbound, ackEvery int) {
+	sh := t.cfg.WANShaper
+	// Only dispatched frames are acknowledged, so the line holds at most
+	// the dialer's window; sized to this endpoint's window, it fills only
+	// toward a peer configured with a larger one, and then merely stalls
+	// the reader, which is backpressure.
+	line := make(chan shapedFrame, t.cfg.Window)
+	stop := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		defer close(line)
+		var prev time.Time
+		for {
+			var f frame
+			if err := fr.next(&f); err != nil {
+				return
 			}
-			t.mu.Unlock()
-			if fw.write(&frame{Kind: frameAck, Ack: last}) != nil || fw.flush() != nil {
-				break
+			if f.Kind != frameData {
+				continue
+			}
+			now := time.Now()
+			due := now
+			if f.From.DC != f.To.DC {
+				if d, ok := sh.PlanReliable(f.From.DC, f.To.DC, f.wireBytes, now); ok && d > 0 {
+					due = now.Add(d)
+				}
+			}
+			if due.Before(prev) {
+				due = prev
+			}
+			prev = due
+			select {
+			case line <- shapedFrame{f: f, due: due}:
+			case <-stop:
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		_ = conn.Close() // unblocks the reader
+		reader.Wait()
+	}()
+
+	var timer *time.Timer
+	sinceAck := 0
+	for sf := range line {
+		if wait := time.Until(sf.due); wait > 0 {
+			// Idle until the next frame is due: acknowledge what has been
+			// dispatched so far first.
+			if sinceAck > 0 {
+				if t.ack(in, fw) != nil {
+					return
+				}
+				sinceAck = 0
+			}
+			if !t.sleep(&timer, wait) {
+				return
+			}
+		}
+		if !t.deliver(in, &sf.f) {
+			return
+		}
+		sinceAck++
+		if sinceAck >= ackEvery || len(line) == 0 {
+			if t.ack(in, fw) != nil {
+				return
 			}
 			sinceAck = 0
 		}
 	}
-	t.mu.Lock()
-	if last > t.inSeq[proc] {
-		t.inSeq[proc] = last
-	}
-	t.mu.Unlock()
 }
 
 // peer owns the outbound stream to one process: a queue of unacknowledged

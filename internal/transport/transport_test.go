@@ -11,6 +11,7 @@ import (
 	"eunomia/internal/fabric"
 	"eunomia/internal/hlc"
 	"eunomia/internal/types"
+	"eunomia/internal/wan"
 	"eunomia/internal/wire"
 )
 
@@ -96,6 +97,59 @@ func TestFIFOAcrossSockets(t *testing.T) {
 		}
 		if m.From != src || m.To != dst {
 			t.Fatalf("addressing corrupted: %v→%v", m.From, m.To)
+		}
+	}
+}
+
+// TestShapedLinkPipelinesFrames: a WAN-shaped link delays every frame by
+// its link delay but carries frames back to back, as a real pipe does —
+// the delay line dispatches each frame at arrival plus its delay, in
+// order, instead of holding the connection for each frame's delay in
+// turn (which capped a *:8ms link at 125 frames/s).
+func TestShapedLinkPipelinesFrames(t *testing.T) {
+	const delay = 8 * time.Millisecond
+	topo, err := wan.ParseTopology("*:8ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	server := listen(t, Config{WANShaper: wan.NewShaper(topo, 1)})
+	defer server.Close()
+	dst := fabric.ReceiverAddr(1)
+	var mu sync.Mutex
+	var got []int
+	var late []time.Duration // arrival − send, per frame
+	server.Register(dst, func(m fabric.Message) {
+		mu.Lock()
+		got = append(got, m.Payload.(testMsg).N)
+		late = append(late, time.Since(m.SentAt))
+		mu.Unlock()
+	})
+	client := listen(t, Config{Routes: map[fabric.Addr]string{dst: server.Addr().String()}})
+	defer client.Close()
+
+	const n = 2000
+	src := fabric.PartitionAddr(0, 0)
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		client.Send(src, dst, testMsg{N: i})
+	}
+	waitFor(t, 20*time.Second, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(got) == n
+	})
+	elapsed := time.Since(start)
+	if rate := float64(n) / elapsed.Seconds(); rate < 1000 {
+		t.Fatalf("shaped link carried %.0f frames/s, want at least 1000", rate)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i := range got {
+		if got[i] != i {
+			t.Fatalf("FIFO broken at %d: got frame %d", i, got[i])
+		}
+		if late[i] < delay {
+			t.Fatalf("frame %d arrived %v after its send, under the %v link delay", i, late[i], delay)
 		}
 	}
 }
@@ -269,8 +323,8 @@ func TestDuplicateResendFilteredByWatermark(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := conn.Heartbeat(0, 30); err != nil {
-		t.Fatal(err)
+	if w, err := conn.Heartbeat(0, 20, 30); err != nil || w != 30 {
+		t.Fatalf("heartbeat answered %v, %v; want 30", w, err)
 	}
 
 	waitFor(t, 5*time.Second, func() bool { return shipped.len() == 2 })

@@ -23,8 +23,9 @@ import (
 )
 
 // retiredPayloads are frames only a peer predating the tags' retirement
-// sends: the blocking-release request and reply (TagApply, TagApplyAck)
-// in their last layout.
+// sends, in their last layout: the blocking-release request and reply
+// (TagApply, TagApplyAck) and the heartbeat without a base
+// (TagHeartbeatV1).
 func retiredPayloads() [][]byte {
 	apply := wire.AppendUvarint(nil, uint64(wire.TagApply))
 	apply = wire.AppendUvarint(apply, 1)  // ID
@@ -33,7 +34,11 @@ func retiredPayloads() [][]byte {
 	ack := wire.AppendUvarint(nil, uint64(wire.TagApplyAck))
 	ack = wire.AppendUvarint(ack, 1) // ID
 	ack = wire.AppendBool(ack, true) // OK
-	return [][]byte{apply, ack}
+	hb := wire.AppendUvarint(nil, uint64(wire.TagHeartbeatV1))
+	hb = wire.AppendUvarint(hb, 1)   // ID
+	hb = wire.AppendUvarint(hb, 2)   // partition
+	hb = wire.AppendTimestamp(hb, 3) // watermark
+	return [][]byte{apply, ack, hb}
 }
 
 // TestRetiredTagsCorrupt pins the registry's retirement rule with every
@@ -64,7 +69,9 @@ func FuzzReadPayload(f *testing.F) {
 	}
 	f.Add(fuzzSeed([]*types.Update{u, u.Meta()}))
 	f.Add(fuzzSeed(fabric.BatchMsg{ID: 1, Partition: 2, Ops: []*types.Update{u}}))
-	f.Add(fuzzSeed(fabric.HeartbeatMsg{ID: 1, Partition: 2, TS: u.TS}))
+	f.Add(fuzzSeed(fabric.HeartbeatMsg{ID: 1, Partition: 2, TS: u.TS, Base: u.TS - 1}))
+	f.Add(fuzzSeed(fabric.HeartbeatMsg{ID: 1, Partition: 2, TS: u.TS})) // base 0
+	f.Add(retiredPayloads()[2])
 	f.Add(fuzzSeed(fabric.AckMsg{ID: 1, Partition: 2, Watermark: u.TS, Err: "x"}))
 	f.Add(fuzzSeed(fabric.MultiBatchMsg{
 		ID:      1,

@@ -19,10 +19,14 @@ const (
 	// deployment ships; encoded by this package itself.
 	TagUpdates Tag = 1
 
-	// internal/fabric: the partition↔Eunomia protocol.
-	TagBatch     Tag = 2
-	TagHeartbeat Tag = 3
-	TagAck       Tag = 4
+	// internal/fabric: the partition↔Eunomia protocol. TagHeartbeatV1
+	// is retired: it carried a heartbeat without a base, which a replica
+	// adopted unconditionally — a meaning the base-checked TagHeartbeat
+	// replaced. No decoder is registered for it, so a frame carrying it
+	// is corrupt.
+	TagBatch       Tag = 2
+	TagHeartbeatV1 Tag = 3
+	TagAck         Tag = 4
 
 	// internal/geostore: shipping, payload healing, and the windowed
 	// release stream.
@@ -70,6 +74,10 @@ const (
 	// datacenter instead of replaying history.
 	TagSnapshotRequest Tag = 25
 	TagSnapshotChunk   Tag = 26
+
+	// internal/fabric: a partition's watermark with the base a replica
+	// must hold before adopting it (replaces TagHeartbeatV1).
+	TagHeartbeat Tag = 27
 
 	// TagTest is reserved for package test payloads.
 	TagTest Tag = 1000

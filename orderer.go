@@ -125,7 +125,9 @@ func (o *Orderer) Close() {
 	if maxTS > 0 {
 		for _, r := range o.cluster.Replicas() {
 			for p := 0; p < o.cfg.Partitions; p++ {
-				if err := r.Heartbeat(types.PartitionID(p), maxTS); err != nil {
+				// Base 0: the closed clients' final flushes reached
+				// every live replica synchronously.
+				if _, err := r.Heartbeat(types.PartitionID(p), 0, maxTS); err != nil {
 					break // crashed replica; the survivors drain
 				}
 			}
