@@ -28,18 +28,10 @@ import (
 	"net"
 	"net/http"
 	"strings"
-	"time"
 
 	"eunomia/internal/geostore"
 	"eunomia/internal/types"
 )
-
-// frontdoorConfig bundles the front-door flags handed to hostEunomia.
-type frontdoorConfig struct {
-	index  int
-	wait   time.Duration
-	scalar bool
-}
 
 // sessionHeader carries the causal session token both ways.
 const sessionHeader = "X-Causal-Session"

@@ -140,7 +140,6 @@ func main() {
 		aggFanin   = flag.Int("agg-fanin", 0, "mode eunomia: size of the datacenter's propagation-tree fan-in set; partitions stream metadata at a pair of aggregator endpoints instead of the replica set (0 = flat all-to-one; every process of the DC must agree)")
 		aggIndex   = flag.String("agg-index", "", `-role aggregator: comma list of fan-in endpoint indices this process hosts (default: all of -agg-fanin; indices at or above it name extra tree levels)`)
 		aggParent  = flag.String("agg-parent", "", `-role aggregator: comma list of parent endpoint names in this datacenter, e.g. "aggregator2,aggregator3" for a deeper tree (default: the Eunomia replica set)`)
-		aggFlush   = flag.Duration("agg-flush", 0, "-role aggregator: merge-and-forward period (default -batch-interval)")
 		listen     = flag.String("listen", ":7077", "fabric listen address")
 		advertise  = flag.String("advertise", "", "address peers dial to reach this process (default: listen address)")
 		batchIvl   = flag.Duration("batch-interval", time.Millisecond, "partition→Eunomia and payload propagation period, flushed on wall-clock multiples (baseline modes: inter-DC ship batching interval)")
@@ -156,8 +155,6 @@ func main() {
 		snapThresh = flag.Int64("snapshot-threshold", 0, "mode eunomia with -data-dir: per-store WAL size in bytes that triggers snapshot compaction (default 1 MiB)")
 		bootFrom   = flag.String("bootstrap-from", "", `mode eunomia: comma list of donor datacenter ids (e.g. "1,2", in preference order) to pull partition snapshots from at startup — a rebuilding process installs a compressed snapshot from a live peer and replays only the WAL suffix past it; needs a role that includes partitions`)
 		walSync    = flag.String("wal-sync", "flush", `WAL fsync policy: "flush" (per batch/ack, bounded loss window), "always" (per append, none), or "group" (group commit: durable on return like always, fsyncs shared across concurrent appends)`)
-		walGDelay  = flag.Duration("wal-group-delay", 0, "-wal-sync group: how long a committer accumulates after waking before it syncs (0 = sync as soon as the previous sync returns)")
-		walGMax    = flag.Int("wal-group-max", 0, "-wal-sync group: records that cut -wal-group-delay short (default 4096)")
 		metricsAd  = flag.String("metrics-addr", "", "serve Prometheus-style metrics (fabric, peer windows, codec latency, node state) on this HTTP address at /metrics")
 		compressN  = flag.String("compress", "off", `frame compression for connections this process dials: "off", "snappy", or "zstd"; inbound connections always follow the remote dialer's announcement, so mixed deployments interoperate`)
 		wanSeed    = flag.Int64("wan-seed", 42, "seed for -wan jitter and loss draws; the same seed and topology replay identical link behaviour")
@@ -203,8 +200,8 @@ func main() {
 		log.Fatalf("-aseq is supported only by -mode sequencer (got %q)", *mode)
 	}
 	aggRole := *mode == "eunomia" && roleHas(*role, "aggregator")
-	if (flagSet("agg-index") || flagSet("agg-parent") || flagSet("agg-flush")) && !aggRole {
-		log.Fatalf("-agg-index/-agg-parent/-agg-flush apply only to -mode eunomia -role aggregator (got -mode %s -role %s)", *mode, *role)
+	if (flagSet("agg-index") || flagSet("agg-parent")) && !aggRole {
+		log.Fatalf("-agg-index/-agg-parent apply only to -mode eunomia -role aggregator (got -mode %s -role %s)", *mode, *role)
 	}
 	if *aggFanin > 0 && *mode != "eunomia" {
 		log.Fatalf("-agg-fanin is supported only by -mode eunomia (got %q)", *mode)
@@ -235,15 +232,14 @@ func main() {
 	default:
 		log.Fatalf("unknown -session %q (want vector or scalar)", *sessMode)
 	}
-	agg := aggTopology{fanin: *aggFanin, flush: *aggFlush}
-	var err error
-	if agg.idxs, err = parseAggIndexes(*aggIndex, *aggFanin); err != nil {
+	aggIdxs, err := parseAggIndexes(*aggIndex, *aggFanin)
+	if err != nil {
 		log.Fatal(err)
 	}
-	if agg.parents, agg.redundant, err = parseAggParents(*aggParent, types.DCID(*dcID)); err != nil {
+	aggParents, err := parseAggParents(*aggParent, types.DCID(*dcID))
+	if err != nil {
 		log.Fatal(err)
 	}
-	agg.level = aggLevelFor(agg.idxs, *aggFanin, agg.redundant)
 
 	scheme, err := compress.Parse(*compressN)
 	if err != nil {
@@ -307,9 +303,6 @@ func main() {
 	default:
 		log.Fatalf("unknown -wal-sync %q (want flush, always or group)", *walSync)
 	}
-	if (flagSet("wal-group-delay") || flagSet("wal-group-max")) && *walSync != "group" {
-		log.Fatalf("-wal-group-delay/-wal-group-max apply only to -wal-sync group (got %q)", *walSync)
-	}
 	if *dataDir != "" && *mode != "eunomia" {
 		log.Fatalf("-data-dir is supported only by -mode eunomia (got %q)", *mode)
 	}
@@ -340,9 +333,39 @@ func main() {
 	var h hosted
 	switch *mode {
 	case "eunomia":
-		h, err = hostEunomia(fab, *role, *dcID, *dcs, *partitions, *replicas, *batchIvl, *stableIvl, *checkIvl, kind, *dataDir, policy, *walGDelay, *walGMax, agg,
-			frontdoorConfig{index: *frontIndex, wait: *frontWait, scalar: scalarSession}, inj,
-			storeConfig{backend: *storeB, budget: *storeBud, snapThreshold: *snapThresh, bootstrapFrom: bootstrapFrom})
+		var roles geostore.Roles
+		if roles, err = parseRoles(*role); err != nil {
+			log.Fatal(err)
+		}
+		if len(bootstrapFrom) > 0 && !roles.Has(geostore.RolePartitions) {
+			log.Fatalf("-bootstrap-from needs a role that includes partitions (got %q)", *role)
+		}
+		h, err = hostEunomia(fab, geostore.NodeConfig{
+			Config: geostore.Config{
+				DCs:            *dcs,
+				Partitions:     *partitions,
+				Replicas:       *replicas,
+				Aggregators:    *aggFanin,
+				BatchInterval:  *batchIvl,
+				StableInterval: *stableIvl,
+				CheckInterval:  *checkIvl,
+				Tree:           kind,
+				ScalarMeta:     scalarSession,
+			},
+			DC:                  types.DCID(*dcID),
+			Roles:               roles,
+			DataDir:             *dataDir,
+			WALSync:             policy,
+			AggIndexes:          aggIdxs,
+			AggParents:          aggParents,
+			FrontendIndex:       *frontIndex,
+			FrontendWaitTimeout: *frontWait,
+			Faults:              inj,
+			SnapshotThreshold:   *snapThresh,
+			StoreBackend:        *storeB,
+			StoreMemBudget:      *storeBud,
+			BootstrapFrom:       bootstrapFrom,
+		})
 	case "sequencer":
 		h, err = hostSequencer(fab, *role, *dcID, *dcs, *partitions, *aseq, *batchIvl, *checkIvl)
 	case "globalstab", "gentlerain", "cure":
@@ -437,31 +460,6 @@ func main() {
 	}
 }
 
-// aggTopology bundles the propagation-tree flags for the eunomia mode:
-// the fan-in set size every process agrees on, plus the hosted indices,
-// parent endpoints, and flush cadence of an aggregator-role process.
-type aggTopology struct {
-	fanin     int
-	idxs      []int
-	parents   []fabric.Addr
-	redundant bool
-	level     int
-	flush     time.Duration
-}
-
-// hostEunomia boots the EunomiaKV node for the selected roles, durable
-// when dataDir is set (the node recovers its state and rejoins the
-// release stream at its durable watermark).
-// storeConfig bundles the version-store flags for the eunomia mode: the
-// backend selection, its memory budget, the snapshot-compaction
-// threshold, and the bootstrap donor list.
-type storeConfig struct {
-	backend       string
-	budget        int64
-	snapThreshold int64
-	bootstrapFrom []types.DCID
-}
-
 // parseBootstrapFrom validates -bootstrap-from: eunomia-only, numeric
 // datacenter ids inside the deployment, never this process's own.
 func parseBootstrapFrom(spec, mode string, dcID, dcs int) ([]types.DCID, error) {
@@ -485,56 +483,18 @@ func parseBootstrapFrom(spec, mode string, dcID, dcs int) ([]types.DCID, error) 
 	return donors, nil
 }
 
-func hostEunomia(fab *transport.TCP, role string, dcID, dcs, partitions, replicas int,
-	batchIvl, stableIvl, checkIvl time.Duration, kind eunomia.TreeKind,
-	dataDir string, policy wal.SyncPolicy, groupDelay time.Duration, groupMax int,
-	agg aggTopology, fd frontdoorConfig, inj *faults.Injector, store storeConfig) (hosted, error) {
-	roles, err := parseRoles(role)
+// hostEunomia boots the EunomiaKV node for the selected roles on fab,
+// durable when nc.DataDir is set (the node recovers its state and rejoins
+// the release stream at its durable watermark).
+func hostEunomia(fab *transport.TCP, nc geostore.NodeConfig) (hosted, error) {
+	nc.Fabric = fab
+	node, err := geostore.OpenNode(nc)
 	if err != nil {
-		return hosted{}, err
+		return hosted{}, fmt.Errorf("recovering node state from %s: %w", nc.DataDir, err)
 	}
-	if len(store.bootstrapFrom) > 0 && !roles.Has(geostore.RolePartitions) {
-		return hosted{}, fmt.Errorf("-bootstrap-from needs a role that includes partitions (got %q)", role)
-	}
-	node, err := geostore.OpenNode(geostore.NodeConfig{
-		Config: geostore.Config{
-			DCs:            dcs,
-			Partitions:     partitions,
-			Replicas:       replicas,
-			Aggregators:    agg.fanin,
-			BatchInterval:  batchIvl,
-			StableInterval: stableIvl,
-			CheckInterval:  checkIvl,
-			Tree:           kind,
-			ScalarMeta:     fd.scalar,
-		},
-		DC:                  types.DCID(dcID),
-		Roles:               roles,
-		Fabric:              fab,
-		Pipelined:           true,
-		DataDir:             dataDir,
-		WALSync:             policy,
-		WALGroupDelay:       groupDelay,
-		WALGroupMaxBatch:    groupMax,
-		AggIndexes:          agg.idxs,
-		AggParents:          agg.parents,
-		AggRedundantParents: agg.redundant,
-		AggFlushInterval:    agg.flush,
-		AggLevel:            agg.level,
-		FrontendIndex:       fd.index,
-		FrontendWaitTimeout: fd.wait,
-		Faults:              inj,
-		SnapshotThreshold:   store.snapThreshold,
-		StoreBackend:        store.backend,
-		StoreMemBudget:      store.budget,
-		BootstrapFrom:       store.bootstrapFrom,
-	})
-	if err != nil {
-		return hosted{}, fmt.Errorf("recovering node state from %s: %w", dataDir, err)
-	}
-	if dataDir != "" {
+	if nc.DataDir != "" {
 		log.Printf("eunomia-server: durable state under %s (recovered %d local updates, release watermark %d)",
-			dataDir, node.TotalUpdates(), node.ApplierDurable())
+			nc.DataDir, node.TotalUpdates(), node.ApplierDurable())
 	}
 	h := hosted{close: node.Close, causal: true, wedged: node.ReleaseWedged, frontend: node.Frontend()}
 	h.health = func() error {
@@ -552,12 +512,12 @@ func hostEunomia(fab *transport.TCP, role string, dcID, dcs, partitions, replica
 		}
 		return nil
 	}
-	if roles.Has(geostore.RolePartitions) {
+	if nc.Roles.Has(geostore.RolePartitions) {
 		h.newClient = func() demoClient { return node.NewClient() }
 	}
 	h.stats = func() string {
 		remoteApplied := node.TotalRemoteApplied()
-		if node.Receiver() != nil && !roles.Has(geostore.RolePartitions) {
+		if node.Receiver() != nil && !nc.Roles.Has(geostore.RolePartitions) {
 			remoteApplied = node.Receiver().Applied.Load()
 		}
 		var stable string
@@ -591,7 +551,7 @@ func hostEunomia(fab *transport.TCP, role string, dcID, dcs, partitions, replica
 			{Name: "eunomia_applier_pending", Value: float64(node.ApplierPending())},
 			{Name: "eunomia_applier_durable_seq", Value: float64(node.ApplierDurable())},
 		}
-		if roles.Has(geostore.RolePartitions) {
+		if nc.Roles.Has(geostore.RolePartitions) {
 			// The version store: live dataset size, labeled by backend so a
 			// disk-backed node's dataset-vs-RAM headroom is chartable, plus
 			// the snapshot-shipping counters (nonzero after a bootstrap).
@@ -1021,10 +981,11 @@ func parseAggIndexes(s string, fanin int) ([]int, error) {
 // redundant routes into one service, so the hosted nodes fold watermarks
 // with max-over-paths; eunomia parents name the replica set explicitly.
 // Mixing the two is a contradiction.
-func parseAggParents(s string, dc types.DCID) (parents []fabric.Addr, redundant bool, err error) {
+func parseAggParents(s string, dc types.DCID) ([]fabric.Addr, error) {
 	if s == "" {
-		return nil, false, nil
+		return nil, nil
 	}
+	var parents []fabric.Addr
 	aggParents, euParents := 0, 0
 	for _, part := range strings.Split(s, ",") {
 		name := strings.TrimSpace(part)
@@ -1035,36 +996,17 @@ func parseAggParents(s string, dc types.DCID) (parents []fabric.Addr, redundant 
 		} else if rest, ok = strings.CutPrefix(name, "eunomia"); ok {
 			euParents++
 		} else {
-			return nil, false, fmt.Errorf("bad -agg-parent %q (want aggregatorN or eunomiaN names)", name)
+			return nil, fmt.Errorf("bad -agg-parent %q (want aggregatorN or eunomiaN names)", name)
 		}
-		if n, convErr := strconv.Atoi(rest); convErr != nil || n < 0 {
-			return nil, false, fmt.Errorf("bad -agg-parent %q (want aggregatorN or eunomiaN names)", name)
+		if n, err := strconv.Atoi(rest); err != nil || n < 0 {
+			return nil, fmt.Errorf("bad -agg-parent %q (want aggregatorN or eunomiaN names)", name)
 		}
 		parents = append(parents, fabric.Addr{DC: dc, Name: name})
 	}
 	if aggParents > 0 && euParents > 0 {
-		return nil, false, fmt.Errorf("bad -agg-parent %q: aggregator and eunomia parents have different acknowledgement semantics; name one kind", s)
+		return nil, fmt.Errorf("bad -agg-parent %q: aggregator and eunomia parents have different acknowledgement semantics; name one kind", s)
 	}
-	return parents, aggParents > 0, nil
-}
-
-// aggLevelFor derives the hosted endpoints' tree-level label (1 = fed
-// directly by partitions). A node forwarding to parent aggregators is
-// below them — a leaf, level 1. A node with replica(-set) parents is the
-// tree's top: level 1 in a one-level tree, level 2 when it hosts only
-// indices outside the partition-facing fan-in set (partitions stream at
-// 0..fanin-1 only, so such a node is exclusively fed by child
-// aggregators). Deeper trees set geostore.NodeConfig.AggLevel directly.
-func aggLevelFor(idxs []int, fanin int, redundantParents bool) int {
-	if redundantParents || len(idxs) == 0 {
-		return 1
-	}
-	for _, i := range idxs {
-		if i < fanin {
-			return 1
-		}
-	}
-	return 2
+	return parents, nil
 }
 
 func parseRoles(s string) (geostore.Roles, error) {

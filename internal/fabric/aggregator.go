@@ -29,9 +29,9 @@ import (
 // retransmit (parents deduplicate by watermark). The tree is purely a
 // message-count optimization, exactly as the paper frames it.
 //
-// Fabric mechanics mirror the pipelined ReplicaConn: unacknowledged
-// operations are retained and the per-parent unacknowledged suffix is
-// retransmitted when a parent's watermark stalls; a completely silent
+// Fabric mechanics mirror ReplicaConn: unacknowledged operations are
+// retained and the per-parent unacknowledged suffix is retransmitted
+// when a parent's watermark stalls; a completely silent
 // parent is suspended and probed (see peerSuspendAfter), so a dead parent
 // process cannot wedge the node by filling its transport window.
 type Aggregator struct {
@@ -321,7 +321,7 @@ func (a *Aggregator) flush() {
 				// unacknowledged window.
 				if s.progress[i].IsZero() {
 					s.progress[i] = start
-				} else if start.Sub(s.progress[i]) > pipelinedResendAfter {
+				} else if start.Sub(s.progress[i]) > resendAfter {
 					s.parentSent[i] = s.parentAck[i]
 					s.progress[i] = start
 					resend = true

@@ -77,7 +77,7 @@ func TestAggregatorFlushPrioritizesReadyStreams(t *testing.T) {
 
 	// Age the laggard's stall past the retransmit threshold.
 	a.mu.Lock()
-	a.streams[1].progress[0] = time.Now().Add(-2 * pipelinedResendAfter)
+	a.streams[1].progress[0] = time.Now().Add(-2 * resendAfter)
 	a.mu.Unlock()
 
 	a.ingest(child, false, 2, seqOps(2, 4, 6))

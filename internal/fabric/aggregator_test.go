@@ -66,7 +66,7 @@ func treeClient(net fabric.Fabric, pid types.PartitionID, remotes []fabric.Addr,
 	rcs := make([]*fabric.ReplicaConn, len(remotes))
 	conns := make([]eunomia.Conn, len(remotes))
 	for i, r := range remotes {
-		rc := fabric.NewReplicaConn(net, local, r, fabric.PipelinedConn, 0)
+		rc := fabric.NewReplicaConn(net, local, r)
 		rcs[i] = rc
 		conns[i] = rc
 	}
@@ -174,21 +174,31 @@ func TestAggregatorAcksOnlyUpstreamDurableState(t *testing.T) {
 	defer agg.Close()
 
 	local := fabric.PartitionAddr(0, 0)
-	rc := fabric.NewReplicaConn(net, local, agg.LocalAddr(), fabric.SyncConn, time.Second)
-	net.Register(local, func(m fabric.Message) { rc.HandleMessage(m) })
+	rc := fabric.NewReplicaConn(net, local, agg.LocalAddr())
+	reply := make(chan fabric.AckMsg, 1)
+	net.Register(local, func(m fabric.Message) {
+		if ack, ok := m.Payload.(fabric.AckMsg); ok && ack.ID == 1 {
+			reply <- ack
+		}
+		rc.HandleMessage(m)
+	})
 
-	w, err := rc.NewBatch(0, []*types.Update{{Partition: 0, Seq: 1, TS: 10}})
-	if err != nil {
-		t.Fatal(err)
+	// The batch's own acknowledgement (its ID echoed; watermark pushes
+	// carry none) is sent on receipt, before the aggregator can have
+	// forwarded it.
+	net.Send(local, agg.LocalAddr(), fabric.BatchMsg{ID: 1, Partition: 0, Ops: []*types.Update{{Partition: 0, Seq: 1, TS: 10}}})
+	select {
+	case ack := <-reply:
+		if ack.Watermark != 0 {
+			t.Fatalf("aggregator acknowledged unforwarded data: %v", ack.Watermark)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no acknowledgement for the batch")
 	}
-	if w != 0 {
-		t.Fatalf("aggregator acknowledged unforwarded data: %v", w)
-	}
-	// After a flush cycle and the replica's ack, empty polls must see the
-	// watermark at the forwarded timestamp.
+	// After a flush cycle and the replica's ack, the aggregator pushes
+	// the watermark at the forwarded timestamp.
 	waitFor(t, 5*time.Second, "upstream-durable watermark", func() bool {
-		w, err := rc.NewBatch(0, nil)
-		return err == nil && w == 10
+		return rc.Watermark(0) == 10
 	})
 	if st := cluster.Replica(0).Stats(); st.OpsReceived != 1 {
 		t.Fatalf("replica received %d ops, want 1", st.OpsReceived)

@@ -20,6 +20,11 @@ type Batcher[T any] struct {
 
 	mu     sync.Mutex
 	queues map[Addr][]T
+	// sendMu serialises flushes, so one that starts after another
+	// returns after that one's sends: a caller may send on the same link
+	// right behind its own Flush and know every item queued before it
+	// went first.
+	sendMu sync.Mutex
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -51,9 +56,12 @@ func (b *Batcher[T]) Add(to Addr, item T) {
 	b.mu.Unlock()
 }
 
-// Flush sends every queued batch immediately. It is also called on Close
-// so no items are lost on orderly shutdown.
+// Flush sends every queued batch immediately, after any flush already
+// under way. It is also called on Close so no items are lost on orderly
+// shutdown.
 func (b *Batcher[T]) Flush() {
+	b.sendMu.Lock()
+	defer b.sendMu.Unlock()
 	b.mu.Lock()
 	batches := b.queues
 	b.queues = make(map[Addr][]T, len(batches))

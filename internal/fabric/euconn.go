@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -18,7 +17,8 @@ import (
 // simulated WAN and over real TCP without knowing which.
 
 // BatchMsg carries one partition's metadata batch to a replica
-// (Algorithm 4 lines 1-5). ID correlates the acknowledgement.
+// (Algorithm 4 lines 1-5). ID is echoed in the acknowledgement; the
+// acknowledgement's watermark is cumulative, so ReplicaConn leaves it 0.
 type BatchMsg struct {
 	ID        uint64
 	Partition types.PartitionID
@@ -66,54 +66,32 @@ type MultiAckMsg struct {
 	Err  string
 }
 
-// ConnMode selects how a ReplicaConn waits for acknowledgements.
-type ConnMode int
-
-const (
-	// SyncConn performs one blocking request/response round trip per
-	// call, exactly mirroring a direct method call on the replica. The
-	// in-process deployments use it: over a zero-delay local link the
-	// round trip is free and the timing of the protocol is unchanged.
-	SyncConn ConnMode = iota
-	// PipelinedConn never waits: batches are streamed and the call
-	// returns the latest watermark the replica has acknowledged so far.
-	// Acknowledgements flow back asynchronously and advance the window;
-	// the client's own resend-unacknowledged-suffix loop supplies
-	// at-least-once delivery and the replica deduplicates by watermark.
-	// TCP deployments use it so a flush never blocks on a WAN/LAN round
-	// trip before the next batch can be sent.
-	PipelinedConn
-)
-
-// ErrAckTimeout is returned by a SyncConn call when no acknowledgement
-// arrives within the timeout; callers treat the replica as failed.
-var ErrAckTimeout = errors.New("fabric: replica acknowledgement timeout")
-
-// ReplicaConn implements eunomia.Conn over a Fabric. The owner of the
-// local address must route incoming AckMsg messages to HandleMessage.
+// ReplicaConn implements eunomia.Conn over a Fabric. It never waits:
+// batches are streamed and each call returns the latest watermark the
+// replica has acknowledged so far. Acknowledgements flow back
+// asynchronously and advance the window; the client's
+// resend-unacknowledged-suffix loop supplies at-least-once delivery and
+// the replica deduplicates by watermark, so a flush never blocks on a
+// round trip before the next batch can be sent. The owner of the local
+// address must route incoming AckMsg messages to HandleMessage.
 type ReplicaConn struct {
 	f             Fabric
 	local, remote Addr
-	mode          ConnMode
-	timeout       time.Duration
 
-	mu      sync.Mutex
-	nextID  uint64
-	waiters map[uint64]chan AckMsg
-	marks   map[types.PartitionID]hlc.Timestamp
-	// sent is the highest timestamp already streamed per partition
-	// (pipelined mode). The client's flush loop re-offers the whole
-	// unacknowledged suffix every interval; over a reliable ordered
-	// fabric each operation only needs to travel once, so the conn trims
-	// what it has already sent instead of amplifying every flush by
-	// ~RTT/interval duplicate copies. progress remembers when the
+	mu    sync.Mutex
+	marks map[types.PartitionID]hlc.Timestamp
+	// sent is the highest timestamp already streamed per partition. The
+	// client's flush loop re-offers the whole unacknowledged suffix every
+	// interval; over a reliable ordered fabric each operation only needs
+	// to travel once, so the conn trims what it has already sent instead
+	// of amplifying every flush by ~RTT/interval duplicate copies. progress remembers when the
 	// acknowledged watermark last moved (or the window was last resent):
 	// if it stalls — a fabric that silently dropped the stream, e.g. a
 	// route installed late — the trim is reset and the whole
 	// unacknowledged window goes out again.
 	sent     map[types.PartitionID]hlc.Timestamp
 	progress map[types.PartitionID]time.Time
-	failed   string // sticky remote failure (pipelined mode)
+	failed   string // sticky remote failure
 	// lastAlive is the last instant any acknowledgement arrived from the
 	// remote; lastProbe rate-limits sends toward a silent one. A killed
 	// peer process never errors — it just stops acknowledging — and a
@@ -127,37 +105,30 @@ type ReplicaConn struct {
 	lastProbe time.Time
 }
 
-// pipelinedResendAfter is how long the acknowledgement watermark may
-// stall before a pipelined conn retransmits the unacknowledged window.
-// Well above any sane RTT, well below human patience.
-const pipelinedResendAfter = 250 * time.Millisecond
+// resendAfter is how long the acknowledgement watermark may stall before
+// a conn retransmits the unacknowledged window. Well above any sane RTT,
+// well below human patience.
+const resendAfter = 250 * time.Millisecond
 
 // peerSuspendAfter is how long a remote may stay completely silent before
-// a pipelined conn suspends normal sends toward it; peerProbeEvery is the
-// probe rate while suspended. The probe budget must stay far below the
+// a conn suspends normal sends toward it; peerProbeEvery is the probe
+// rate while suspended. The probe budget must stay far below the
 // transport's per-peer window divided by the longest plausible outage, or
 // a dead peer would still wedge the sender.
 const (
-	peerSuspendAfter = 4 * pipelinedResendAfter
+	peerSuspendAfter = 4 * resendAfter
 	peerProbeEvery   = time.Second
 )
 
 var _ eunomia.Conn = (*ReplicaConn)(nil)
 
 // NewReplicaConn builds a connection from local (a partition address) to
-// remote (a replica address served by ServeReplica). timeout bounds sync
-// round trips; non-positive selects 10s.
-func NewReplicaConn(f Fabric, local, remote Addr, mode ConnMode, timeout time.Duration) *ReplicaConn {
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
+// remote (a replica address served by ServeReplica).
+func NewReplicaConn(f Fabric, local, remote Addr) *ReplicaConn {
 	return &ReplicaConn{
 		f:         f,
 		local:     local,
 		remote:    remote,
-		mode:      mode,
-		timeout:   timeout,
-		waiters:   make(map[uint64]chan AckMsg),
 		marks:     make(map[types.PartitionID]hlc.Timestamp),
 		sent:      make(map[types.PartitionID]hlc.Timestamp),
 		progress:  make(map[types.PartitionID]time.Time),
@@ -171,7 +142,7 @@ func (c *ReplicaConn) Remote() Addr { return c.remote }
 // HandleMessage consumes an acknowledgement addressed to this conn,
 // returning false for messages that belong to someone else. Duplicate
 // acknowledgements (an at-least-once fabric may replay them) are harmless:
-// the watermark is monotonic and stale waiter ids find no channel.
+// the watermark is monotonic.
 func (c *ReplicaConn) HandleMessage(m Message) bool {
 	ack, ok := m.Payload.(AckMsg)
 	if !ok || m.From != c.remote {
@@ -179,10 +150,6 @@ func (c *ReplicaConn) HandleMessage(m Message) bool {
 	}
 	c.mu.Lock()
 	c.lastAlive = time.Now()
-	if ch, ok := c.waiters[ack.ID]; ok {
-		delete(c.waiters, ack.ID)
-		ch <- ack
-	}
 	if ack.Err == "" {
 		if ack.Watermark > c.marks[ack.Partition] {
 			c.marks[ack.Partition] = ack.Watermark
@@ -204,48 +171,8 @@ func (c *ReplicaConn) Watermark(p types.PartitionID) hlc.Timestamp {
 
 func (c *ReplicaConn) send(payload any) { c.f.Send(c.local, c.remote, payload) }
 
-func (c *ReplicaConn) newCall() (uint64, chan AckMsg) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.nextID++
-	id := c.nextID
-	if c.mode == SyncConn {
-		ch := make(chan AckMsg, 1)
-		c.waiters[id] = ch
-		return id, ch
-	}
-	return id, nil
-}
-
-func (c *ReplicaConn) forget(id uint64) {
-	c.mu.Lock()
-	delete(c.waiters, id)
-	c.mu.Unlock()
-}
-
-func (c *ReplicaConn) await(id uint64, ch chan AckMsg) (AckMsg, error) {
-	timer := time.NewTimer(c.timeout)
-	defer timer.Stop()
-	select {
-	case ack := <-ch:
-		if ack.Err != "" {
-			return ack, errors.New(ack.Err)
-		}
-		return ack, nil
-	case <-timer.C:
-		c.forget(id)
-		return AckMsg{}, fmt.Errorf("%w (%s)", ErrAckTimeout, c.remote)
-	}
-}
-
 // NewBatch implements eunomia.Conn.
 func (c *ReplicaConn) NewBatch(p types.PartitionID, ops []*types.Update) (hlc.Timestamp, error) {
-	id, ch := c.newCall()
-	if c.mode == SyncConn {
-		c.send(BatchMsg{ID: id, Partition: p, Ops: ops})
-		ack, err := c.await(id, ch)
-		return ack.Watermark, err
-	}
 	c.mu.Lock()
 	failed, w, streamed := c.failed, c.marks[p], c.sent[p]
 	now := time.Now()
@@ -270,7 +197,7 @@ func (c *ReplicaConn) NewBatch(p types.PartitionID, ops []*types.Update) (hlc.Ti
 		// retransmit the unacknowledged window.
 		if last, ok := c.progress[p]; !ok {
 			c.progress[p] = now
-		} else if now.Sub(last) > pipelinedResendAfter {
+		} else if now.Sub(last) > resendAfter {
 			c.sent[p] = w
 			streamed = w
 			c.progress[p] = now
@@ -285,7 +212,7 @@ func (c *ReplicaConn) NewBatch(p types.PartitionID, ops []*types.Update) (hlc.Ti
 	// to go out.
 	start := sort.Search(len(ops), func(i int) bool { return ops[i].TS > streamed })
 	if start < len(ops) {
-		c.send(BatchMsg{ID: id, Partition: p, Ops: ops[start:]})
+		c.send(BatchMsg{Partition: p, Ops: ops[start:]})
 		c.mu.Lock()
 		if last := ops[len(ops)-1].TS; last > c.sent[p] {
 			c.sent[p] = last
@@ -295,17 +222,10 @@ func (c *ReplicaConn) NewBatch(p types.PartitionID, ops []*types.Update) (hlc.Ti
 	return w, nil
 }
 
-// Heartbeat implements eunomia.Conn. In pipelined mode the mark follows
-// the flush's batch on the same FIFO stream, so the replica can adopt it
-// in the same round; the returned watermark is the latest acknowledged.
+// Heartbeat implements eunomia.Conn. The mark follows the flush's batch
+// on the same FIFO stream, so the replica can adopt it in the same round;
+// the returned watermark is the latest acknowledged.
 func (c *ReplicaConn) Heartbeat(p types.PartitionID, base, ts hlc.Timestamp) (hlc.Timestamp, error) {
-	id, ch := c.newCall()
-	msg := HeartbeatMsg{ID: id, Partition: p, TS: ts, Base: base}
-	if c.mode == SyncConn {
-		c.send(msg)
-		ack, err := c.await(id, ch)
-		return ack.Watermark, err
-	}
 	c.mu.Lock()
 	failed, w := c.failed, c.marks[p]
 	drop := false
@@ -328,7 +248,7 @@ func (c *ReplicaConn) Heartbeat(p types.PartitionID, base, ts hlc.Timestamp) (hl
 		return 0, errors.New(failed)
 	}
 	if !drop {
-		c.send(msg)
+		c.send(HeartbeatMsg{Partition: p, TS: ts, Base: base})
 	}
 	return w, nil
 }

@@ -21,7 +21,7 @@ import (
 // recv (the two differ when a test interposes a lossy fabric).
 func pipelinedClient(send, recv fabric.Fabric, pid types.PartitionID, remote fabric.Addr, interval time.Duration) (*eunomia.Client, *fabric.ReplicaConn) {
 	local := fabric.PartitionAddr(0, pid)
-	rc := fabric.NewReplicaConn(send, local, remote, fabric.PipelinedConn, 0)
+	rc := fabric.NewReplicaConn(send, local, remote)
 	recv.Register(local, func(m fabric.Message) { rc.HandleMessage(m) })
 	cl := eunomia.NewClient(eunomia.ClientConfig{Partition: pid, BatchInterval: interval}, []eunomia.Conn{rc}, hlc.NewClock(nil))
 	return cl, rc

@@ -77,10 +77,10 @@ func TestAggregatorNodeCrashFailover(t *testing.T) {
 
 	// dc0: everything except the aggregators in one node; each aggregator
 	// in its own node, as separate processes would host them.
-	main0 := NewNode(NodeConfig{Config: cfg, DC: 0, Roles: RoleAll &^ RoleAggregator, Fabric: net, Pipelined: true})
-	aggA := NewNode(NodeConfig{Config: cfg, DC: 0, Roles: RoleAggregator, Fabric: net, Pipelined: true, AggIndexes: []int{0}})
-	aggB := NewNode(NodeConfig{Config: cfg, DC: 0, Roles: RoleAggregator, Fabric: net, Pipelined: true, AggIndexes: []int{1}})
-	dc1 := NewNode(NodeConfig{Config: cfg, DC: 1, Roles: RoleAll, Fabric: net, Pipelined: true})
+	main0 := NewNode(NodeConfig{Config: cfg, DC: 0, Roles: RoleAll &^ RoleAggregator, Fabric: net})
+	aggA := NewNode(NodeConfig{Config: cfg, DC: 0, Roles: RoleAggregator, Fabric: net, AggIndexes: []int{0}})
+	aggB := NewNode(NodeConfig{Config: cfg, DC: 0, Roles: RoleAggregator, Fabric: net, AggIndexes: []int{1}})
+	dc1 := NewNode(NodeConfig{Config: cfg, DC: 1, Roles: RoleAll, Fabric: net})
 	nodes := []*Node{main0, aggB, dc1} // aggA is crashed mid-test
 	defer func() {
 		for _, n := range nodes {
@@ -123,5 +123,38 @@ func TestAggregatorNodeCrashFailover(t *testing.T) {
 		if string(v) != fmt.Sprintf("v%d", i) {
 			t.Fatalf("k%d lost through the aggregator crash: %q", i, v)
 		}
+	}
+}
+
+// TestAggTopologyDerivesParentsAndLevel pins the hosted aggregators'
+// settings derived from their parents and indices: aggregator parents
+// are redundant paths and make a leaf (level 1); replica parents make
+// the tree's top, level 2 only when every hosted index lies outside the
+// partition-facing fan-in set.
+func TestAggTopologyDerivesParentsAndLevel(t *testing.T) {
+	aggParents := []fabric.Addr{fabric.AggregatorAddr(0, 2), fabric.AggregatorAddr(0, 3)}
+	euParents := []fabric.Addr{fabric.EunomiaAddr(0, 0)}
+	for _, tc := range []struct {
+		name          string
+		idxs          []int
+		parents       []fabric.Addr
+		wantRedundant bool
+		wantLevel     int
+	}{
+		{"whole-set-to-replicas", nil, nil, false, 1},
+		{"fan-in-index-to-replicas", []int{0}, nil, false, 1},
+		{"mixed-indexes-to-replicas", []int{1, 2}, euParents, false, 1},
+		{"upper-indexes-to-replicas", []int{2, 3}, nil, false, 2},
+		{"upper-indexes-to-named-replicas", []int{2}, euParents, false, 2},
+		{"leaf-to-aggregators", []int{0, 1}, aggParents, true, 1},
+		{"upper-indexes-to-aggregators", []int{4}, aggParents, true, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			redundant, level := aggTopology(tc.idxs, 2, tc.parents)
+			if redundant != tc.wantRedundant || level != tc.wantLevel {
+				t.Fatalf("aggTopology(%v, 2, %v) = (%v, %d), want (%v, %d)",
+					tc.idxs, tc.parents, redundant, level, tc.wantRedundant, tc.wantLevel)
+			}
+		})
 	}
 }

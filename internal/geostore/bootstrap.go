@@ -71,6 +71,10 @@ type SnapshotChunkMsg struct {
 	Err       string
 }
 
+// snapshotScheme is what a donor compresses snapshot chunks with. Each
+// chunk names its scheme, so the joiner decodes whatever it is sent.
+const snapshotScheme = compress.Snappy
+
 // snapChunkSize is the uncompressed chunk payload target. Chunks carry
 // whole records only, so a record larger than the target travels alone
 // in an oversized chunk. A variable so tests can shrink it to force
@@ -100,10 +104,9 @@ var snapCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 // the resume tests read it to prove delivered chunks are never
 // refetched.
 type snapPin struct {
-	id     uint64
-	scheme compress.Scheme
-	ready  chan struct{} // closed once the capture below is populated
-	err    error         // capture failure, set before ready closes
+	id    uint64
+	ready chan struct{} // closed once the capture below is populated
+	err   error         // capture failure, set before ready closes
 
 	// The fields below are written only before ready closes (capture) or
 	// under bootState.mu after it (release); readers hold bootState.mu
@@ -186,7 +189,7 @@ func (n *Node) serveSnapshotRequest(local fabric.Addr, part *partition.Partition
 		ID:        pin.id,
 		Chunk:     req.Chunk,
 		Chunks:    uint32(len(pin.chunks)),
-		Scheme:    uint8(pin.scheme),
+		Scheme:    uint8(snapshotScheme),
 		CRC:       pin.crcs[req.Chunk],
 		Data:      pin.chunks[req.Chunk],
 	}
@@ -242,7 +245,7 @@ func (n *Node) snapshotPin(part *partition.Partition, req SnapshotRequestMsg) (*
 		n.boot.mu.Unlock()
 		return nil, fmt.Errorf("unknown snapshot pin %d for partition %d", req.ID, req.Partition)
 	}
-	pin := &snapPin{id: req.ID, scheme: n.snapCompress, ready: make(chan struct{}), lastServe: time.Now()}
+	pin := &snapPin{id: req.ID, ready: make(chan struct{}), lastServe: time.Now()}
 	n.boot.pins[key] = pin // a re-pin replaces the previous capture
 	n.boot.mu.Unlock()
 
@@ -252,7 +255,7 @@ func (n *Node) snapshotPin(part *partition.Partition, req SnapshotRequestMsg) (*
 			return
 		}
 		pin.crcs = append(pin.crcs, crc32.Checksum(cur, snapCastagnoli))
-		pin.chunks = append(pin.chunks, compress.Compress(pin.scheme, nil, cur))
+		pin.chunks = append(pin.chunks, compress.Compress(snapshotScheme, nil, cur))
 		cur = nil
 	}
 	err := part.CaptureSnapshot(func(rec []byte) error {
@@ -278,7 +281,7 @@ func (n *Node) snapshotPin(part *partition.Partition, req SnapshotRequestMsg) (*
 		// An empty partition still ships its marks record, so this is
 		// unreachable; guard anyway so Chunks is never zero on the wire.
 		pin.crcs = append(pin.crcs, crc32.Checksum(nil, snapCastagnoli))
-		pin.chunks = append(pin.chunks, compress.Compress(pin.scheme, nil, nil))
+		pin.chunks = append(pin.chunks, compress.Compress(snapshotScheme, nil, nil))
 	}
 	pin.served = make([]int, len(pin.chunks))
 	close(pin.ready)

@@ -123,10 +123,7 @@ func TestBootstrapTornTransferResumesAtChunkGranularity(t *testing.T) {
 	const keys = 200
 	donor := newDonorNode(t, net, cfg, 0, keys)
 
-	// Short AckTimeout: the hijacked partition endpoint drops replica
-	// acks, so the final metadata flush at close would otherwise stall a
-	// full default timeout.
-	joiner, err := OpenNode(NodeConfig{Config: cfg, DC: 1, Roles: RolePartitions | RoleEunomia, Fabric: net, AckTimeout: 100 * time.Millisecond})
+	joiner, err := OpenNode(NodeConfig{Config: cfg, DC: 1, Roles: RolePartitions | RoleEunomia, Fabric: net})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,10 +167,7 @@ func TestBootstrapChecksumMismatchRejected(t *testing.T) {
 	const keys = 200
 	newDonorNode(t, net, cfg, 0, keys)
 
-	// Short AckTimeout: the hijacked partition endpoint drops replica
-	// acks, so the final metadata flush at close would otherwise stall a
-	// full default timeout.
-	joiner, err := OpenNode(NodeConfig{Config: cfg, DC: 1, Roles: RolePartitions | RoleEunomia, Fabric: net, AckTimeout: 100 * time.Millisecond})
+	joiner, err := OpenNode(NodeConfig{Config: cfg, DC: 1, Roles: RolePartitions | RoleEunomia, Fabric: net})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,10 +203,7 @@ func TestBootstrapPersistentlyCorruptDonorFails(t *testing.T) {
 	t.Cleanup(net.Close)
 	newDonorNode(t, net, cfg, 0, 50)
 
-	// Short AckTimeout: the hijacked partition endpoint drops replica
-	// acks, so the final metadata flush at close would otherwise stall a
-	// full default timeout.
-	joiner, err := OpenNode(NodeConfig{Config: cfg, DC: 1, Roles: RolePartitions | RoleEunomia, Fabric: net, AckTimeout: 100 * time.Millisecond})
+	joiner, err := OpenNode(NodeConfig{Config: cfg, DC: 1, Roles: RolePartitions | RoleEunomia, Fabric: net})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +244,7 @@ func TestBootstrapDonorCrashFailsOverToNextPeer(t *testing.T) {
 		return string(v) == fmt.Sprintf("payload%d", keys-1)
 	})
 
-	joiner, err := OpenNode(NodeConfig{Config: cfg, DC: 2, Roles: RolePartitions | RoleEunomia, Fabric: net, AckTimeout: 100 * time.Millisecond})
+	joiner, err := OpenNode(NodeConfig{Config: cfg, DC: 2, Roles: RolePartitions | RoleEunomia, Fabric: net})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,10 +393,7 @@ func TestBootstrapStaleErrorReplyIgnored(t *testing.T) {
 	const keys = 200
 	newDonorNode(t, net, cfg, 0, keys)
 
-	// Short AckTimeout: the hijacked partition endpoint drops replica
-	// acks, so the final metadata flush at close would otherwise stall a
-	// full default timeout.
-	joiner, err := OpenNode(NodeConfig{Config: cfg, DC: 1, Roles: RolePartitions | RoleEunomia, Fabric: net, AckTimeout: 100 * time.Millisecond})
+	joiner, err := OpenNode(NodeConfig{Config: cfg, DC: 1, Roles: RolePartitions | RoleEunomia, Fabric: net})
 	if err != nil {
 		t.Fatal(err)
 	}

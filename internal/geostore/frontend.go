@@ -70,12 +70,16 @@ type ClientWriteAckMsg struct {
 
 // WaitMsg asks the datacenter's receiver to block until its SiteTime
 // dominates Dep's remote entries — the migration visibility wait. The
-// receiver polls on its check cadence and gives up after WaitNanos.
+// receiver parks on its advances and gives up after WaitNanos
+// (defaultWaitBudget when not positive).
 type WaitMsg struct {
 	ID        uint64
 	Dep       vclock.V
 	WaitNanos int64
 }
+
+// defaultWaitBudget bounds a WaitMsg that names no budget of its own.
+const defaultWaitBudget = 10 * time.Second
 
 // WaitAckMsg reports the wait's outcome and the receiver's current
 // SiteTime, which the frontend caches to skip already-satisfied waits.

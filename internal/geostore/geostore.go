@@ -25,11 +25,11 @@ import (
 	"fmt"
 	"log"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"eunomia/internal/compress"
 	"eunomia/internal/eunomia"
 	"eunomia/internal/fabric"
 	"eunomia/internal/faults"
@@ -110,9 +110,9 @@ type Config struct {
 	// CheckInterval is the receiver's ρ. Default 1ms.
 	CheckInterval time.Duration
 
-	// SeparateData enables §5 data/metadata separation. The paper's
-	// prototype runs with it on; NewStore defaults it on (set
-	// NoSeparation to disable for the ablation).
+	// NoSeparation disables §5 data/metadata separation, for the
+	// ablation. The paper's prototype runs with separation on, and so
+	// does the zero value.
 	NoSeparation bool
 	// ScalarMeta runs clients with scalar causal histories instead of
 	// vectors (the §4 metadata ablation).
@@ -195,13 +195,6 @@ type NodeConfig struct {
 	// endpoints on it but does not own it: the caller closes it after
 	// the node.
 	Fabric fabric.Fabric
-	// Pipelined selects non-blocking replica conns with asynchronous
-	// watermark acknowledgements (TCP deployments). Default is
-	// synchronous round trips, whose timing over the zero-delay local
-	// simnet link is identical to the direct calls they replace.
-	Pipelined bool
-	// AckTimeout bounds synchronous round trips. Default 10s.
-	AckTimeout time.Duration
 	// ReleaseWindow bounds in-flight releases on the windowed
 	// receiver→partition release path (split-role nodes only).
 	// Default 256.
@@ -214,20 +207,11 @@ type NodeConfig struct {
 	// partitions do not stream at directly (see AggParents).
 	AggIndexes []int
 	// AggParents overrides the hosted aggregators' upstream endpoints —
-	// a parent-aggregator pair for trees deeper than one level. Nil
-	// targets the datacenter's Eunomia replica set.
+	// a parent-aggregator pair for trees deeper than one level, or named
+	// Eunomia replicas. Nil targets the datacenter's replica set.
+	// Aggregator parents are redundant routes into one service; replica
+	// parents are a replica set (see aggTopology).
 	AggParents []fabric.Addr
-	// AggRedundantParents marks AggParents as redundant routes into one
-	// upstream service (a dual-homed parent-aggregator pair) instead of
-	// a replica set; implied when AggParents is nil only for replica
-	// semantics (false).
-	AggRedundantParents bool
-	// AggFlushInterval is the hosted aggregators' merge-and-forward
-	// period. Default BatchInterval.
-	AggFlushInterval time.Duration
-	// AggLevel labels the hosted aggregators' metrics with their tree
-	// level (1 = fed directly by partitions). Default 1.
-	AggLevel int
 
 	// FrontendIndex selects which of the datacenter's front-door
 	// endpoints this node's frontend registers as (RoleFrontend).
@@ -250,13 +234,6 @@ type NodeConfig struct {
 	// Default wal.SyncOnFlush: one fsync per batch/ack cadence, loss
 	// window bounded by it (see DESIGN.md).
 	WALSync wal.SyncPolicy
-	// WALGroupDelay and WALGroupMaxBatch tune wal.SyncGroupCommit (see
-	// wal.Options): how long a committer accumulates after waking, and
-	// the batch size that cuts the accumulation short. Ignored under
-	// other policies. Zero delay (the default) syncs as soon as the
-	// previous sync returns.
-	WALGroupDelay    time.Duration
-	WALGroupMaxBatch int
 	// SnapshotThreshold is the per-store log size that triggers
 	// compaction. Default wal.DefaultSnapshotThreshold (1 MiB).
 	SnapshotThreshold int64
@@ -285,10 +262,6 @@ type NodeConfig struct {
 	// before the donor is declared dead and the next one tried.
 	// Default 20.
 	BootstrapChunkAttempts int
-	// SnapshotCompression names the scheme snapshot chunks this node
-	// donates are compressed with: "off", "snappy", or "zstd"
-	// (compress.Parse). Default "snappy".
-	SnapshotCompression string
 
 	// Faults, optional, is the fault-injection seam (internal/faults):
 	// each hosted component's WAL stores consult the injector's armed
@@ -340,19 +313,16 @@ type Node struct {
 	diskStores  []*kvstore.Disk
 	backendName string
 	// Snapshot shipping (bootstrap.go): donor-side pins, joiner-side
-	// reply routing, ship counters, and the donate-side chunk scheme.
-	boot         bootState
-	snapCompress compress.Scheme
-	flushStop    chan struct{}
-	flushWG      sync.WaitGroup
+	// reply routing, and ship counters.
+	boot      bootState
+	flushStop chan struct{}
+	flushWG   sync.WaitGroup
 	// flushErr is the sticky first flush/compaction failure (injected
 	// fsync faults land here): flushLoop records it and exits instead of
 	// tearing the process down, so the failure is observable (SyncErr,
 	// metrics, /healthz) the way a full disk is in production.
 	flushMu  sync.Mutex
 	flushErr error
-
-	ackTimeout time.Duration
 }
 
 // NewNode builds and starts the selected roles, registering their
@@ -377,9 +347,6 @@ func OpenNode(nc NodeConfig) (*Node, error) {
 	if nc.Roles == 0 {
 		nc.Roles = RoleAll
 	}
-	if nc.AckTimeout <= 0 {
-		nc.AckTimeout = 10 * time.Second
-	}
 	if nc.SnapshotThreshold <= 0 {
 		nc.SnapshotThreshold = wal.DefaultSnapshotThreshold
 	}
@@ -393,13 +360,6 @@ func OpenNode(nc NodeConfig) (*Node, error) {
 	default:
 		return nil, fmt.Errorf("geostore: unknown store backend %q (want mem or disk)", nc.StoreBackend)
 	}
-	if nc.SnapshotCompression == "" {
-		nc.SnapshotCompression = "snappy"
-	}
-	snapScheme, err := compress.Parse(nc.SnapshotCompression)
-	if err != nil {
-		return nil, fmt.Errorf("geostore: snapshot compression: %w", err)
-	}
 	n := &Node{
 		cfg:           nc.Config,
 		id:            nc.DC,
@@ -408,8 +368,6 @@ func OpenNode(nc NodeConfig) (*Node, error) {
 		ring:          kvstore.NewRing(nc.Partitions),
 		snapThreshold: nc.SnapshotThreshold,
 		backendName:   nc.StoreBackend,
-		snapCompress:  snapScheme,
-		ackTimeout:    nc.AckTimeout,
 	}
 	if nc.Roles.Has(RoleEunomia) {
 		n.buildEunomia()
@@ -450,7 +408,6 @@ func OpenNode(nc NodeConfig) (*Node, error) {
 			Index:       nc.FrontendIndex,
 			Scalar:      n.cfg.ScalarMeta,
 			WaitTimeout: nc.FrontendWaitTimeout,
-			OpTimeout:   nc.AckTimeout,
 		})
 	}
 	if nc.DataDir != "" {
@@ -593,11 +550,9 @@ func (n *Node) walOptions(nc NodeConfig, component string) wal.Options {
 	m := wal.NewSyncMetrics()
 	n.walMetrics = append(n.walMetrics, WALComponentMetrics{Component: component, M: m})
 	return wal.Options{
-		Policy:        nc.WALSync,
-		GroupDelay:    nc.WALGroupDelay,
-		GroupMaxBatch: nc.WALGroupMaxBatch,
-		Metrics:       m,
-		InjectSync:    nc.Faults.InjectSyncFunc(component),
+		Policy:     nc.WALSync,
+		Metrics:    m,
+		InjectSync: nc.Faults.InjectSyncFunc(component),
 	}
 }
 
@@ -683,20 +638,43 @@ func (n *Node) buildAggregators(nc NodeConfig) {
 			parents = append(parents, fabric.EunomiaAddr(m, types.ReplicaID(r)))
 		}
 	}
-	ivl := nc.AggFlushInterval
-	if ivl <= 0 {
-		ivl = nc.BatchInterval
-	}
+	redundant, level := aggTopology(nc.AggIndexes, nc.Aggregators, nc.AggParents)
 	for _, i := range idxs {
 		n.aggs = append(n.aggs, fabric.NewAggregator(fabric.AggregatorConfig{
 			Fabric:           n.fab,
 			Local:            fabric.AggregatorAddr(m, i),
 			Parents:          parents,
-			RedundantParents: nc.AggRedundantParents,
-			FlushInterval:    ivl,
-			Level:            nc.AggLevel,
+			RedundantParents: redundant,
+			FlushInterval:    nc.BatchInterval,
+			Level:            level,
 		}))
 	}
+}
+
+// aggTopology derives the hosted aggregators' parent semantics and
+// tree-level label (1 = fed directly by partitions) from their parents
+// and indices. Aggregator parents (a deeper tree) are redundant routes
+// into one service, folded max-over-paths, and a node forwarding to them
+// is below them: a leaf, level 1. A node with replica parents is the
+// tree's top: level 1 in a one-level tree, level 2 when it hosts only
+// indices outside the partition-facing fan-in set (partitions stream at
+// 0..aggregators-1 only, so such a node is fed exclusively by child
+// aggregators). Nil idxs host the whole fan-in set.
+func aggTopology(idxs []int, aggregators int, parents []fabric.Addr) (redundant bool, level int) {
+	for _, p := range parents {
+		if strings.HasPrefix(p.Name, "aggregator") {
+			return true, 1
+		}
+	}
+	if len(idxs) == 0 {
+		return false, 1
+	}
+	for _, i := range idxs {
+		if i < aggregators {
+			return false, 1
+		}
+	}
+	return false, 2
 }
 
 // aggregatorPair returns the two fan-in endpoints partition i streams at:
@@ -720,10 +698,6 @@ func aggregatorPair(m types.DCID, i, aggregators int) []fabric.Addr {
 func (n *Node) buildPartitions(nc NodeConfig) error {
 	m := n.id
 	cfg := n.cfg
-	mode := fabric.SyncConn
-	if nc.Pipelined {
-		mode = fabric.PipelinedConn
-	}
 	var partOpts wal.Options
 	if nc.DataDir != "" {
 		partOpts = n.walOptions(nc, "partition")
@@ -798,7 +772,7 @@ func (n *Node) buildPartitions(nc NodeConfig) error {
 		pconns := make([]*fabric.ReplicaConn, len(remotes))
 		euConns := make([]eunomia.Conn, len(remotes))
 		for r, remote := range remotes {
-			rc := fabric.NewReplicaConn(n.fab, local, remote, mode, n.ackTimeout)
+			rc := fabric.NewReplicaConn(n.fab, local, remote)
 			pconns[r] = rc
 			euConns[r] = rc
 		}
@@ -986,7 +960,7 @@ func (n *Node) buildReceiver(nc NodeConfig) error {
 			from := msg.From
 			budget := time.Duration(v.WaitNanos)
 			if budget <= 0 {
-				budget = n.ackTimeout
+				budget = defaultWaitBudget
 			}
 			go func() {
 				deadline := time.Now().Add(budget)

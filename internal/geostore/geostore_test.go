@@ -9,6 +9,7 @@ import (
 
 	"eunomia/internal/clock"
 	"eunomia/internal/eunomia"
+	"eunomia/internal/fabric"
 	"eunomia/internal/hlc"
 	"eunomia/internal/types"
 )
@@ -214,6 +215,36 @@ func TestSingleReplicaCrashHaltsPropagationButNotLocal(t *testing.T) {
 	c1 := s.NewClient(1)
 	if v, _ := c1.Read("k"); v != nil {
 		t.Fatal("update propagated despite the site's Eunomia being down")
+	}
+}
+
+// TestLostReplicaAcksNeverStallStream drops every acknowledgement dc0's
+// Eunomia replica sends its partitions. Flushes never wait for one: the
+// writes still become visible at dc1, and closing the store does not sit
+// out an acknowledgement timeout.
+func TestLostReplicaAcksNeverStallStream(t *testing.T) {
+	s := fastStore(func(c *Config) { c.DCs, c.Partitions = 2, 2 })
+	for p := 0; p < 2; p++ {
+		s.Network().SetDrop(fabric.EunomiaAddr(0, 0), fabric.PartitionAddr(0, types.PartitionID(p)), true)
+	}
+	c0, c1 := s.NewClient(0), s.NewClient(1)
+	for i := 0; i < 20; i++ {
+		if err := c0.Update(types.Key(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 5*time.Second, func() bool {
+		for i := 0; i < 20; i++ {
+			if v, _ := c1.Read(types.Key(fmt.Sprintf("k%d", i))); v == nil {
+				return false
+			}
+		}
+		return true
+	})
+	start := time.Now()
+	s.Close()
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("Close took %v waiting on lost acknowledgements", d)
 	}
 }
 

@@ -47,9 +47,9 @@ func TestDatacenterOverTCPFabrics(t *testing.T) {
 	fabC.AddRoute(fabric.ReceiverAddr(0), b)
 	fabC.AddDCRoute(0, a)
 
-	nodeA := NewNode(NodeConfig{Config: cfg, DC: 0, Roles: RolePartitions | RoleEunomia, Fabric: fabA, Pipelined: true})
-	nodeB := NewNode(NodeConfig{Config: cfg, DC: 0, Roles: RoleReceiver, Fabric: fabB, Pipelined: true})
-	nodeC := NewNode(NodeConfig{Config: cfg, DC: 1, Roles: RoleAll, Fabric: fabC, Pipelined: true})
+	nodeA := NewNode(NodeConfig{Config: cfg, DC: 0, Roles: RolePartitions | RoleEunomia, Fabric: fabA})
+	nodeB := NewNode(NodeConfig{Config: cfg, DC: 0, Roles: RoleReceiver, Fabric: fabB})
+	nodeC := NewNode(NodeConfig{Config: cfg, DC: 1, Roles: RoleAll, Fabric: fabC})
 	nodes := []*Node{nodeA, nodeB, nodeC}
 	defer func() {
 		for _, n := range nodes {
@@ -147,7 +147,7 @@ func TestBootstrapOverTCPWithHeldDelivery(t *testing.T) {
 	fabDonor.AddDCRoute(1, fabJoiner.Addr().String())
 	fabJoiner.AddDCRoute(0, fabDonor.Addr().String())
 
-	donor := NewNode(NodeConfig{Config: cfg, DC: 0, Roles: RoleAll, Fabric: fabDonor, Pipelined: true})
+	donor := NewNode(NodeConfig{Config: cfg, DC: 0, Roles: RoleAll, Fabric: fabDonor})
 	defer func() { donor.CloseIngress(); donor.CloseServices() }()
 	fabDonor.Ready()
 	const keys = 50
@@ -163,7 +163,7 @@ func TestBootstrapOverTCPWithHeldDelivery(t *testing.T) {
 	// chunk retries make a regression fail in ~1s instead of the 20s
 	// donor-death default.
 	joiner, err := OpenNode(NodeConfig{
-		Config: cfg, DC: 1, Roles: RolePartitions | RoleEunomia, Fabric: fabJoiner, Pipelined: true,
+		Config: cfg, DC: 1, Roles: RolePartitions | RoleEunomia, Fabric: fabJoiner,
 		BootstrapFrom:          []types.DCID{0},
 		BootstrapChunkTimeout:  200 * time.Millisecond,
 		BootstrapChunkAttempts: 5,

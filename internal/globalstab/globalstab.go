@@ -210,13 +210,17 @@ type gpart struct {
 	clock *hlc.Clock
 	kv    *kvstore.Mem
 
+	// mu also makes ticking the clock and enqueueing the update for
+	// shipping one step, so the shipper carries this partition's updates
+	// in timestamp order — siblings drop any update at or below what
+	// they already know from it (vv).
 	mu       sync.Mutex
 	vv       vclock.V  // vv[d]: latest timestamp known from sibling at d; vv[dc] = own watermark
 	queues   [][]gPend // pending remote updates per origin, in timestamp order
 	gst      hlc.Timestamp
 	gsv      vclock.V
 	seq      uint64
-	lastShip time.Time
+	lastShip time.Time // when the last local update was tagged
 
 	shipper *fabric.Batcher[*types.Update]
 
@@ -280,39 +284,36 @@ func (p *gpart) update(key types.Key, value types.Value, dep vclock.V) vclock.V 
 	} else {
 		depTS = dep.Max()
 	}
-	ts := p.clock.Tick(depTS)
-
 	vts := vclock.New(n.cfg.DCs)
 	copy(vts, dep)
-	vts.Set(int(n.id), ts)
 
 	p.mu.Lock()
+	ts := p.clock.Tick(depTS)
+	vts.Set(int(n.id), ts)
 	p.seq++
-	seq := p.seq
 	if ts > p.vv[n.id] {
 		p.vv[n.id] = ts
 	}
 	p.lastShip = time.Now()
-	p.mu.Unlock()
-
 	u := &types.Update{
 		Key:       key,
 		Value:     value.Clone(),
 		Origin:    n.id,
 		Partition: p.id,
-		Seq:       seq,
+		Seq:       p.seq,
 		TS:        ts,
 		VTS:       vts.Clone(),
-		CreatedAt: time.Now().UnixNano(),
+		CreatedAt: p.lastShip.UnixNano(),
 	}
-	p.kv.Apply(key, types.Version{Value: u.Value, TS: ts, VTS: u.VTS, Origin: n.id})
-
 	for k := 0; k < n.cfg.DCs; k++ {
 		if types.DCID(k) == n.id {
 			continue
 		}
 		p.shipper.Add(fabric.PartitionAddr(types.DCID(k), p.id), u)
 	}
+	p.mu.Unlock()
+
+	p.kv.Apply(key, types.Version{Value: u.Value, TS: ts, VTS: u.VTS, Origin: n.id})
 	return vts
 }
 
@@ -324,18 +325,24 @@ func (p *gpart) read(key types.Key) (types.Value, vclock.V) {
 	return v.Value, v.VTS
 }
 
-// heartbeat announces the partition's clock to its siblings when idle.
+// heartbeat announces the partition's clock to its siblings once it has
+// tagged no update for δ (Algorithm 2 lines 10-12). Every update tagged
+// below the heartbeat is already enqueued (mu), and flushing the shipper
+// first sends them all ahead of it on the same FIFO links, so a sibling
+// never learns the heartbeat before an update it covers.
 func (p *gpart) heartbeat() {
 	n := p.node
-	hb, ok := p.clock.Heartbeat(n.cfg.HeartbeatInterval)
-	if !ok {
+	p.mu.Lock()
+	if time.Since(p.lastShip) < n.cfg.HeartbeatInterval {
+		p.mu.Unlock()
 		return
 	}
-	p.mu.Lock()
+	hb := p.clock.Advance()
 	if hb > p.vv[n.id] {
 		p.vv[n.id] = hb
 	}
 	p.mu.Unlock()
+	p.shipper.Flush()
 	for k := 0; k < n.cfg.DCs; k++ {
 		if types.DCID(k) == n.id {
 			continue

@@ -2,6 +2,7 @@ package globalstab
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -203,5 +204,45 @@ func TestPendingRemoteDrains(t *testing.T) {
 func TestModeString(t *testing.T) {
 	if GentleRain.String() != "GentleRain" || Cure.String() != "Cure" {
 		t.Fatal("Mode.String broken")
+	}
+}
+
+// TestConcurrentWritersOnePartitionAllReplicate races several writers on
+// one partition against its sibling heartbeats. A sibling drops an update
+// at or below what it already knows from the origin, so the origin must
+// ship its own updates in timestamp order and never let a heartbeat
+// overtake one still buffered for shipping; otherwise updates are lost.
+func TestConcurrentWritersOnePartitionAllReplicate(t *testing.T) {
+	const writers, keys = 4, 500
+	for _, mode := range []Mode{GentleRain, Cure} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := fastCfg(mode)
+			cfg.DCs, cfg.Partitions = 2, 1
+			s := NewStore(cfg)
+			defer s.Close()
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					c := s.NewClient(0)
+					for k := 0; k < keys; k++ {
+						if err := c.Update(types.Key(fmt.Sprintf("w%d-k%d", w, k)), []byte("v")); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			dest := s.Node(1)
+			deadline := time.Now().Add(10 * time.Second)
+			for dest.Applied() < writers*keys && time.Now().Before(deadline) {
+				time.Sleep(5 * time.Millisecond)
+			}
+			if got := dest.Applied(); got != writers*keys {
+				t.Fatalf("dc1 applied %d of %d updates", got, writers*keys)
+			}
+		})
 	}
 }

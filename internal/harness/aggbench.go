@@ -195,7 +195,7 @@ func aggregatorTreeLeg(o ServiceOptions, partitions, fanIn, depth int) (Aggregat
 		conns := make([]eunomia.Conn, len(remotes))
 		rcs := make([]*fabric.ReplicaConn, len(remotes))
 		for j, r := range remotes {
-			rc := fabric.NewReplicaConn(net, local, r, fabric.PipelinedConn, 0)
+			rc := fabric.NewReplicaConn(net, local, r)
 			rcs[j] = rc
 			conns[j] = rc
 		}

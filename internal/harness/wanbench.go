@@ -271,10 +271,9 @@ func buildWANDeployment(o WANBenchOptions, kind SystemKind, scheme compress.Sche
 					ClockFor:   clockFor,
 					OnVisible:  record,
 				},
-				DC:        types.DCID(i),
-				Roles:     geostore.RoleAll,
-				Fabric:    fabs[i],
-				Pipelined: true,
+				DC:     types.DCID(i),
+				Roles:  geostore.RoleAll,
+				Fabric: fabs[i],
 			})
 		}
 		d.factory = func(w int) workload.Client { return nodes[w%o.DCs].NewClient() }
@@ -565,7 +564,7 @@ func wanTreeLeg(o WANTreeOptions, scheme compress.Scheme) (WANTreePoint, error) 
 		conns := make([]eunomia.Conn, len(remotes))
 		rcs := make([]*fabric.ReplicaConn, len(remotes))
 		for j, r := range remotes {
-			rc := fabric.NewReplicaConn(fabA, local, r, fabric.PipelinedConn, 0)
+			rc := fabric.NewReplicaConn(fabA, local, r)
 			rcs[j] = rc
 			conns[j] = rc
 		}

@@ -157,29 +157,6 @@ func (c *Clock) Tick(dep Timestamp) Timestamp {
 	return ts
 }
 
-// Heartbeat implements Algorithm 2 lines 10-12 as the paper writes them,
-// for the global-stabilization baselines. If the physical clock has
-// advanced at least delta past the largest timestamp this clock has issued,
-// Heartbeat advances the clock to the current physical time and returns
-// (that timestamp, true); otherwise it returns (0, false) and the partition
-// sends nothing. The Eunomia client replaces the delta test with its
-// stream watermark rule and uses Advance.
-//
-// Advancing last on a heartbeat is a deliberate strengthening of the
-// paper's pseudo-code: it guarantees that an update tagged in the same
-// microsecond as a heartbeat still gets a strictly larger timestamp, so
-// Property 2 holds even with a coarse physical clock.
-func (c *Clock) Heartbeat(delta time.Duration) (Timestamp, bool) {
-	phys := New(c.src.NowMicros(), 0)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if phys < c.last+Timestamp(delta.Microseconds()<<LogicalBits) {
-		return 0, false
-	}
-	c.last = phys
-	return phys, true
-}
-
 // Advance moves the clock to max(physical time, last issued) and returns
 // that timestamp: every later Tick is strictly greater, so it is a
 // watermark the owner may promise — provided nothing it already issued

@@ -137,40 +137,6 @@ func TestTickFollowsPhysicalWhenAhead(t *testing.T) {
 	}
 }
 
-func TestHeartbeatRequiresQuietPeriod(t *testing.T) {
-	src := &manualSource{t: 1000}
-	c := NewClock(src)
-	c.Tick(0) // last = 1000.0
-	if _, ok := c.Heartbeat(time.Millisecond); ok {
-		t.Fatal("heartbeat fired without the clock advancing Δ past last")
-	}
-	src.set(1000 + 1000) // advance 1ms
-	hb, ok := c.Heartbeat(time.Millisecond)
-	if !ok {
-		t.Fatal("heartbeat should fire after Δ of quiet")
-	}
-	if hb.Physical() != 2000 {
-		t.Fatalf("heartbeat ts = %v, want 2000.0", hb)
-	}
-}
-
-func TestHeartbeatNeverExceededByLaterTick(t *testing.T) {
-	// Property 2: an update tagged right after a heartbeat must carry a
-	// strictly larger timestamp even if physical time has not advanced.
-	src := &manualSource{t: 1000}
-	c := NewClock(src)
-	c.Tick(0)
-	src.set(5000)
-	hb, ok := c.Heartbeat(time.Millisecond)
-	if !ok {
-		t.Fatal("expected heartbeat")
-	}
-	ts := c.Tick(0) // same physical instant
-	if ts <= hb {
-		t.Fatalf("update ts %v not greater than heartbeat %v", ts, hb)
-	}
-}
-
 func TestAdvanceDominatesIssuedAndLaterTicks(t *testing.T) {
 	src := &manualSource{t: 1000}
 	c := NewClock(src)

@@ -274,12 +274,12 @@ func (s *sink) snapshot() []*types.Update {
 	return append([]*types.Update(nil), s.ops...)
 }
 
-func dialReplica(t *testing.T, serverAddr string, mode fabric.ConnMode, p types.PartitionID) (*TCP, *fabric.ReplicaConn) {
+func dialReplica(t *testing.T, serverAddr string, p types.PartitionID) (*TCP, *fabric.ReplicaConn) {
 	t.Helper()
 	remote := fabric.EunomiaAddr(0, 0)
 	client := listen(t, Config{Routes: map[fabric.Addr]string{remote: serverAddr}})
 	local := fabric.PartitionAddr(0, p)
-	conn := fabric.NewReplicaConn(client, local, remote, mode, 5*time.Second)
+	conn := fabric.NewReplicaConn(client, local, remote)
 	client.Register(local, func(m fabric.Message) { conn.HandleMessage(m) })
 	return client, conn
 }
@@ -287,28 +287,28 @@ func dialReplica(t *testing.T, serverAddr string, mode fabric.ConnMode, p types.
 // TestDuplicateResendFilteredByWatermark resends the same batch several
 // times — the at-least-once pattern a reconnecting client produces — and
 // restarts the serving fabric in between; the replica must ingest each
-// operation exactly once, filtering replays by partition watermark.
+// operation exactly once, filtering replays by partition watermark. The
+// conn itself streams each operation once, so the resends go out as raw
+// frames; the conn still tracks the acknowledgements they draw.
 func TestDuplicateResendFilteredByWatermark(t *testing.T) {
 	f, cluster, shipped := startReplica(t, 1)
 	defer cluster.Stop()
 	port := f.Addr().String()
 
-	client, conn := dialReplica(t, port, fabric.SyncConn, 0)
+	client, conn := dialReplica(t, port, 0)
 	defer client.Close()
 
 	batch := []*types.Update{
 		{Partition: 0, Seq: 1, TS: 10, Key: "a", Value: []byte("x")},
 		{Partition: 0, Seq: 2, TS: 20, Key: "b"},
 	}
-	for i := 0; i < 3; i++ { // at-least-once resend
-		w, err := conn.NewBatch(0, batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if w != 20 {
-			t.Fatalf("watermark = %v, want 20", w)
-		}
+	resend := func() {
+		client.Send(fabric.PartitionAddr(0, 0), conn.Remote(), fabric.BatchMsg{Partition: 0, Ops: batch})
 	}
+	for i := 0; i < 3; i++ { // at-least-once resend
+		resend()
+	}
+	waitFor(t, 5*time.Second, func() bool { return conn.Watermark(0) == 20 })
 
 	// Restart the serving fabric (same replica process state): the
 	// client's retransmitted frames and further resends must still be
@@ -319,13 +319,12 @@ func TestDuplicateResendFilteredByWatermark(t *testing.T) {
 	fabric.ServeReplica(f2, fabric.EunomiaAddr(0, 0), cluster.Replica(0))
 
 	for i := 0; i < 3; i++ {
-		if _, err := conn.NewBatch(0, batch); err != nil {
-			t.Fatal(err)
-		}
+		resend()
 	}
-	if w, err := conn.Heartbeat(0, 20, 30); err != nil || w != 30 {
-		t.Fatalf("heartbeat answered %v, %v; want 30", w, err)
+	if _, err := conn.Heartbeat(0, 20, 30); err != nil {
+		t.Fatal(err)
 	}
+	waitFor(t, 5*time.Second, func() bool { return conn.Watermark(0) == 30 })
 
 	waitFor(t, 5*time.Second, func() bool { return shipped.len() == 2 })
 	time.Sleep(20 * time.Millisecond)
@@ -359,7 +358,7 @@ func TestPipelinedProtocolOrdering(t *testing.T) {
 	clients := make([]*eunomia.Client, partitions)
 	fabrics := make([]*TCP, partitions)
 	for i := range clients {
-		cf, conn := dialReplica(t, f.Addr().String(), fabric.PipelinedConn, types.PartitionID(i))
+		cf, conn := dialReplica(t, f.Addr().String(), types.PartitionID(i))
 		fabrics[i] = cf
 		defer cf.Close()
 		clients[i] = eunomia.NewClient(eunomia.ClientConfig{
@@ -411,7 +410,7 @@ func TestPipelinedFlushDoesNotWaitForServer(t *testing.T) {
 	server.Register(remote, func(fabric.Message) { <-block })
 	defer close(block)
 
-	client, conn := dialReplica(t, server.Addr().String(), fabric.PipelinedConn, 0)
+	client, conn := dialReplica(t, server.Addr().String(), 0)
 	defer client.Close()
 
 	start := time.Now()
@@ -430,37 +429,14 @@ func TestStoppedReplicaErrorsPropagate(t *testing.T) {
 	defer f.Close()
 	cluster.Replica(0).Stop()
 
-	client, conn := dialReplica(t, f.Addr().String(), fabric.SyncConn, 0)
+	client, conn := dialReplica(t, f.Addr().String(), 0)
 	defer client.Close()
-	if _, err := conn.NewBatch(0, []*types.Update{{Partition: 0, Seq: 1, TS: 1}}); err == nil {
-		t.Fatal("batch accepted by a stopped replica")
-	}
-
-	client2, conn2 := dialReplica(t, f.Addr().String(), fabric.PipelinedConn, 0)
-	defer client2.Close()
 	// First send can't know yet; the nack makes the failure sticky.
-	_, _ = conn2.NewBatch(0, []*types.Update{{Partition: 0, Seq: 1, TS: 1}})
+	_, _ = conn.NewBatch(0, []*types.Update{{Partition: 0, Seq: 1, TS: 1}})
 	waitFor(t, 5*time.Second, func() bool {
-		_, err := conn2.NewBatch(0, nil)
+		_, err := conn.NewBatch(0, nil)
 		return err != nil
 	})
-}
-
-func TestSyncConnAckTimeout(t *testing.T) {
-	server := listen(t, Config{})
-	defer server.Close()
-	remote := fabric.EunomiaAddr(0, 0)
-	server.Register(remote, func(fabric.Message) {}) // swallows, never acks
-
-	client := listen(t, Config{Routes: map[fabric.Addr]string{remote: server.Addr().String()}})
-	defer client.Close()
-	local := fabric.PartitionAddr(0, 0)
-	conn := fabric.NewReplicaConn(client, local, remote, fabric.SyncConn, 100*time.Millisecond)
-	client.Register(local, func(m fabric.Message) { conn.HandleMessage(m) })
-
-	if _, err := conn.NewBatch(0, nil); err == nil {
-		t.Fatal("sync call against a mute endpoint did not time out")
-	}
 }
 
 func TestDialFailureBuffersAndDrops(t *testing.T) {
