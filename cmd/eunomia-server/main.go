@@ -144,7 +144,6 @@ func main() {
 		advertise  = flag.String("advertise", "", "address peers dial to reach this process (default: listen address)")
 		batchIvl   = flag.Duration("batch-interval", time.Millisecond, "partition→Eunomia and payload propagation period, flushed on wall-clock multiples (baseline modes: inter-DC ship batching interval)")
 		stableIvl  = flag.Duration("stable-interval", time.Millisecond, "fallback stabilization and follower-announcement period θ (the leader also stabilizes on every arrival)")
-		checkIvl   = flag.Duration("check-interval", time.Millisecond, "receiver retry period ρ (releases also run on every arrival)")
 		statsIvl   = flag.Duration("stats-interval", time.Second, "stats reporting period")
 		tree       = flag.String("tree", "redblack", "pending-set structure: redblack|avl (mode eunomia)")
 		aseq       = flag.Bool("aseq", false, "mode sequencer: contact the sequencer asynchronously (A-Seq)")
@@ -348,7 +347,6 @@ func main() {
 				Aggregators:    *aggFanin,
 				BatchInterval:  *batchIvl,
 				StableInterval: *stableIvl,
-				CheckInterval:  *checkIvl,
 				Tree:           kind,
 				ScalarMeta:     scalarSession,
 			},
@@ -367,7 +365,7 @@ func main() {
 			BootstrapFrom:       bootstrapFrom,
 		})
 	case "sequencer":
-		h, err = hostSequencer(fab, *role, *dcID, *dcs, *partitions, *aseq, *batchIvl, *checkIvl)
+		h, err = hostSequencer(fab, *role, *dcID, *dcs, *partitions, *aseq, *batchIvl)
 	case "globalstab", "gentlerain", "cure":
 		h, err = hostGlobalstab(fab, *role, *mode, *dcID, *dcs, *partitions, *batchIvl, *stableIvl)
 	case "eventual":
@@ -752,7 +750,7 @@ func serveMetrics(addr string, fab *transport.TCP, h hosted) error {
 // hostSequencer boots the S-Seq/A-Seq baseline node. -role sequencer runs
 // the number service alone; dc (or partitions/receiver) hosts the
 // partition group, consulting the sequencer over the fabric when remote.
-func hostSequencer(fab *transport.TCP, role string, dcID, dcs, partitions int, aseq bool, shipIvl, checkIvl time.Duration) (hosted, error) {
+func hostSequencer(fab *transport.TCP, role string, dcID, dcs, partitions int, aseq bool, shipIvl time.Duration) (hosted, error) {
 	var roles sequencer.Roles
 	for _, part := range strings.Split(role, ",") {
 		switch strings.TrimSpace(part) {
@@ -774,11 +772,10 @@ func hostSequencer(fab *transport.TCP, role string, dcID, dcs, partitions int, a
 	}
 	node := sequencer.NewNode(sequencer.NodeConfig{
 		StoreConfig: sequencer.StoreConfig{
-			Mode:          mode,
-			DCs:           dcs,
-			Partitions:    partitions,
-			ShipInterval:  shipIvl,
-			CheckInterval: checkIvl,
+			Mode:         mode,
+			DCs:          dcs,
+			Partitions:   partitions,
+			ShipInterval: shipIvl,
 		},
 		DC:     types.DCID(dcID),
 		Roles:  roles,

@@ -71,11 +71,9 @@ type Config struct {
 	// BatchInterval is the partition→Eunomia propagation period, which
 	// is also the heartbeat period (default 1 ms).
 	BatchInterval time.Duration
-	// StabilizationInterval is Eunomia's θ (default 1 ms).
+	// StabilizationInterval is Eunomia's θ (default 1 ms). The paper's
+	// receiver period ρ has no setting: releases run on arrivals.
 	StabilizationInterval time.Duration
-	// ReceiverInterval is the remote-update dependency check period ρ
-	// (default 1 ms).
-	ReceiverInterval time.Duration
 
 	// ScalarMetadata compresses client causal histories to one scalar
 	// instead of a vector with an entry per datacenter — the §4 ablation
@@ -131,7 +129,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		Delay:          cfg.delay(),
 		BatchInterval:  cfg.BatchInterval,
 		StableInterval: cfg.StabilizationInterval,
-		CheckInterval:  cfg.ReceiverInterval,
 		NoSeparation:   cfg.DisableDataSeparation,
 		ScalarMeta:     cfg.ScalarMetadata,
 	}

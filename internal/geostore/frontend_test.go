@@ -193,17 +193,15 @@ func TestFrontendScalarAblation(t *testing.T) {
 
 // TestFrontendMigrationWaitParksOnSiteAdvance: a migrated read's
 // visibility wait is answered by the receiver's SiteTime-advance
-// notification, not by a poll on the receiver's check cadence. With that
-// cadence at one second, each read must still return within 100 ms of
+// notification, not by a poll: each read must return within 100 ms of
 // the write becoming visible at the destination.
 func TestFrontendMigrationWaitParksOnSiteAdvance(t *testing.T) {
 	var mu sync.Mutex
 	visibleAt := map[string]time.Time{}
 	s := NewStore(Config{
-		DCs:           2,
-		Partitions:    2,
-		Delay:         simnet.LatencyMatrix(simnet.PaperRTTs(0.01), 0),
-		CheckInterval: time.Second,
+		DCs:        2,
+		Partitions: 2,
+		Delay:      simnet.LatencyMatrix(simnet.PaperRTTs(0.01), 0),
 		OnVisible: func(dest types.DCID, u *types.Update, _ time.Time) {
 			if dest == 1 {
 				mu.Lock()
@@ -214,10 +212,6 @@ func TestFrontendMigrationWaitParksOnSiteAdvance(t *testing.T) {
 	})
 	defer s.Close()
 	fe0, fe1 := s.Frontend(0), s.Frontend(1)
-	// Start half a check period in: a wait that polled on the check
-	// cadence would then wake half a period after the receiver's own
-	// tick, instead of lining up with it by accident.
-	time.Sleep(500 * time.Millisecond)
 
 	token := ""
 	for i := 0; i < 3; i++ {

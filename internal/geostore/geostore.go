@@ -107,8 +107,6 @@ type Config struct {
 	// follower announcements and leader suspicion (the leader otherwise
 	// stabilizes on every arrival). Default 1ms.
 	StableInterval time.Duration
-	// CheckInterval is the receiver's ρ. Default 1ms.
-	CheckInterval time.Duration
 
 	// NoSeparation disables §5 data/metadata separation, for the
 	// ablation. The paper's prototype runs with separation on, and so
@@ -146,9 +144,6 @@ func (c *Config) fill() {
 	}
 	if c.StableInterval <= 0 {
 		c.StableInterval = time.Millisecond
-	}
-	if c.CheckInterval <= 0 {
-		c.CheckInterval = time.Millisecond
 	}
 	if c.Delay == nil {
 		c.Delay = simnet.LatencyMatrix(simnet.PaperRTTs(1), 0)
@@ -289,10 +284,11 @@ type Node struct {
 	cluster    *eunomia.Cluster
 	recv       *receiver.Receiver
 	aggs       []*fabric.Aggregator
-	// localRecv is recv when it releases to the partitions above by
-	// direct call; the partition ingress (registered before the receiver
-	// exists) kicks it when a parked payload arrives.
-	localRecv atomic.Pointer[receiver.Receiver]
+	// unpark (a func()) retries the release path parked on a missing
+	// payload: the colocated receiver's Kick, or the applier's wake when
+	// the receiver lives elsewhere. The partition ingress (registered
+	// before either exists) calls it through wakeRelease.
+	unpark atomic.Value
 
 	// Windowed cross-process release: relWin on receiver-only nodes,
 	// app on partition-hosting nodes whose receiver lives elsewhere.
@@ -806,10 +802,8 @@ func (n *Node) buildPartitions(nc NodeConfig) error {
 				for _, u := range v {
 					unparked = part.ReceivePayload(u) || unparked
 				}
-				if r := n.localRecv.Load(); unparked && r != nil {
-					// A colocated release was parked on a missing
-					// payload: retry now, not at the receiver's next ρ.
-					r.Kick()
+				if unparked {
+					n.wakeRelease()
 				}
 			case fabric.AckMsg:
 				for _, rc := range pconns {
@@ -876,9 +870,17 @@ func (n *Node) buildPartitions(nc NodeConfig) error {
 			return fmt.Errorf("recovering dc%d release stream position: %w", m, err)
 		}
 		n.app = app
+		n.unpark.Store(app.kick)
 		n.fab.Register(fabric.ApplierAddr(m), n.app.handle)
 	}
 	return nil
+}
+
+// wakeRelease calls the unpark hook, once a release path has set it.
+func (n *Node) wakeRelease() {
+	if f, ok := n.unpark.Load().(func()); ok {
+		f()
+	}
 }
 
 // buildReceiver starts the receiver, releasing remote metadata to the
@@ -888,28 +890,24 @@ func (n *Node) buildPartitions(nc NodeConfig) error {
 func (n *Node) buildReceiver(nc NodeConfig) error {
 	m := n.id
 	var healer *payloadHealer
-	apply := func(u *types.Update, metaArrived time.Time) bool {
-		return n.parts[n.ring.Responsible(u.Key)].ApplyRemote(u, metaArrived)
-	}
+	var apply receiver.ApplyFunc
 	if !n.roles.Has(RolePartitions) {
 		n.relWin = newReleaseWindow(n.fab, fabric.ReceiverAddr(m), fabric.ApplierAddr(m), nc.ReleaseWindow)
 		apply = n.relWin.release
-	} else if nc.DataDir != "" {
-		// Colocated durable node: releases go by direct call, but a crash
-		// can still have lost buffered payloads the origin pruned on
-		// transport acknowledgement. Heal crash-suspect parks with the
-		// same pull/skip protocol the split-role applier uses; the node's
-		// applier address (otherwise unused when the receiver is local)
-		// receives the origin's superseded verdicts.
-		healer = newPayloadHealer(n)
+	} else {
+		// Colocated: releases go by direct call through the payload
+		// healer the split-role applier runs too (armed below on a
+		// durable node, where a crash can have lost payloads the origin
+		// pruned); the node's applier address, otherwise unused when the
+		// receiver is local, receives the origin's superseded verdicts.
+		healer = newPayloadHealer(n, n.wakeRelease)
 		apply = healer.apply
 		n.fab.Register(fabric.ApplierAddr(m), healer.handle)
 	}
 	rcfg := receiver.Config{
-		DC:            m,
-		DCs:           n.cfg.DCs,
-		CheckInterval: n.cfg.CheckInterval,
-		Apply:         apply,
+		DC:    m,
+		DCs:   n.cfg.DCs,
+		Apply: apply,
 	}
 	if nc.DataDir != "" {
 		recv, err := receiver.RecoverOptions(rcfg, filepath.Join(nc.DataDir, fmt.Sprintf("dc%d-receiver", m)), n.walOptions(nc, "receiver"))
@@ -920,11 +918,6 @@ func (n *Node) buildReceiver(nc NodeConfig) error {
 			return fmt.Errorf("recovering dc%d receiver: %w", m, err)
 		}
 		n.recv = recv
-		if healer != nil {
-			// Replay is done: entries recovered above carry replay-time
-			// arrival stamps, all safely below the gate set now.
-			healer.arm()
-		}
 		if n.relWin != nil {
 			// Split role: the persisted site watermark follows the
 			// partition side's durable acknowledgements, so recovery
@@ -940,7 +933,12 @@ func (n *Node) buildReceiver(nc NodeConfig) error {
 	}
 	recv := n.recv
 	if n.relWin == nil {
-		n.localRecv.Store(recv)
+		n.unpark.Store(recv.Kick)
+		if nc.DataDir != "" {
+			// Replay is done: entries recovered above carry replay-time
+			// arrival stamps, all safely below the gate set now.
+			healer.arm()
+		}
 	} else {
 		// Split role: acknowledgements move the watermark visibility
 		// waits answer from, so they wake the waits too.

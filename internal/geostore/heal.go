@@ -1,23 +1,26 @@
 package geostore
 
-// Payload healing for colocated durable nodes (the ROADMAP follow-up to
-// PR 3's pull/skip machinery, which only the split-role applier had).
+// Payload healing: the one pull/skip protocol both release paths run.
 //
-// A colocated node (receiver and partitions in one process) releases
-// updates by direct call, so a payload pruned at the origin — the shipper
-// drops its buffered copy once the transport acknowledges delivery — and
-// lost to a crash here (received after the last WAL flush) would park the
-// receiver's release pass forever: the payload is nowhere, and nothing
-// re-ships it. The split-role applier heals this with PayloadPullMsg /
-// PayloadSupersededMsg; payloadHealer gives the colocated direct-apply
-// path the same protocol.
+// A payload pruned at the origin — the shipper drops its buffered copy
+// once the transport acknowledges delivery — and lost to a crash here
+// (received after the last WAL flush) would park its release forever:
+// nothing re-ships it. payloadHealer wraps the apply of a release path —
+// the colocated receiver's direct call, or the split-role applier's
+// stream head — and heals such a park: it asks the origin to re-ship the
+// exact version (PayloadPullMsg), or skips the update when the origin
+// reports it superseded (PayloadSupersededMsg), since the superseding
+// version follows in the release order with its own payload.
 //
-// The same crash-evidence gate applies (see applier.pullBefore): only
-// updates whose metadata arrived before this durable incarnation finished
-// recovering may have lost their payload to the dead predecessor. Anything
-// released later is ordinary replication lag and parks untouched — pulling
-// it could transiently hide a slow update the moment its origin overwrites
-// it.
+// Pulls are gated to crash evidence: only updates whose metadata arrived
+// before this durable incarnation finished recovering may have lost their
+// payload to the dead predecessor. Anything released later is ordinary
+// replication lag and parks untouched — pulling it could transiently hide
+// a slow update the moment its origin overwrites it.
+//
+// Neither release path polls a park: the partition ingress wakes it when
+// a payload lands, and the healer wakes it at each pull deadline, when a
+// superseded verdict arrives, and once when its gate is armed.
 
 import (
 	"sync"
@@ -28,90 +31,106 @@ import (
 	"eunomia/internal/types"
 )
 
-// payloadHealer wraps a colocated durable node's direct release path with
-// origin pulls for crash-suspect updates parked on a missing payload.
+// payloadHealer wraps a release path's apply with origin pulls for
+// crash-suspect updates parked on a missing payload.
 type payloadHealer struct {
 	n *Node
+	// wake retries the wrapped release path's parked apply.
+	wake func()
 	// pullBefore gates pulls to crash evidence: only updates whose
 	// metadata arrived before this instant (recovery end plus slack for
-	// metadata in flight at the crash) may have lost their payload to the
-	// dead predecessor. Atomic because arm() stamps it from the opening
-	// goroutine while the recovered receiver's flush loop may already be
-	// calling apply; until armed it is zero, which suspects nothing.
+	// metadata in flight at the crash) are suspects. Atomic because arm()
+	// stamps it while the release path may already be calling apply;
+	// until armed it is zero, which suspects nothing.
 	pullBefore atomic.Int64
 
 	mu sync.Mutex
-	// skips holds updates the origin reported superseded: their payloads
-	// died with the crashed predecessor and cannot be re-shipped; the
-	// superseding version follows in the release order with its own
-	// payload.
+	// skips holds suspects the origin reported superseded.
 	skips map[types.UpdateID]bool
-	// lastPull rate-limits the pull per parked update to the release
-	// retransmission cadence.
+	// lastPull tracks each parked suspect and rate-limits its pull to the
+	// release retransmission cadence.
 	lastPull map[types.UpdateID]time.Time
+	// timer wakes the release path at due, the earliest pull deadline of
+	// a parked suspect; due is zero when no wake is pending.
+	timer *time.Timer
+	due   time.Time
 }
 
-func newPayloadHealer(n *Node) *payloadHealer {
+func newPayloadHealer(n *Node, wake func()) *payloadHealer {
 	return &payloadHealer{
 		n:        n,
+		wake:     wake,
 		skips:    make(map[types.UpdateID]bool),
 		lastPull: make(map[types.UpdateID]time.Time),
 	}
 }
 
-// arm sets the crash-evidence gate once recovery has finished. It must
-// run after receiver replay, not at construction: replay re-stamps every
-// recovered entry with the replay-time instant, so a gate stamped before
-// a slow (>1s) replay would classify recovered crash suspects as live
-// replication lag and never pull them.
+// arm sets the crash-evidence gate once recovery has finished, and wakes
+// the release path so updates it parked before get their first suspect
+// pass. On the colocated path it must run after receiver replay, not at
+// construction: replay re-stamps every recovered entry with the
+// replay-time instant, so a gate stamped before a slow (>1s) replay would
+// classify recovered crash suspects as live replication lag.
 func (h *payloadHealer) arm() {
 	h.pullBefore.Store(time.Now().Add(time.Second).UnixNano())
+	h.wake()
 }
 
-// apply implements receiver.ApplyFunc over the colocated partition group,
-// healing crash-suspect parks by pulling the payload from the origin (or
-// skipping the update when the origin reports it superseded).
+// apply applies u at its responsible partition, healing a crash suspect's
+// park by pulling the payload from the origin (or skipping the update
+// when the origin reports it superseded). It has the shape of
+// receiver.ApplyFunc.
 func (h *payloadHealer) apply(u *types.Update, metaArrived time.Time) bool {
 	n := h.n
 	pid := n.ring.Responsible(u.Key)
 	part := n.parts[pid]
-	if part.ApplyRemote(u, metaArrived) {
-		h.forget(u.ID())
-		return true
-	}
+	applied := part.ApplyRemote(u, metaArrived)
 	if metaArrived.UnixNano() >= h.pullBefore.Load() {
-		return false // live replication lag; the payload is still coming
+		return applied // not a suspect, so never tracked
 	}
 	id := u.ID()
+	if applied {
+		h.forget(id)
+		return true
+	}
 	h.mu.Lock()
 	if h.skips[id] {
 		delete(h.skips, id)
 		delete(h.lastPull, id)
 		h.mu.Unlock()
-		// The origin no longer stores this version: advance the applied
-		// watermark past it without storing. The superseding version is
-		// ordered after it and carries its own payload.
-		part.SkipRemote(u)
+		part.SkipRemote(u) // watermark advances, nothing stored
 		return true
 	}
+	// The first park only starts the clock — replication may still
+	// deliver; a pull goes out each retransmission interval after that.
 	now := time.Now()
 	last, seen := h.lastPull[id]
-	if !seen {
-		// First park: start the clock, pull only after a full
-		// retransmission interval — replication may still deliver.
-		h.lastPull[id] = now
-		h.mu.Unlock()
-		return false
+	pull := seen && now.Sub(last) >= releaseResendAfter
+	if !seen || pull {
+		h.lastPull[id], last = now, now
 	}
-	if now.Sub(last) < releaseResendAfter {
-		h.mu.Unlock()
-		return false
+	if due := last.Add(releaseResendAfter); h.due.IsZero() || due.Before(h.due) {
+		h.due = due
+		if h.timer == nil {
+			h.timer = time.AfterFunc(time.Until(due), h.fire)
+		} else {
+			h.timer.Reset(time.Until(due))
+		}
 	}
-	h.lastPull[id] = now
 	h.mu.Unlock()
-	n.fab.Send(fabric.ApplierAddr(n.id), fabric.PartitionAddr(u.Origin, pid),
-		PayloadPullMsg{Dest: n.id, U: u})
+	if pull {
+		n.fab.Send(fabric.ApplierAddr(n.id), fabric.PartitionAddr(u.Origin, pid),
+			PayloadPullMsg{Dest: n.id, U: u})
+	}
 	return false
+}
+
+// fire is the pull timer; the applies it wakes re-arm it.
+func (h *payloadHealer) fire() {
+	h.mu.Lock()
+	h.due = time.Time{}
+	h.mu.Unlock()
+	h.wake()
 }
 
 // forget drops an update's healing state once it resolves.
@@ -122,8 +141,7 @@ func (h *payloadHealer) forget(id types.UpdateID) {
 	h.mu.Unlock()
 }
 
-// handle is the fabric handler for the colocated node's applier address:
-// the origin's superseded verdicts land here (re-shipped payloads go to
+// handle takes the origin's superseded verdicts (re-shipped payloads go to
 // the partition address like any payload batch). A verdict for an update
 // no longer tracked is stale — the payload arrived and applied while the
 // verdict was in flight — and recording it would leak a skips entry
@@ -134,8 +152,12 @@ func (h *payloadHealer) handle(msg fabric.Message) {
 		return
 	}
 	h.mu.Lock()
-	if _, tracked := h.lastPull[sup.ID]; tracked {
+	_, tracked := h.lastPull[sup.ID]
+	if tracked {
 		h.skips[sup.ID] = true
 	}
 	h.mu.Unlock()
+	if tracked {
+		h.wake()
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"eunomia/internal/fabric"
 	"eunomia/internal/simnet"
 	"eunomia/internal/types"
+	"eunomia/internal/wal"
 )
 
 // TestColocatedRestartHealsPrunedPayloads reproduces the loss window the
@@ -94,5 +95,62 @@ func TestColocatedRestartHealsPrunedPayloads(t *testing.T) {
 	})
 	if v, _ := r2.Read("warm"); string(v) != "w" {
 		t.Fatalf("pre-crash state lost: warm=%q", v)
+	}
+}
+
+// TestSplitRestartHealsPrunedPayloads is the split-role twin of
+// TestColocatedRestartHealsPrunedPayloads: the partitions process
+// crashes with releases admitted at its applier whose payloads never
+// arrived and now exist only at the origin. The recovered applier must
+// pull them (PayloadPullMsg → re-ship) and skip the version the origin
+// has since overwritten (PayloadSupersededMsg).
+func TestSplitRestartHealsPrunedPayloads(t *testing.T) {
+	dir := t.TempDir()
+	s := newDurableSplitDC(t, dir)
+	cfg := Config{DCs: 2, Partitions: 2, Delay: func(from, to fabric.Addr) time.Duration { return 0 }}
+
+	// Healthy traffic first, then outlive the applier's crash-suspect
+	// gate: releases parked on live replication lag are never pulled.
+	writePairs(t, s, "warm-", 1)()
+	time.Sleep(1100 * time.Millisecond)
+
+	// Sever payload replication dc1→dc0; metadata and releases flow.
+	for p := 0; p < cfg.Partitions; p++ {
+		s.net.SetDrop(fabric.PartitionAddr(1, types.PartitionID(p)), fabric.PartitionAddr(0, types.PartitionID(p)), true)
+	}
+	c := s.origin.NewClient()
+	for _, w := range []struct{ key, val string }{{"lost-a", "v1"}, {"lost-a", "v2"}, {"lost-b", "payload-b"}} {
+		if err := c.Update(types.Key(w.key), []byte(w.val)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitUntil(t, 10*time.Second, "releases to park at the applier", func() bool {
+		return s.parts.ApplierPending() >= 3
+	})
+
+	// Kill the partitions process and restart it from its data dir, the
+	// payload link healthy again — but the payload copies are gone.
+	s.parts.CloseIngress()
+	s.parts.CloseServices()
+	for p := 0; p < cfg.Partitions; p++ {
+		s.net.SetDrop(fabric.PartitionAddr(1, types.PartitionID(p)), fabric.PartitionAddr(0, types.PartitionID(p)), false)
+	}
+	restarted, err := OpenNode(NodeConfig{Config: cfg, DC: 0, Roles: RolePartitions | RoleEunomia, Fabric: s.net, DataDir: dir, WALSync: wal.SyncEachAppend})
+	if err != nil {
+		t.Fatalf("split rejoin from %s: %v", dir, err)
+	}
+	s.parts = restarted
+
+	r := restarted.NewClient()
+	waitUntil(t, 20*time.Second, "pruned payloads to heal", func() bool {
+		a, _ := r.Read("lost-a")
+		b, _ := r.Read("lost-b")
+		return string(a) == "v2" && string(b) == "payload-b"
+	})
+	waitUntil(t, 10*time.Second, "applier queue to drain", func() bool {
+		return restarted.ApplierPending() == 0
+	})
+	if v, _ := r.Read("warm-data0"); string(v) != "payload0" {
+		t.Fatalf("pre-crash state lost: warm-data0=%q", v)
 	}
 }

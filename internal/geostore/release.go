@@ -21,7 +21,8 @@ package geostore
 //     for the retransmit pass; duplicates are re-acknowledged and dropped)
 //     and applies strictly in order. An update whose payload has not yet
 //     arrived parks the stream head — nothing causally after it may become
-//     visible anyway — and retries until payload replication catches up.
+//     visible anyway — until the payload lands at the partition, which
+//     wakes the applier to retry.
 //   - Acknowledgements are cumulative (ReleaseAckMsg carries the highest
 //     sequence applied and the highest durably recorded) and flow back
 //     asynchronously, pruning the window by the durable watermark. If
@@ -46,7 +47,6 @@ import (
 
 	"eunomia/internal/fabric"
 	"eunomia/internal/hlc"
-	"eunomia/internal/partition"
 	"eunomia/internal/types"
 	"eunomia/internal/wal"
 )
@@ -361,9 +361,18 @@ type applier struct {
 	// resumes mid-stream from it instead of forcing a wedge.
 	stream *wal.Store
 
-	mu   sync.Mutex
-	cond *sync.Cond
-	q    []ReleaseMsg // admitted, contiguous, awaiting apply
+	// healer wraps the head's apply with the payload pull/skip protocol.
+	// Its gate is armed only over a durable stream store: a volatile
+	// applier has no recovered predecessor whose crash could have lost a
+	// payload, so it parks until the payload arrives.
+	healer *payloadHealer
+	// wake (1-slot) rouses the worker, idle or parked: an admission, an
+	// epoch reset, a payload landing at a hosted partition, or a healer
+	// wake.
+	wake chan struct{}
+
+	mu sync.Mutex
+	q  []ReleaseMsg // admitted, contiguous, awaiting apply
 	// epoch is the sender incarnation the sequence state below belongs
 	// to; a new epoch (restarted receiver process) resets it.
 	epoch uint64
@@ -376,20 +385,6 @@ type applier struct {
 	// NeedReset + the durable watermark), not a drop.
 	fresh    bool
 	sinceAck int
-	// skips holds updates the origin reported superseded after a payload
-	// pull: their payloads died with a crashed predecessor and cannot be
-	// re-shipped, so the stream skips them instead of parking forever.
-	skips map[types.UpdateID]bool
-	// pullBefore gates the pull/skip machinery to crash evidence: only
-	// updates whose metadata reached the receiver before this instant
-	// (this durable incarnation's start, plus slack for metadata in
-	// flight at the crash) may have lost their payload to a dead
-	// predecessor. Later updates ship payloads to the live incarnation,
-	// so a long park is just replication lag — pulling could otherwise
-	// skip (and transiently hide) a slow update the moment its origin
-	// overwrites it. Zero for volatile appliers: pre-durability
-	// semantics, park until the payload arrives.
-	pullBefore int64
 	// lastResetAck rate-limits NeedReset replies during a retransmit
 	// burst aimed at a dead predecessor's stream position.
 	lastResetAck time.Time
@@ -414,9 +409,13 @@ type applier struct {
 // partition WALs first, so "durably applied" state is already in the
 // partitions when the stream position claims it).
 func newApplier(n *Node, stream *wal.Store) (*applier, error) {
-	a := &applier{node: n, from: fabric.ApplierAddr(n.id), stream: stream, fresh: true, stop: make(chan struct{})}
+	a := &applier{node: n, from: fabric.ApplierAddr(n.id), stream: stream, fresh: true,
+		wake: make(chan struct{}, 1), stop: make(chan struct{})}
+	a.healer = newPayloadHealer(n, a.kick)
 	if stream != nil {
-		a.pullBefore = time.Now().Add(time.Second).UnixNano()
+		// Releases the receiver logged before this incarnation started
+		// may carry payloads that died with the predecessor.
+		a.healer.arm()
 		err := stream.Replay(func(rec []byte) error {
 			epoch, seq, err := wal.DecodeStream(rec)
 			if err != nil {
@@ -432,7 +431,6 @@ func newApplier(n *Node, stream *wal.Store) (*applier, error) {
 		}
 		a.enq, a.applied = a.durable, a.durable
 	}
-	a.cond = sync.NewCond(&a.mu)
 	if stream != nil && stream.Policy() == wal.SyncGroupCommit {
 		a.durAsync = newDurTracker(a, n.partStores, stream)
 	}
@@ -483,19 +481,31 @@ func (a *applier) syncDurable(epoch, seq uint64) uint64 {
 	return d
 }
 
-// handle is the fabric handler for the applier endpoint.
-func (a *applier) handle(msg fabric.Message) {
-	if sup, ok := msg.Payload.(PayloadSupersededMsg); ok {
-		a.mu.Lock()
-		if a.skips == nil {
-			a.skips = make(map[types.UpdateID]bool)
-		}
-		a.skips[sup.ID] = true
-		a.mu.Unlock()
-		return
+// kick wakes the worker; kicks coalesce.
+func (a *applier) kick() {
+	select {
+	case a.wake <- struct{}{}:
+	default:
 	}
+}
+
+// ackLocked is the cumulative acknowledgement of the current stream
+// state (a.mu held). A volatile applier advertises its applies as
+// prunable: it has nothing a restart could resume from.
+func (a *applier) ackLocked() ReleaseAckMsg {
+	dur := a.durable
+	if a.stream == nil {
+		dur = a.applied
+	}
+	return ReleaseAckMsg{Epoch: a.epoch, Cum: a.applied, Durable: dur, Admitted: a.enq}
+}
+
+// handle is the fabric handler for the applier endpoint: the release
+// stream, and the origin's superseded verdicts for the healer.
+func (a *applier) handle(msg fabric.Message) {
 	m, ok := msg.Payload.(ReleaseMsg)
 	if !ok {
+		a.healer.handle(msg)
 		return
 	}
 	a.mu.Lock()
@@ -524,6 +534,7 @@ func (a *applier) handle(msg fabric.Message) {
 			// successor's.
 			a.durAsync.reset()
 		}
+		a.kick() // a worker parked on the abandoned head moves on
 	}
 	switch {
 	case m.Seq <= a.enq:
@@ -535,12 +546,9 @@ func (a *applier) handle(msg fabric.Message) {
 			a.mu.Unlock()
 			return
 		}
-		cum, dur, adm, ep := a.applied, a.durable, a.enq, a.epoch
-		if a.stream == nil {
-			dur = cum
-		}
+		ack := a.ackLocked()
 		a.mu.Unlock()
-		a.node.fab.Send(a.from, msg.From, ReleaseAckMsg{Epoch: ep, Cum: cum, Durable: dur, Admitted: adm})
+		a.node.fab.Send(a.from, msg.From, ack)
 		return
 	case m.Seq != a.enq+1:
 		// Gap: something before it was dropped. The sender retransmits
@@ -552,9 +560,10 @@ func (a *applier) handle(msg fabric.Message) {
 		// pruned past it (the predecessor ran without durable state).
 		if a.fresh && time.Since(a.lastResetAck) >= time.Second {
 			a.lastResetAck = time.Now()
-			cum, dur, adm, ep := a.applied, a.durable, a.enq, a.epoch
+			ack := a.ackLocked()
+			ack.NeedReset = true
 			a.mu.Unlock()
-			a.node.fab.Send(a.from, msg.From, ReleaseAckMsg{Epoch: ep, Cum: cum, Durable: dur, Admitted: adm, NeedReset: true})
+			a.node.fab.Send(a.from, msg.From, ack)
 			return
 		}
 		a.mu.Unlock()
@@ -563,8 +572,8 @@ func (a *applier) handle(msg fabric.Message) {
 	a.enq = m.Seq
 	a.fresh = false
 	a.q = append(a.q, m)
-	a.cond.Signal()
 	a.mu.Unlock()
+	a.kick()
 }
 
 // run applies admitted releases in order, parking on a missing payload
@@ -575,12 +584,18 @@ func (a *applier) run() {
 	n := a.node
 	for {
 		a.mu.Lock()
-		for len(a.q) == 0 && !a.closed {
-			a.cond.Wait()
-		}
 		if a.closed {
 			a.mu.Unlock()
 			return
+		}
+		if len(a.q) == 0 {
+			a.mu.Unlock()
+			select {
+			case <-a.stop:
+				return
+			case <-a.wake:
+			}
+			continue
 		}
 		head := a.q[0]
 		// Gather the contiguous run behind head addressed to the same
@@ -600,23 +615,21 @@ func (a *applier) run() {
 		}
 		a.mu.Unlock()
 
-		part := n.parts[pid]
 		applied := 0
 		if len(a.batchUs) > 1 {
-			applied = part.ApplyRemoteBatch(a.batchUs, a.batchAt)
+			applied = n.parts[pid].ApplyRemoteBatch(a.batchUs, a.batchAt)
 		}
 		if applied == 0 {
 			// Head could not apply cleanly (or the run was a single
-			// release): fall back to the single-head park machinery, which
-			// owns the payload pull/skip protocol.
-			applied = a.applyHead(head, part)
-			if applied < 0 {
+			// release): fall back to the single-head park, which runs the
+			// payload pull/skip protocol.
+			if !a.applyHead(head) {
 				return // closed while parked
 			}
+			applied = 1
 		}
 
 		a.mu.Lock()
-		delete(a.skips, head.U.ID()) // consumed or moot once head resolves
 		if len(a.q) == 0 || a.q[0] != head {
 			// The queue was reset (new sender epoch) while this entry was
 			// being applied; its bookkeeping died with the old epoch.
@@ -658,81 +671,50 @@ func (a *applier) run() {
 	}
 }
 
-// applyHead applies one release through the parking path: waiting out a
-// missing payload, heartbeating admission meanwhile, and running the
-// payload pull/skip protocol for crash-suspect updates. Returns 1 when the
-// head resolved (applied, skipped, or the queue was reset under it) and -1
-// when the applier closed while parked.
-func (a *applier) applyHead(head ReleaseMsg, part *partition.Partition) int {
-	n := a.node
-	// crashSuspect: released before this durable incarnation started,
-	// so its payload may have died with the predecessor (see
-	// pullBefore). Only such updates may be pulled or skipped.
-	crashSuspect := head.ArrivedUnixNano < a.pullBefore
-	var parked, sincePull time.Duration
-	for !part.ApplyRemote(head.U, time.Unix(0, head.ArrivedUnixNano)) {
-		// Payload not here yet. In-order release means nothing behind
-		// this update may become visible first, so wait for the
-		// payload replication stream to catch up — heartbeating the
-		// admission watermark meanwhile, so the sender knows the
-		// stream is intact and does not retransmit it.
-		a.mu.Lock()
-		skipped := crashSuspect && a.skips[head.U.ID()]
-		if skipped {
-			delete(a.skips, head.U.ID())
+// applyHead applies the stream head through the payload healer. While
+// the payload is missing it parks — in-order release means nothing behind
+// the head may become visible first — until a wake says the apply may
+// now succeed: the payload landed at the partition, the healer has news,
+// or an epoch reset replaced the queue. Meanwhile a timer heartbeats the
+// admission watermark, so the sender knows the stream is intact and does
+// not retransmit it. Reports false when the applier closed while parked.
+func (a *applier) applyHead(head ReleaseMsg) bool {
+	at := time.Unix(0, head.ArrivedUnixNano)
+	var beat *time.Ticker
+	for !a.healer.apply(head.U, at) {
+		if beat == nil {
+			beat = time.NewTicker(releaseResendAfter / 2)
+			defer beat.Stop()
 		}
-		a.mu.Unlock()
-		if skipped {
-			// The origin no longer stores this version: its payload
-			// died with a crashed predecessor and the superseding
-			// version follows in the stream. Advance past it.
-			part.SkipRemote(head.U)
-			break
-		}
-		if a.sleep(n.cfg.CheckInterval) {
-			return -1
+		if !a.park(beat.C) {
+			return false
 		}
 		a.mu.Lock()
 		stale := len(a.q) == 0 || a.q[0] != head
-		cum, dur, adm, ep := a.applied, a.durable, a.enq, a.epoch
-		if a.stream == nil {
-			dur = cum
-		}
 		a.mu.Unlock()
 		if stale {
-			break // epoch reset replaced the queue under us
-		}
-		if parked += n.cfg.CheckInterval; parked >= releaseResendAfter/2 {
-			parked = 0
-			n.fab.Send(a.from, fabric.ReceiverAddr(n.id), ReleaseAckMsg{Epoch: ep, Cum: cum, Durable: dur, Admitted: adm})
-		}
-		if sincePull += n.cfg.CheckInterval; crashSuspect && sincePull >= releaseResendAfter {
-			// Parked well past any sane replication lag on an update
-			// released before this incarnation recovered: its payload
-			// may have died with the crashed predecessor (the shipper
-			// pruned it on transport acknowledgement). Ask the origin
-			// to re-ship the exact version.
-			sincePull = 0
-			n.fab.Send(a.from, fabric.PartitionAddr(head.U.Origin, n.ring.Responsible(head.U.Key)),
-				PayloadPullMsg{Dest: n.id, U: head.U})
+			a.healer.forget(head.U.ID()) // its successor re-releases it if needed
+			break
 		}
 	}
-	return 1
+	return true
 }
 
-// sleep pauses for d (at least 1ms) and reports whether the applier was
-// closed meanwhile.
-func (a *applier) sleep(d time.Duration) bool {
-	if d <= 0 {
-		d = time.Millisecond
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return false
-	case <-a.stop:
-		return true
+// park waits for a wake, sending the admission heartbeat on each beat.
+// Reports false when the applier closed.
+func (a *applier) park(beat <-chan time.Time) bool {
+	for {
+		select {
+		case <-a.stop:
+			return false
+		case <-a.wake:
+			return true
+		case <-beat:
+			a.mu.Lock()
+			ack := a.ackLocked()
+			a.mu.Unlock()
+			a.node.fab.Send(a.from, fabric.ReceiverAddr(a.node.id), ack)
+		}
 	}
 }
 
@@ -758,7 +740,6 @@ func (a *applier) close() {
 	if !a.closed {
 		a.closed = true
 		close(a.stop)
-		a.cond.Broadcast()
 	}
 	a.mu.Unlock()
 }

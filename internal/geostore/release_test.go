@@ -296,3 +296,101 @@ func TestWindowedReleaseAsymmetricAckLoss(t *testing.T) {
 		t.Fatalf("dc0 applied %d remote updates post-heal, want exactly %d", got, 2*(pairs+3))
 	}
 }
+
+// TestSplitParkedApplierIsNotPolled: a split-role applier parked on a
+// missing payload waits for the payload instead of polling for it. Every
+// dc1→dc0 payload is held 300ms while metadata and releases cross at
+// once, so the release parks at the applier for about that long. The
+// responsible partition's PayloadWait may rise by a handful (the first
+// attempt and any retry another wake causes), not once per poll, and
+// the payload's arrival must make the update visible within 50ms.
+func TestSplitParkedApplierIsNotPolled(t *testing.T) {
+	const hold = 300 * time.Millisecond
+	cfg := Config{DCs: 2, Partitions: 2}
+	held := func(from, to fabric.Addr) bool {
+		for p := 0; p < cfg.Partitions; p++ {
+			if from == fabric.PartitionAddr(1, types.PartitionID(p)) && to == fabric.PartitionAddr(0, types.PartitionID(p)) {
+				return true
+			}
+		}
+		return false
+	}
+	type seen struct{ arrived, visible time.Time }
+	visible := make(chan seen, 1)
+	cfg.OnVisible = func(dest types.DCID, u *types.Update, arrived time.Time) {
+		if dest == 0 && u.Key == "parked" {
+			visible <- seen{arrived, time.Now()}
+		}
+	}
+	net := simnet.New(func(from, to fabric.Addr) time.Duration {
+		if held(from, to) {
+			return hold
+		}
+		return 0
+	})
+	s := &splitDC{
+		net:    net,
+		parts:  NewNode(NodeConfig{Config: cfg, DC: 0, Roles: RolePartitions | RoleEunomia, Fabric: net}),
+		recv:   NewNode(NodeConfig{Config: cfg, DC: 0, Roles: RoleReceiver, Fabric: net}),
+		origin: NewNode(NodeConfig{Config: cfg, DC: 1, Roles: RoleAll, Fabric: net}),
+	}
+	t.Cleanup(s.close)
+	writePairs(t, s, "warm-", 1)()
+
+	part := s.parts.Partition(s.parts.ring.Responsible("parked"))
+	before := part.PayloadWait.Load()
+	if err := s.origin.NewClient().Update("parked", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	var got seen
+	select {
+	case got = <-visible:
+	case <-time.After(10 * time.Second):
+		t.Fatal("parked update never became visible")
+	}
+	waits := part.PayloadWait.Load() - before
+	if waits < 1 {
+		t.Fatal("the release never parked on its payload; the hold was not exercised")
+	}
+	if waits > 5 {
+		t.Fatalf("PayloadWait rose by %d over a %v park, want at most 5: the parked applier is polling", waits, hold)
+	}
+	lag := got.visible.Sub(got.arrived)
+	if lag > 50*time.Millisecond {
+		t.Fatalf("update became visible %v after its payload arrived, want at most 50ms", lag)
+	}
+	t.Logf("PayloadWait +%d over the park; visible %v after the payload arrived", waits, lag)
+}
+
+// TestHealerKeepsOnlyTrackedVerdicts: a superseded verdict for an update
+// the healer is not pulling (its payload arrived and it applied while the
+// verdict was in flight) must leave no state behind, on the split-role
+// applier as on the colocated path; a verdict for a tracked update is
+// recorded and wakes the release path.
+func TestHealerKeepsOnlyTrackedVerdicts(t *testing.T) {
+	verdict := func(id types.UpdateID) fabric.Message {
+		return fabric.Message{From: fabric.PartitionAddr(1, 0), To: fabric.ApplierAddr(0), Payload: PayloadSupersededMsg{ID: id}}
+	}
+	s := newSplitDC(t, 0)
+	h := s.parts.app.healer
+	s.parts.app.handle(verdict(types.UpdateID{Origin: 1, TS: 10, Key: "late"}))
+	h.mu.Lock()
+	left := len(h.skips) + len(h.lastPull)
+	h.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("an untracked verdict left %d healer entries, want 0", left)
+	}
+
+	wakes := 0
+	h = newPayloadHealer(s.parts, func() { wakes++ })
+	parked := types.UpdateID{Origin: 1, TS: 20, Key: "parked"}
+	h.lastPull[parked] = time.Now() // a crash suspect the healer is pulling
+	h.handle(verdict(parked))
+	if !h.skips[parked] || wakes != 1 {
+		t.Fatalf("tracked verdict: recorded=%v wakes=%d, want true and 1", h.skips[parked], wakes)
+	}
+	h.forget(parked)
+	if left := len(h.skips) + len(h.lastPull); left != 0 {
+		t.Fatalf("forget left %d healer entries, want 0", left)
+	}
+}

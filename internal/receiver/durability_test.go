@@ -11,7 +11,7 @@ import (
 // recoverRecv builds a durable receiver over dir with the given sink.
 func recoverRecv(t *testing.T, dir string, sink *applySink) *Receiver {
 	t.Helper()
-	r, err := Recover(Config{DC: 0, DCs: 3, CheckInterval: time.Hour, Apply: sink.apply}, dir, wal.SyncOnFlush)
+	r, err := Recover(Config{DC: 0, DCs: 3, Apply: sink.apply}, dir, wal.SyncOnFlush)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +42,11 @@ func TestRecoverRebuildsQueuesAndSiteTime(t *testing.T) {
 	}
 	r.Close() // flushes and closes the store
 
-	// Crash and recover: u2 and u3 must re-release, u1 must not.
+	// Crash and recover: u2 and u3 must re-release, u1 must not. The
+	// recovered receiver releases its queue at once; refusing u2 holds
+	// the recovered state still for inspection.
 	sink2 := newApplySink()
+	sink2.setRefuse(u2.ID(), true)
 	r2 := recoverRecv(t, dir, sink2)
 	defer r2.Close()
 	if got := r2.SiteTimeEntry(1); got != 10 {
@@ -52,6 +55,7 @@ func TestRecoverRebuildsQueuesAndSiteTime(t *testing.T) {
 	if got := r2.QueueLen(1); got != 2 {
 		t.Fatalf("recovered queue holds %d entries, want 2 (u2, u3)", got)
 	}
+	sink2.setRefuse(u2.ID(), false)
 	r2.Flush()
 	applied := sink2.snapshot()
 	if len(applied) != 2 || applied[0].Key != "b" || applied[1].Key != "c" {
@@ -78,6 +82,7 @@ func TestRecoverDropsDuplicateShipments(t *testing.T) {
 	r.Close()
 
 	sink2 := newApplySink()
+	sink2.setRefuse(u.ID(), true) // keep the recovered entry queued
 	r2 := recoverRecv(t, dir, sink2)
 	defer r2.Close()
 	r2.Enqueue(1, []*types.Update{u}) // the retransmitted shipment
@@ -114,6 +119,7 @@ func TestReceiverSnapshotCompaction(t *testing.T) {
 	r.Close()
 
 	sink2 := newApplySink()
+	sink2.setRefuse(updates[25].ID(), true) // hold the recovered queue for inspection
 	r2 := recoverRecv(t, dir, sink2)
 	defer r2.Close()
 	if got := r2.SiteTimeEntry(1); got != 250 {
@@ -122,8 +128,33 @@ func TestReceiverSnapshotCompaction(t *testing.T) {
 	if got := r2.QueueLen(1); got != 25 {
 		t.Fatalf("recovered queue holds %d entries, want the 25 undurable ones", got)
 	}
+	sink2.setRefuse(updates[25].ID(), false)
 	r2.Flush()
 	if got := len(sink2.snapshot()); got != 25 {
 		t.Fatalf("recovered receiver re-applied %d, want 25", got)
+	}
+}
+
+// TestRecoverReleasesRestoredQueue: with no ticker to fall back on, a
+// recovered receiver must release the entries replay restored on its
+// own, without waiting for a new shipment to wake it.
+func TestRecoverReleasesRestoredQueue(t *testing.T) {
+	dir := t.TempDir()
+	sink := newApplySink()
+	u := ru(1, "x", 0, 10, 0)
+	sink.setRefuse(u.ID(), true)
+	r := recoverRecv(t, dir, sink)
+	r.Enqueue(1, []*types.Update{u})
+	r.Close()
+
+	sink2 := newApplySink()
+	r2 := recoverRecv(t, dir, sink2)
+	defer r2.Close()
+	deadline := time.Now().Add(time.Second)
+	for r2.SiteTimeEntry(1) != 10 {
+		if time.Now().After(deadline) {
+			t.Fatalf("recovered entry not released within 1s (queue %d, applied %d)", r2.QueueLen(1), len(sink2.snapshot()))
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -29,20 +29,16 @@ import (
 
 // ApplyFunc routes a released update to the responsible local partition.
 // It returns false when the update cannot be executed yet (its payload has
-// not arrived, §5); the receiver then retries on its next pass without
-// advancing SiteTime.
+// not arrived, §5); the receiver keeps it queued without advancing
+// SiteTime, and whoever can tell the update is ready to retry — the
+// payload's arrival, a healing verdict — calls Kick.
 type ApplyFunc func(u *types.Update, metaArrived time.Time) bool
 
 // Config parameterises a receiver.
 type Config struct {
-	DC  types.DCID // m, the local datacenter
-	DCs int        // M
-	// CheckInterval is ρ, the period of the fallback CHECK_PENDING
-	// round. The loop also runs as soon as Enqueue accepts updates or
-	// Kick reports a parked payload's arrival; ρ bounds only the retry
-	// of releases nothing kicks. Default 1ms.
-	CheckInterval time.Duration
-	Apply         ApplyFunc
+	DC    types.DCID // m, the local datacenter
+	DCs   int        // M
+	Apply ApplyFunc
 }
 
 // Receiver coordinates remote update execution for one datacenter.
@@ -128,9 +124,6 @@ func build(cfg Config, st *wal.Store) (*Receiver, error) {
 	if cfg.Apply == nil {
 		panic("receiver: Config.Apply is required")
 	}
-	if cfg.CheckInterval <= 0 {
-		cfg.CheckInterval = time.Millisecond
-	}
 	r := &Receiver{
 		cfg:      cfg,
 		queues:   make([][]entry, cfg.DCs),
@@ -206,6 +199,9 @@ func (r *Receiver) replay() error {
 		if drop > 0 {
 			r.queues[k] = append([]entry(nil), q[drop:]...)
 		}
+		if len(r.queues[k]) > 0 {
+			r.Kick() // release what recovery restored without waiting for an arrival
+		}
 		// SiteTime restarts at the durable watermark: anything above it
 		// re-releases, and the partitions' own durable watermarks make
 		// the re-application idempotent.
@@ -273,13 +269,15 @@ func (r *Receiver) Enqueue(k types.DCID, batch []*types.Update) {
 		}
 	}
 	if enqueued {
-		r.Kick() // release now, not at the next ρ tick
+		r.Kick()
 	}
 }
 
-// Kick wakes the CHECK_PENDING loop now instead of at the next ρ tick.
-// Enqueue kicks itself; a colocated deployment kicks when a payload that
-// a parked release waits for arrives at a partition. Kicks coalesce.
+// Kick wakes the CHECK_PENDING loop, which otherwise sleeps: the paper's
+// ρ-periodic round is replaced by wakes from whatever can unblock a
+// release. Enqueue kicks itself; a colocated deployment kicks when a
+// payload that a parked release waits for arrives at a partition, and
+// when payload healing has news. Kicks coalesce.
 func (r *Receiver) Kick() {
 	select {
 	case r.wake <- struct{}{}:
@@ -351,7 +349,7 @@ func (r *Receiver) Flush() {
 				// Apply outside the lock: the partition may take its own
 				// locks and fire visibility callbacks.
 				if !r.cfg.Apply(head.u, head.arrived) {
-					break // payload not yet here; retry next pass
+					break // payload not yet here; retried on the next Kick
 				}
 
 				r.mu.Lock()
@@ -540,19 +538,16 @@ func (r *Receiver) Close() {
 	}
 }
 
-// loop is the CHECK_PENDING driver: it resolves dependencies as soon as
-// updates arrive or a parked payload lands, and every ρ as the retry
-// fallback.
+// loop is the CHECK_PENDING driver: it resolves dependencies each time
+// Kick reports new work — updates arrived or a parked release may
+// proceed — and never polls.
 func (r *Receiver) loop() {
 	defer r.wg.Done()
-	ticker := time.NewTicker(r.cfg.CheckInterval)
-	defer ticker.Stop()
 	for {
 		select {
 		case <-r.stop:
 			return
 		case <-r.wake:
-		case <-ticker.C:
 		}
 		r.Flush()
 	}

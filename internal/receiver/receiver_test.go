@@ -58,7 +58,7 @@ func ru(origin types.DCID, key types.Key, vts ...uint64) *types.Update {
 }
 
 func newRecv(apply ApplyFunc) *Receiver {
-	return New(Config{DC: 0, DCs: 3, CheckInterval: time.Hour, Apply: apply})
+	return New(Config{DC: 0, DCs: 3, Apply: apply})
 }
 
 func TestInOrderApplyNoDeps(t *testing.T) {
@@ -198,20 +198,6 @@ func TestCascadingRelease(t *testing.T) {
 	}
 }
 
-func TestPeriodicLoopFlushes(t *testing.T) {
-	sink := newApplySink()
-	r := New(Config{DC: 0, DCs: 2, CheckInterval: time.Millisecond, Apply: sink.apply})
-	defer r.Close()
-	r.Enqueue(1, []*types.Update{ru(1, "x", 0, 10)})
-	deadline := time.Now().Add(time.Second)
-	for len(sink.snapshot()) == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if len(sink.snapshot()) != 1 {
-		t.Fatal("loop did not flush")
-	}
-}
-
 func TestSiteTimeSnapshot(t *testing.T) {
 	sink := newApplySink()
 	r := newRecv(sink.apply)
@@ -238,7 +224,7 @@ func TestApplyRequired(t *testing.T) {
 }
 
 // TestEnqueueReleasesWithoutWaitingForTheTick: arrivals wake the release
-// loop, so with ρ at an hour an enqueued update still applies at once, and
+// loop, so an enqueued update applies at once without any Flush call, and
 // a SiteTime advance closes the channel a visibility wait parks on.
 func TestEnqueueReleasesWithoutWaitingForTheTick(t *testing.T) {
 	sink := newApplySink()
@@ -255,7 +241,7 @@ func TestEnqueueReleasesWithoutWaitingForTheTick(t *testing.T) {
 		t.Fatalf("SiteTime[1] = %v, applied %d; want 10 and 1", r.SiteTimeEntry(1), len(sink.snapshot()))
 	}
 
-	// A parked release retries when kicked, not at the next tick.
+	// A parked release retries when kicked.
 	u := ru(1, "late", 0, 20, 0)
 	sink.setRefuse(u.ID(), true)
 	r.Enqueue(1, []*types.Update{u})
@@ -267,5 +253,32 @@ func TestEnqueueReleasesWithoutWaitingForTheTick(t *testing.T) {
 	case <-advanced:
 	case <-time.After(time.Second):
 		t.Fatal("Kick did not retry the parked release")
+	}
+}
+
+// TestParkedReleaseIsNotPolled: a release whose Apply refuses stays
+// parked until something kicks the loop. Nothing retries it on a timer,
+// so over 100ms without a kick Apply runs exactly once — the pass the
+// enqueue itself woke.
+func TestParkedReleaseIsNotPolled(t *testing.T) {
+	var mu sync.Mutex
+	calls := 0
+	r := New(Config{DC: 0, DCs: 2, Apply: func(*types.Update, time.Time) bool {
+		mu.Lock()
+		calls++
+		mu.Unlock()
+		return false
+	}})
+	defer r.Close()
+	r.Enqueue(1, []*types.Update{ru(1, "parked", 0, 10)})
+	time.Sleep(100 * time.Millisecond)
+	mu.Lock()
+	got := calls
+	mu.Unlock()
+	if got != 1 {
+		t.Fatalf("Apply ran %d times over 100ms with no kick, want exactly 1", got)
+	}
+	if r.QueueLen(1) != 1 || r.SiteTimeEntry(1) != 0 {
+		t.Fatalf("refused release left queue %d, SiteTime[1] %v; want 1 and 0", r.QueueLen(1), r.SiteTimeEntry(1))
 	}
 }

@@ -54,9 +54,7 @@ type StoreConfig struct {
 	ChainReplicas int
 	// ShipInterval batches inter-DC replication. Default 1ms.
 	ShipInterval time.Duration
-	// CheckInterval is the remote receiver's period. Default 1ms.
-	CheckInterval time.Duration
-	ClockFor      func(dc types.DCID, p types.PartitionID) hlc.PhysSource
+	ClockFor     func(dc types.DCID, p types.PartitionID) hlc.PhysSource
 	// OnVisible observes remote update visibility at a destination.
 	OnVisible func(dest types.DCID, u *types.Update, arrived time.Time)
 }
@@ -70,9 +68,6 @@ func (c *StoreConfig) fill() {
 	}
 	if c.ShipInterval <= 0 {
 		c.ShipInterval = time.Millisecond
-	}
-	if c.CheckInterval <= 0 {
-		c.CheckInterval = time.Millisecond
 	}
 	if c.Delay == nil {
 		c.Delay = simnet.LatencyMatrix(simnet.PaperRTTs(1), 0)
@@ -242,9 +237,8 @@ func NewNode(nc NodeConfig) *Node {
 		}
 		if cfg.DCs > 1 {
 			n.recv = receiver.New(receiver.Config{
-				DC:            m,
-				DCs:           cfg.DCs,
-				CheckInterval: cfg.CheckInterval,
+				DC:  m,
+				DCs: cfg.DCs,
 				Apply: func(u *types.Update, metaArrived time.Time) bool {
 					n.parts[n.ring.Responsible(u.Key)].applyRemote(u, metaArrived)
 					return true
