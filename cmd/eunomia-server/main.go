@@ -876,8 +876,8 @@ func runOrderer(fab *transport.TCP, dc, partitions, replicas int, stableIvl, sta
 		select {
 		case <-stop:
 			st := cluster.Replica(0).Stats()
-			log.Printf("shutting down: %d ops ordered, %d batches, %d heartbeats, stable=%v",
-				st.OpsShipped, st.Batches, st.Heartbeats, st.StableTime)
+			log.Printf("shutting down: %d ops ordered, %d batches, stable=%v",
+				st.OpsShipped, st.Batches, st.StableTime)
 			return
 		case <-ticker.C:
 			cur := shipped.Load()

@@ -24,8 +24,8 @@
 // The internal packages additionally implement every baseline the paper
 // evaluates against (synchronous and chain-replicated sequencers,
 // GentleRain, Cure, eventual consistency) and a benchmark harness that
-// regenerates every figure of the evaluation; see DESIGN.md and
-// EXPERIMENTS.md.
+// regenerates every figure of the evaluation; see DESIGN.md
+// "Evaluation", cmd/eunomia-bench and perfbench/README.md.
 package eunomia
 
 import (

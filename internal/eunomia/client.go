@@ -16,12 +16,9 @@ import (
 // it directly (intra-datacenter traffic); tests substitute flaky or
 // duplicating connections to exercise the at-least-once tolerance.
 type Conn interface {
-	NewBatch(p types.PartitionID, ops []*types.Update) (hlc.Timestamp, error)
-	// Heartbeat offers the stream's watermark ts, to be adopted only by
-	// a replica that already holds the stream up to base (see
-	// Replica.Heartbeat). It returns the acknowledged watermark, as
-	// NewBatch does.
-	Heartbeat(p types.PartitionID, base, ts hlc.Timestamp) (hlc.Timestamp, error)
+	// NewBatch offers one flush of the stream (see Replica.NewBatch)
+	// and returns the acknowledged watermark.
+	NewBatch(b types.PartitionBatch) (hlc.Timestamp, error)
 }
 
 // ClusterConns adapts a Cluster's replicas to the Conn slice a Client
@@ -61,9 +58,9 @@ type ClientConfig struct {
 	// replicas. An acknowledgement from any path then means the service
 	// itself holds the operation (an aggregator fronting a replica set
 	// acknowledges the minimum over all replicas), so the client prunes
-	// and heartbeats on the maximum watermark over paths instead of the
-	// minimum over live replicas; a crashed aggregator never stalls the
-	// stream as long as one path survives.
+	// on the maximum watermark over paths instead of the minimum over
+	// live replicas; a crashed aggregator never stalls the stream as
+	// long as one path survives.
 	RedundantPaths bool
 }
 
@@ -83,15 +80,19 @@ func (c *ClientConfig) fill() {
 // (Ack_n), and unacknowledged suffixes are resent each round, which
 // establishes the prefix property over at-least-once delivery.
 //
-// Every flush reports the stream's watermark (a heartbeat) right behind
-// the batch it ships, with a base: the last operation of that batch. A
-// replica adopts the mark only if it already holds the stream up to the
-// base, so a mark that overtakes a lost batch is refused instead of
-// masking it. The watermark never passes a timestamp that is issued but
-// not yet enqueued: Issue ticks and enqueues in one step under the
-// client's lock, and a timestamp taken with Reserve holds the stream
-// back — flushes ship only the operations below the oldest reservation
-// and promise at most one less than it — until Add enqueues it. So no
+// Every flush sends each replica one entry: the operations it has not
+// acknowledged, the stream's watermark (the mark; alone, a heartbeat),
+// and a base, the watermark that replica has acknowledged (0 when the
+// entry carries no operations). A replica holding the stream below the
+// base refuses the whole entry, so neither a batch nor a mark that
+// crosses a lost batch can mask it (a conn that trims what it already
+// streamed raises the base to match, see fabric.ReplicaConn).
+//
+// The watermark never passes a timestamp that is issued but not yet
+// enqueued: Issue ticks and enqueues in one step under the client's
+// lock, and a timestamp taken with Reserve holds the stream back —
+// flushes ship only the operations below the oldest reservation and
+// promise at most one less than it — until Add enqueues it. So no
 // operation can be filtered as a duplicate without having been ingested,
 // however long its producer is descheduled (see
 // TestClientHeartbeatNeverMasksOps and
@@ -238,7 +239,7 @@ func (c *Client) shippableLocked() int {
 	return sort.Search(len(c.pending), func(j int) bool { return c.pending[j].TS > oldest })
 }
 
-// watermarkLocked returns the timestamp a heartbeat may promise once the
+// watermarkLocked returns the timestamp a mark may promise once the
 // shippable prefix is held: just below the oldest reservation, or with
 // none outstanding the clock advanced to max(physical, last), which every
 // later issue exceeds.
@@ -301,9 +302,9 @@ func (c *Client) loop() {
 	}
 }
 
-// flush resends to each live replica the suffix of shippable operations it
-// has not acknowledged, followed by the stream's watermark, then prunes
-// fully acknowledged operations.
+// flush sends each live replica one entry: the suffix of shippable
+// operations it has not acknowledged, with the stream's watermark; then
+// it prunes fully acknowledged operations.
 func (c *Client) flush() {
 	c.flushes.inc()
 	if c.cfg.FireAndForget {
@@ -313,16 +314,12 @@ func (c *Client) flush() {
 	// The watermark is taken under the lock the issuing calls hold, with
 	// the snapshot: it lies below every outstanding reservation and every
 	// later issue, so every operation at or below it is in the snapshot,
-	// and a replica holding the snapshot's last operation (the base) holds
-	// them all (Algorithm 2 lines 10-12, without Δ).
+	// and a replica that ingests an entry holds them all (Algorithm 2
+	// lines 10-12, without Δ).
 	c.mu.Lock()
 	n := c.shippableLocked()
 	snapshot := c.pending[:n:n]
 	mark := c.watermarkLocked()
-	var base hlc.Timestamp
-	if n > 0 {
-		base = snapshot[n-1].TS
-	}
 	acked := append([]hlc.Timestamp(nil), c.acked...)
 	dead := append([]bool(nil), c.dead...)
 	c.mu.Unlock()
@@ -332,17 +329,13 @@ func (c *Client) flush() {
 		if dead[i] {
 			continue
 		}
-		// Suffix of operations with TS > acked[i].
-		start := sort.Search(len(snapshot), func(j int) bool { return snapshot[j].TS > acked[i] })
-		if start < len(snapshot) {
-			w, err := conn.NewBatch(c.cfg.Partition, snapshot[start:])
-			if err != nil {
-				dead[i] = true
-				continue
-			}
-			acked[i] = max(acked[i], w)
+		b := types.PartitionBatch{Partition: c.cfg.Partition, Mark: mark}
+		// Suffix of operations with TS > acked[i], over the base the
+		// replica has acknowledged holding.
+		if start := sort.Search(len(snapshot), func(j int) bool { return snapshot[j].TS > acked[i] }); start < len(snapshot) {
+			b.Base, b.Ops = acked[i], snapshot[start:]
 		}
-		w, err := conn.Heartbeat(c.cfg.Partition, base, mark)
+		w, err := conn.NewBatch(b)
 		if err != nil {
 			dead[i] = true
 			continue
@@ -395,24 +388,16 @@ func (c *Client) flush() {
 
 // flushFireAndForget is the Algorithm 3 (non-fault-tolerant) propagation
 // path: one send to one replica, no watermark bookkeeping, buffered
-// operations dropped as soon as the send returns. With nothing to send it
-// reports the watermark; nothing is unacknowledged, so the base is 0.
+// operations dropped as soon as the send returns. Nothing is
+// unacknowledged, so the base is 0.
 func (c *Client) flushFireAndForget() {
 	c.mu.Lock()
 	n := c.shippableLocked()
-	batch := c.pending[:n:n]
-	var hb hlc.Timestamp
+	b := types.PartitionBatch{Partition: c.cfg.Partition, Ops: c.pending[:n:n], Mark: c.watermarkLocked()}
 	if n > 0 {
 		c.pending = append([]*types.Update(nil), c.pending[n:]...)
 		c.notFull.Broadcast()
-	} else {
-		hb = c.watermarkLocked()
 	}
 	c.mu.Unlock()
-
-	if n > 0 {
-		_, _ = c.conns[0].NewBatch(c.cfg.Partition, batch) // service down: Algorithm 3 has no recovery
-		return
-	}
-	_, _ = c.conns[0].Heartbeat(c.cfg.Partition, 0, hb)
+	_, _ = c.conns[0].NewBatch(b) // service down: Algorithm 3 has no recovery
 }

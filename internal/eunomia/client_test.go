@@ -2,6 +2,7 @@ package eunomia
 
 import (
 	"errors"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -12,21 +13,24 @@ import (
 
 // fakeConn is a scriptable replica connection.
 type fakeConn struct {
-	mu         sync.Mutex
-	watermark  hlc.Timestamp
-	ops        []*types.Update
-	heartbeats []hlc.Timestamp
-	failN      int // fail the next N calls
-	failAll    bool
-	filtered   int // ops at or below the watermark when they arrived
-	masked     int // of those, ops never ingested before: lost to a mark
-	refused    int // marks whose base was not yet held
-	seen       map[hlc.Timestamp]bool
+	mu        sync.Mutex
+	watermark hlc.Timestamp
+	ops       []*types.Update
+	marks     []hlc.Timestamp
+	failN     int // fail the next N calls
+	failAll   bool
+	filtered  int // ops at or below the watermark when they arrived
+	masked    int // of those, ops never ingested before: lost over a gap
+	refused   int // entries whose base was not yet held
+	seen      map[hlc.Timestamp]bool
 }
 
 var errFake = errors.New("fake conn failure")
 
-func (f *fakeConn) NewBatch(_ types.PartitionID, ops []*types.Update) (hlc.Timestamp, error) {
+// NewBatch applies the replica's stream rule: an entry whose base is not
+// held is refused whole; otherwise fresh operations are ingested (resent
+// ones filtered) and the watermark rises to the mark.
+func (f *fakeConn) NewBatch(b types.PartitionBatch) (hlc.Timestamp, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.failAll || f.failN > 0 {
@@ -38,7 +42,12 @@ func (f *fakeConn) NewBatch(_ types.PartitionID, ops []*types.Update) (hlc.Times
 	if f.seen == nil {
 		f.seen = make(map[hlc.Timestamp]bool)
 	}
-	for _, u := range ops {
+	f.marks = append(f.marks, b.Mark)
+	if f.watermark < b.Base {
+		f.refused++
+		return f.watermark, nil
+	}
+	for _, u := range b.Ops {
 		if u.TS <= f.watermark {
 			f.filtered++
 			if !f.seen[u.TS] {
@@ -50,47 +59,36 @@ func (f *fakeConn) NewBatch(_ types.PartitionID, ops []*types.Update) (hlc.Times
 		f.seen[u.TS] = true
 		f.ops = append(f.ops, u)
 	}
+	f.watermark = max(f.watermark, b.Mark)
 	return f.watermark, nil
 }
 
-// Heartbeat adopts the mark only when the stream is held up to base, as
-// the real replica does.
-func (f *fakeConn) Heartbeat(_ types.PartitionID, base, ts hlc.Timestamp) (hlc.Timestamp, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.failAll {
-		return 0, errFake
-	}
-	f.heartbeats = append(f.heartbeats, ts)
-	switch {
-	case ts <= f.watermark:
-	case f.watermark < base:
-		f.refused++
-	default:
-		f.watermark = ts
-	}
-	return f.watermark, nil
-}
-
-// asyncConn is a pipelined link in front of a fakeConn: calls return the
-// last acknowledged watermark at once, and batches and marks reach the
-// fake in send order a few flush periods later. Every dropEvery-th batch
-// that carries an operation not sent before is lost on the way while the
-// mark behind it still arrives — the gap a replica must refuse to paper
-// over. Unlike fabric.ReplicaConn, it forwards every flush's whole
-// unacknowledged suffix, so it exercises marks over a gap, not a later
-// batch crossing one.
+// asyncConn is a pipelined link in front of a fakeConn that resends as
+// fabric.ReplicaConn does: calls return the last acknowledged watermark
+// at once; entries reach the fake in send order a few flush periods
+// later, trimmed of the operations already streamed over a base raised to
+// the streamed position; and only when acknowledgements stall for
+// asyncStallAfter does the whole unacknowledged suffix go out again.
+// Every dropEvery-th entry that carries an operation not sent before is
+// lost on the way, so the entries behind it — their batches and marks
+// alike — arrive above a gap the fake must refuse to paper over.
 type asyncConn struct {
 	inner     *fakeConn
 	dropEvery int
 	delay     time.Duration
 	line      chan asyncCall
 
-	mu    sync.Mutex
-	acked hlc.Timestamp
-	sent  hlc.Timestamp // highest timestamp ever offered
-	fresh int           // batches that carried something new
+	mu       sync.Mutex
+	acked    hlc.Timestamp
+	progress time.Time     // last acknowledged movement or resend
+	streamed hlc.Timestamp // trim position; reset to acked by a resend
+	sent     hlc.Timestamp // highest timestamp ever sent
+	fresh    int           // entries that carried something new
 }
+
+// asyncStallAfter is the asyncConn's stall timer: several times its
+// delivery delay, as fabric.ReplicaConn's is several RTTs.
+const asyncStallAfter = 20 * time.Millisecond
 
 type asyncCall struct {
 	due     time.Time
@@ -98,15 +96,17 @@ type asyncCall struct {
 }
 
 func newAsyncConn(inner *fakeConn, dropEvery int, delay time.Duration) *asyncConn {
-	// Sized above any test's flush count × two calls per flush, so a send
-	// never waits on the delivery goroutine.
+	// Sized above any test's flush count, so a send never waits on the
+	// delivery goroutine.
 	a := &asyncConn{inner: inner, dropEvery: dropEvery, delay: delay, line: make(chan asyncCall, 1<<16)}
 	go func() {
 		for call := range a.line {
 			time.Sleep(time.Until(call.due))
 			if w, err := call.deliver(); err == nil {
 				a.mu.Lock()
-				a.acked = max(a.acked, w)
+				if w > a.acked {
+					a.acked, a.progress = w, time.Now()
+				}
 				a.mu.Unlock()
 			}
 		}
@@ -114,32 +114,37 @@ func newAsyncConn(inner *fakeConn, dropEvery int, delay time.Duration) *asyncCon
 	return a
 }
 
-func (a *asyncConn) send(deliver func() (hlc.Timestamp, error)) hlc.Timestamp {
-	a.line <- asyncCall{due: time.Now().Add(a.delay), deliver: deliver}
+func (a *asyncConn) NewBatch(b types.PartitionBatch) (hlc.Timestamp, error) {
+	now := time.Now()
 	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.acked
-}
-
-func (a *asyncConn) NewBatch(p types.PartitionID, ops []*types.Update) (hlc.Timestamp, error) {
-	a.mu.Lock()
+	if a.streamed > a.acked {
+		if a.progress.IsZero() {
+			a.progress = now
+		} else if now.Sub(a.progress) > asyncStallAfter {
+			a.streamed, a.progress = a.acked, now
+		}
+	}
+	if start := sort.Search(len(b.Ops), func(i int) bool { return b.Ops[i].TS > a.streamed }); start > 0 {
+		b.Ops = b.Ops[start:]
+		b.Base = max(b.Base, a.streamed)
+	}
 	drop := false
-	if last := ops[len(ops)-1].TS; last > a.sent {
-		a.sent = last
-		a.fresh++
-		drop = a.fresh%a.dropEvery == 0
+	if n := len(b.Ops); n > 0 {
+		last := b.Ops[n-1].TS
+		a.streamed = max(a.streamed, last)
+		if last > a.sent {
+			a.sent = last
+			a.fresh++
+			drop = a.fresh%a.dropEvery == 0
+		}
 	}
 	w := a.acked
 	a.mu.Unlock()
-	if drop {
-		return w, nil
+	if !drop {
+		b.Ops = append([]*types.Update(nil), b.Ops...)
+		a.line <- asyncCall{due: now.Add(a.delay), deliver: func() (hlc.Timestamp, error) { return a.inner.NewBatch(b) }}
 	}
-	ops = append([]*types.Update(nil), ops...)
-	return a.send(func() (hlc.Timestamp, error) { return a.inner.NewBatch(p, ops) }), nil
-}
-
-func (a *asyncConn) Heartbeat(p types.PartitionID, base, ts hlc.Timestamp) (hlc.Timestamp, error) {
-	return a.send(func() (hlc.Timestamp, error) { return a.inner.Heartbeat(p, base, ts) }), nil
+	return w, nil
 }
 
 func (a *asyncConn) close() { close(a.line) }
@@ -150,10 +155,10 @@ func (f *fakeConn) opCount() int {
 	return len(f.ops)
 }
 
-func (f *fakeConn) hbCount() int {
+func (f *fakeConn) markCount() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return len(f.heartbeats)
+	return len(f.marks)
 }
 
 func (f *fakeConn) opTimestamps() []hlc.Timestamp {
@@ -224,16 +229,16 @@ func TestClientHeartbeatWhenIdle(t *testing.T) {
 	cl := newTestClient([]Conn{a}, ClientConfig{Partition: 0, BatchInterval: time.Millisecond})
 	defer cl.Close()
 	cl.Issue(0, up(0, 1, 0)) // something was issued once
-	waitFor(t, time.Second, func() bool { return a.hbCount() >= 3 })
-	// Heartbeats must be increasing.
+	waitFor(t, time.Second, func() bool { return a.markCount() >= 3 })
+	// Marks must be increasing.
 	hbs := func() []hlc.Timestamp {
 		a.mu.Lock()
 		defer a.mu.Unlock()
-		return append([]hlc.Timestamp(nil), a.heartbeats...)
+		return append([]hlc.Timestamp(nil), a.marks...)
 	}()
 	for i := 1; i < len(hbs); i++ {
 		if hbs[i] <= hbs[i-1] {
-			t.Fatal("heartbeats not strictly increasing")
+			t.Fatal("marks not strictly increasing")
 		}
 	}
 }
@@ -246,9 +251,10 @@ func TestClientHeartbeatWhenIdle(t *testing.T) {
 // across flushes: every flush heartbeats (there is no Δ), so only the
 // watermark rule — heartbeat below the oldest reservation, ship only the
 // prefix under it — keeps every operation. The async variant adds a
-// pipelined link whose acknowledgements trail by several flushes and
-// which loses batches while the marks behind them arrive: only the base
-// check keeps those marks from masking the lost operations.
+// pipelined link whose acknowledgements trail by several flushes, which
+// sends each operation once until its stall timer fires, and which loses
+// entries while the ones behind them arrive: only the base check keeps
+// those later batches and marks from masking the lost operations.
 func TestClientHeartbeatNeverMasksOps(t *testing.T) {
 	t.Run("sync", func(t *testing.T) {
 		a := &fakeConn{}
@@ -270,14 +276,14 @@ func TestClientHeartbeatNeverMasksOps(t *testing.T) {
 			t.Fatalf("%d operations were masked by a mark and never ingested", a.masked)
 		}
 		if a.refused == 0 {
-			t.Fatal("no mark was refused; the lossy link exercised nothing")
+			t.Fatal("no entry was refused; the lossy link exercised nothing")
 		}
 	})
 }
 
 // produceRacing drives four producers through conn and waits until a,
 // the fake behind it, has ingested every operation, in order, with
-// heartbeats.
+// marks.
 func produceRacing(t *testing.T, conn Conn, a *fakeConn) {
 	t.Helper()
 	cl := newTestClient([]Conn{conn}, ClientConfig{Partition: 0, BatchInterval: time.Millisecond})
@@ -306,8 +312,8 @@ func produceRacing(t *testing.T, conn Conn, a *fakeConn) {
 	wg.Wait()
 	waitFor(t, 5*time.Second, func() bool { return a.opCount() == producers*per })
 
-	if a.hbCount() == 0 {
-		t.Fatal("no heartbeats were sent; the test exercised nothing")
+	if a.markCount() == 0 {
+		t.Fatal("no marks were sent; the test exercised nothing")
 	}
 	ts := a.opTimestamps()
 	for i := 1; i < len(ts); i++ {

@@ -74,10 +74,10 @@ type ShipFunc func(from types.ReplicaID, ops []*types.Update)
 type Config struct {
 	// Partitions is N, the number of partition streams feeding the
 	// service. Stability requires every partition to have reported at
-	// least once (by update or heartbeat).
+	// least once.
 	Partitions int
 	// StableInterval is θ. The leader runs PROCESS_STABLE whenever a
-	// batch or heartbeat arrives; θ is the period of the fallback round
+	// stream's watermark moves; θ is the period of the fallback round
 	// that also announces the stable time to followers, and of the
 	// followers' leader-suspicion check. Default 1ms.
 	StableInterval time.Duration
@@ -112,9 +112,8 @@ func (c *Config) fill() {
 type Stats struct {
 	OpsReceived   int64 // fresh operations inserted
 	Duplicates    int64 // resent operations filtered by watermark
-	Batches       int64 // NewBatch calls (messages) received
-	Heartbeats    int64
-	MarksRefused  int64 // heartbeats refused: their base was not yet held
+	Batches       int64 // messages received that carried operations
+	MarksRefused  int64 // stream entries refused: their base was not yet held
 	OpsShipped    int64 // operations handed to ShipFunc (leader only)
 	Stabilization int64 // PROCESS_STABLE rounds executed as leader
 	Pending       int   // current pending-set size
@@ -145,7 +144,6 @@ type Replica struct {
 	opsReceived   metrics.Counter
 	duplicates    metrics.Counter
 	batches       metrics.Counter
-	heartbeats    metrics.Counter
 	marksRefused  metrics.Counter
 	opsShipped    metrics.Counter
 	stabilization metrics.Counter
@@ -218,35 +216,23 @@ func (c *Cluster) Leader() *Replica {
 // ID returns the replica's identifier.
 func (r *Replica) ID() types.ReplicaID { return r.id }
 
-// NewBatch ingests a batch of operations from partition p (Algorithm 4
-// lines 1-5). Operations must be in ascending timestamp order, as produced
-// by the partition. Already-seen operations (timestamp at or below the
-// partition watermark) are filtered, which makes the call idempotent and
-// tolerant of at-least-once delivery. It returns the acknowledgement
-// watermark: the largest timestamp this replica now holds from p.
-func (r *Replica) NewBatch(p types.PartitionID, ops []*types.Update) (hlc.Timestamp, error) {
+// NewBatch ingests one flush of partition b.Partition's stream (Algorithm
+// 4 lines 1-5, with Algorithm 3 line 5's heartbeat as b.Mark) under the
+// stream rule (see ingestLocked). It returns the acknowledgement
+// watermark: the largest timestamp this replica now holds from the
+// partition.
+func (r *Replica) NewBatch(b types.PartitionBatch) (hlc.Timestamp, error) {
 	if r.stopped.Load() {
 		return 0, ErrStopped
 	}
-	if !r.validPartition(p) {
+	if !r.validPartition(b.Partition) {
 		return 0, ErrUnknownPartition
 	}
-	clock.SpinFor(r.cfg.MessageCost)
-	r.batches.Inc()
-	r.mu.Lock()
-	w := r.partitionTime[p]
-	moved := false
-	for _, u := range ops {
-		if u.TS <= w {
-			r.duplicates.Inc()
-			continue
-		}
-		w = u.TS
-		moved = true
-		r.ops.Insert(ordered.Key{TS: u.TS, Partition: int32(u.Partition), Seq: u.Seq}, u)
-		r.opsReceived.Inc()
+	if len(b.Ops) > 0 {
+		r.charge()
 	}
-	r.partitionTime[p] = w
+	r.mu.Lock()
+	w, moved := r.ingestLocked(b)
 	r.mu.Unlock()
 	if moved {
 		r.poke()
@@ -254,18 +240,21 @@ func (r *Replica) NewBatch(p types.PartitionID, ops []*types.Update) (hlc.Timest
 	return w, nil
 }
 
-// NewMultiBatch ingests several partitions' batches in one message — the
-// §5 propagation-tree ingest path: a fan-in aggregator
-// (internal/fabric.Aggregator) merges its children's streams so the
-// replica pays one message receive for many streams. The per-stream
-// semantics are identical to NewBatch; the returned marks hold the
-// post-ingest watermark per partition, in batch order.
+// NewMultiBatch ingests a stream frame: many partitions' flushes in one
+// message, as a fan-in aggregator (internal/fabric.Aggregator) merges them
+// or a partition's conn sends one. Each entry follows the same rule as
+// NewBatch; the returned marks hold the post-ingest watermark per
+// partition, in entry order.
 func (r *Replica) NewMultiBatch(batches []types.PartitionBatch) ([]types.PartitionMark, error) {
 	if r.stopped.Load() {
 		return nil, ErrStopped
 	}
-	clock.SpinFor(r.cfg.MessageCost)
-	r.batches.Inc()
+	for _, sb := range batches {
+		if len(sb.Ops) > 0 {
+			r.charge()
+			break
+		}
+	}
 	acks := make([]types.PartitionMark, 0, len(batches))
 	moved := false
 	r.mu.Lock()
@@ -274,22 +263,11 @@ func (r *Replica) NewMultiBatch(batches []types.PartitionBatch) ([]types.Partiti
 			// A merged frame mixes many processes' streams; one
 			// misconfigured sender (disagreeing -partitions) must not
 			// poison the others. Skip its stream — no acknowledgement
-			// means it alone stalls, the same blast radius a direct
-			// conn's ErrUnknownPartition had.
+			// means it alone stalls.
 			continue
 		}
-		w := r.partitionTime[sb.Partition]
-		for _, u := range sb.Ops {
-			if u.TS <= w {
-				r.duplicates.Inc()
-				continue
-			}
-			w = u.TS
-			moved = true
-			r.ops.Insert(ordered.Key{TS: u.TS, Partition: int32(u.Partition), Seq: u.Seq}, u)
-			r.opsReceived.Inc()
-		}
-		r.partitionTime[sb.Partition] = w
+		w, m := r.ingestLocked(sb)
+		moved = moved || m
 		acks = append(acks, types.PartitionMark{Partition: sb.Partition, TS: w})
 	}
 	r.mu.Unlock()
@@ -299,46 +277,48 @@ func (r *Replica) NewMultiBatch(batches []types.PartitionBatch) ([]types.Partiti
 	return acks, nil
 }
 
+// charge accounts one message that carried operations: its emulated
+// receive cost, and the Batches counter.
+func (r *Replica) charge() {
+	clock.SpinFor(r.cfg.MessageCost)
+	r.batches.Inc()
+}
+
+// ingestLocked applies the stream rule to one entry and returns the
+// watermark held afterwards and whether it moved. A stream travels in
+// timestamp order over a FIFO link, and the sender's Base is a position
+// it knows was delivered unless a frame was lost. So a watermark below
+// Base means a lost batch lies below b.Ops: the whole entry is refused
+// (Stats.MarksRefused) and the sender's stall resend fills the gap.
+// Otherwise the operations above the watermark are ingested in order —
+// those at or below it are resent duplicates (at-least-once delivery) —
+// and the watermark rises to b.Mark, since the sender issues nothing at
+// or below it beyond b.Ops. Caller holds r.mu.
+func (r *Replica) ingestLocked(b types.PartitionBatch) (hlc.Timestamp, bool) {
+	held := r.partitionTime[b.Partition]
+	if held < b.Base {
+		r.marksRefused.Inc()
+		return held, false
+	}
+	w := held
+	for _, u := range b.Ops {
+		if u.TS <= w {
+			r.duplicates.Inc()
+			continue
+		}
+		w = u.TS
+		r.ops.Insert(ordered.Key{TS: u.TS, Partition: int32(u.Partition), Seq: u.Seq}, u)
+		r.opsReceived.Inc()
+	}
+	w = max(w, b.Mark)
+	r.partitionTime[b.Partition] = w
+	return w, w > held
+}
+
 // validPartition bounds-checks a fabric-delivered stream identifier; the
 // partition count is fixed at construction, so no lock is needed.
 func (r *Replica) validPartition(p types.PartitionID) bool {
 	return p >= 0 && int(p) < len(r.partitionTime)
-}
-
-// Heartbeat advances partition p's watermark to ts without carrying an
-// operation (Algorithm 3 line 5), provided the replica already holds the
-// stream up to base: the last operation the sender had shipped when it
-// took the mark (0 when it had nothing unacknowledged). A stream travels
-// in timestamp order over a FIFO conn, so PartitionTime ≥ base means
-// every operation up to base is here, and the sender issues nothing at or
-// below ts afterwards. A mark above a gap — a batch lost on the way — is
-// refused (Stats.MarksRefused) and the sender's resend fills the gap.
-// Stale marks are ignored. It returns the watermark the replica holds
-// afterwards, which is what the sender may treat as acknowledged.
-func (r *Replica) Heartbeat(p types.PartitionID, base, ts hlc.Timestamp) (hlc.Timestamp, error) {
-	if r.stopped.Load() {
-		return 0, ErrStopped
-	}
-	if !r.validPartition(p) {
-		return 0, ErrUnknownPartition
-	}
-	r.mu.Lock()
-	w := r.partitionTime[p]
-	refused := ts > w && w < base
-	moved := ts > w && !refused
-	if moved {
-		r.partitionTime[p] = ts
-		w = ts
-	}
-	r.mu.Unlock()
-	r.heartbeats.Inc()
-	if refused {
-		r.marksRefused.Inc()
-	}
-	if moved {
-		r.poke()
-	}
-	return w, nil
 }
 
 // poke wakes the stabilization loop after a partition watermark moved.
@@ -402,7 +382,6 @@ func (r *Replica) Stats() Stats {
 		OpsReceived:   r.opsReceived.Load(),
 		Duplicates:    r.duplicates.Load(),
 		Batches:       r.batches.Load(),
-		Heartbeats:    r.heartbeats.Load(),
 		MarksRefused:  r.marksRefused.Load(),
 		OpsShipped:    r.opsShipped.Load(),
 		Stabilization: r.stabilization.Load(),

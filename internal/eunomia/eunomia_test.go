@@ -57,10 +57,10 @@ func TestSingleReplicaOrdersAcrossPartitions(t *testing.T) {
 	r := c.Replica(0)
 
 	// Partition 0 has seen up to ts 30, partition 1 up to ts 25.
-	if _, err := r.NewBatch(0, []*types.Update{up(0, 1, 10), up(0, 2, 30)}); err != nil {
+	if _, err := r.NewBatch(types.PartitionBatch{Partition: 0, Ops: []*types.Update{up(0, 1, 10), up(0, 2, 30)}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.NewBatch(1, []*types.Update{up(1, 1, 5), up(1, 2, 25)}); err != nil {
+	if _, err := r.NewBatch(types.PartitionBatch{Partition: 1, Ops: []*types.Update{up(1, 1, 5), up(1, 2, 25)}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -77,8 +77,8 @@ func TestSingleReplicaOrdersAcrossPartitions(t *testing.T) {
 		t.Fatalf("pending = %d, want 1 (the ts-30 op)", st.Pending)
 	}
 
-	// A heartbeat from partition 1 releases the rest.
-	if _, err := r.Heartbeat(1, 25, 40); err != nil {
+	// A mark from partition 1 releases the rest.
+	if _, err := r.NewBatch(types.PartitionBatch{Partition: 1, Base: 25, Mark: 40}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, time.Second, func() bool { return sink.len() == 4 })
@@ -92,13 +92,13 @@ func TestNoStabilityUntilEveryPartitionReports(t *testing.T) {
 	c := NewCluster(1, Config{Partitions: 3, StableInterval: time.Millisecond}, sink.ship)
 	defer c.Stop()
 	r := c.Replica(0)
-	r.NewBatch(0, []*types.Update{up(0, 1, 10)})
-	r.NewBatch(1, []*types.Update{up(1, 1, 10)})
+	r.NewBatch(types.PartitionBatch{Partition: 0, Ops: []*types.Update{up(0, 1, 10)}})
+	r.NewBatch(types.PartitionBatch{Partition: 1, Ops: []*types.Update{up(1, 1, 10)}})
 	time.Sleep(20 * time.Millisecond)
 	if sink.len() != 0 {
 		t.Fatal("ops shipped before partition 2 ever reported — Property 2 basis violated")
 	}
-	r.Heartbeat(2, 0, 15)
+	r.NewBatch(types.PartitionBatch{Partition: 2, Mark: 15})
 	waitFor(t, time.Second, func() bool { return sink.len() == 2 })
 }
 
@@ -127,8 +127,8 @@ func TestMultiBatchSkipsUnknownPartitions(t *testing.T) {
 	if st := r.Stats(); st.OpsReceived != 2 {
 		t.Fatalf("received %d ops, want 2 (the unknown stream skipped)", st.OpsReceived)
 	}
-	if _, err := r.Heartbeat(99, 0, 30); err == nil {
-		t.Fatal("direct heartbeat for an unknown partition must error")
+	if _, err := r.NewBatch(types.PartitionBatch{Partition: 99, Mark: 30}); err == nil {
+		t.Fatal("a direct entry for an unknown partition must error")
 	}
 }
 
@@ -139,8 +139,8 @@ func TestBatchDeduplication(t *testing.T) {
 	r := c.Replica(0)
 
 	batch := []*types.Update{up(0, 1, 10), up(0, 2, 20)}
-	w1, _ := r.NewBatch(0, batch)
-	w2, _ := r.NewBatch(0, batch) // full resend (at-least-once)
+	w1, _ := r.NewBatch(types.PartitionBatch{Partition: 0, Ops: batch})
+	w2, _ := r.NewBatch(types.PartitionBatch{Partition: 0, Ops: batch}) // full resend (at-least-once)
 	if w1 != 20 || w2 != 20 {
 		t.Fatalf("watermarks = %v, %v; want 20, 20", w1, w2)
 	}
@@ -155,42 +155,44 @@ func TestStaleHeartbeatIgnored(t *testing.T) {
 	c := NewCluster(1, Config{Partitions: 1, StableInterval: time.Hour}, nil)
 	defer c.Stop()
 	r := c.Replica(0)
-	r.NewBatch(0, []*types.Update{up(0, 1, 100)})
-	if w, _ := r.Heartbeat(0, 0, 50); w != 100 { // stale
-		t.Fatalf("stale heartbeat answered %v, want the held 100", w)
+	r.NewBatch(types.PartitionBatch{Partition: 0, Ops: []*types.Update{up(0, 1, 100)}})
+	if w, _ := r.NewBatch(types.PartitionBatch{Partition: 0, Mark: 50}); w != 100 { // stale
+		t.Fatalf("stale mark answered %v, want the held 100", w)
 	}
-	if w, _ := r.NewBatch(0, nil); w != 100 {
-		t.Fatalf("watermark = %v after stale heartbeat, want 100", w)
+	if w, _ := r.NewBatch(types.PartitionBatch{Partition: 0}); w != 100 {
+		t.Fatalf("watermark = %v after stale mark, want 100", w)
 	}
 }
 
-// TestHeartbeatRequiresBase pins the mark rule: a replica adopts a
-// stream's watermark only when it already holds the stream up to the
-// mark's base, so a mark that overtook a lost batch cannot move the
+// TestHeartbeatRequiresBase pins the stream rule: a replica ingests an
+// entry only when it already holds the stream up to the entry's base, so
+// neither a mark nor a batch that overtook a lost batch can move the
 // watermark past the lost operations and turn their resend into
-// duplicates. The refusal answers with the watermark actually held.
+// duplicates. A refusal answers with the watermark actually held.
 func TestHeartbeatRequiresBase(t *testing.T) {
 	c := NewCluster(1, Config{Partitions: 1, StableInterval: time.Hour}, nil)
 	defer c.Stop()
 	r := c.Replica(0)
-	r.NewBatch(0, []*types.Update{up(0, 1, 10)})
+	r.NewBatch(types.PartitionBatch{Partition: 0, Ops: []*types.Update{up(0, 1, 10)}})
 
-	// The batch carrying ts 20 was lost; its mark arrives.
-	if w, err := r.Heartbeat(0, 20, 30); err != nil || w != 10 {
+	// The batch carrying ts 20 was lost; the next flush's mark arrives,
+	// then a batch streamed above it.
+	if w, err := r.NewBatch(types.PartitionBatch{Partition: 0, Base: 20, Mark: 30}); err != nil || w != 10 {
 		t.Fatalf("mark above a gap answered %v, %v; want the held 10", w, err)
 	}
-	if st := r.Stats(); st.MarksRefused != 1 {
-		t.Fatalf("MarksRefused = %d, want 1", st.MarksRefused)
+	if w, _ := r.NewBatch(types.PartitionBatch{Partition: 0, Base: 20, Ops: []*types.Update{up(0, 3, 35)}, Mark: 40}); w != 10 {
+		t.Fatalf("batch above a gap answered %v; want the held 10", w)
 	}
-	// The resend fills the gap and is ingested, not filtered.
-	if w, _ := r.NewBatch(0, []*types.Update{up(0, 2, 20)}); w != 20 {
-		t.Fatalf("resend acknowledged %v, want 20", w)
+	if st := r.Stats(); st.MarksRefused != 2 || st.OpsReceived != 1 {
+		t.Fatalf("refused %d, received %d; want 2 and 1", st.MarksRefused, st.OpsReceived)
 	}
-	if w, _ := r.Heartbeat(0, 20, 30); w != 30 {
-		t.Fatalf("covered mark answered %v, want 30", w)
+	// The stall resend of the unacknowledged suffix, over the
+	// acknowledged base, fills the gap and is ingested, not filtered.
+	if w, _ := r.NewBatch(types.PartitionBatch{Partition: 0, Base: 10, Ops: []*types.Update{up(0, 2, 20), up(0, 3, 35)}, Mark: 40}); w != 40 {
+		t.Fatalf("resend acknowledged %v, want 40", w)
 	}
-	if st := r.Stats(); st.OpsReceived != 2 || st.Duplicates != 0 || st.MarksRefused != 1 {
-		t.Fatalf("received=%d dups=%d refused=%d, want 2/0/1", st.OpsReceived, st.Duplicates, st.MarksRefused)
+	if st := r.Stats(); st.OpsReceived != 3 || st.Duplicates != 0 || st.MarksRefused != 2 {
+		t.Fatalf("received=%d dups=%d refused=%d, want 3/0/2", st.OpsReceived, st.Duplicates, st.MarksRefused)
 	}
 }
 
@@ -198,11 +200,11 @@ func TestStoppedReplicaRefuses(t *testing.T) {
 	c := NewCluster(1, Config{Partitions: 1}, nil)
 	r := c.Replica(0)
 	r.Stop()
-	if _, err := r.NewBatch(0, nil); err != ErrStopped {
+	if _, err := r.NewBatch(types.PartitionBatch{Partition: 0}); err != ErrStopped {
 		t.Fatalf("NewBatch after Stop: %v", err)
 	}
-	if _, err := r.Heartbeat(0, 0, 1); err != ErrStopped {
-		t.Fatalf("Heartbeat after Stop: %v", err)
+	if _, err := r.NewBatch(types.PartitionBatch{Partition: 0, Mark: 1}); err != ErrStopped {
+		t.Fatalf("mark after Stop: %v", err)
 	}
 	if err := r.Ping(); err != ErrStopped {
 		t.Fatalf("Ping after Stop: %v", err)
@@ -220,8 +222,8 @@ func TestFollowerPrunesOnStable(t *testing.T) {
 	defer c.Stop()
 	leader, follower := c.Replica(0), c.Replica(1)
 
-	leader.NewBatch(0, []*types.Update{up(0, 1, 10)})
-	follower.NewBatch(0, []*types.Update{up(0, 1, 10)})
+	leader.NewBatch(types.PartitionBatch{Partition: 0, Ops: []*types.Update{up(0, 1, 10)}})
+	follower.NewBatch(types.PartitionBatch{Partition: 0, Ops: []*types.Update{up(0, 1, 10)}})
 	waitFor(t, time.Second, func() bool { return sink.len() == 1 })
 	// The STABLE broadcast prunes the follower without it shipping.
 	waitFor(t, time.Second, func() bool { return follower.Stats().Pending == 0 })
@@ -237,14 +239,14 @@ func TestLeaderFailover(t *testing.T) {
 	defer c.Stop()
 
 	for _, r := range c.Replicas() {
-		r.NewBatch(0, []*types.Update{up(0, 1, 10)})
+		r.NewBatch(types.PartitionBatch{Partition: 0, Ops: []*types.Update{up(0, 1, 10)}})
 	}
 	waitFor(t, time.Second, func() bool { return sink.len() >= 1 })
 
 	// Crash the leader; replica 1 must take over and resume shipping.
 	c.Replica(0).Stop()
 	for _, r := range c.Replicas()[1:] {
-		r.NewBatch(0, []*types.Update{up(0, 2, 20)})
+		r.NewBatch(types.PartitionBatch{Partition: 0, Ops: []*types.Update{up(0, 2, 20)}})
 	}
 	waitFor(t, 2*time.Second, func() bool {
 		for _, u := range sink.snapshot() {
@@ -260,7 +262,7 @@ func TestLeaderFailover(t *testing.T) {
 
 	// Crash the second leader; replica 2 takes over.
 	c.Replica(1).Stop()
-	c.Replica(2).NewBatch(0, []*types.Update{up(0, 3, 30)})
+	c.Replica(2).NewBatch(types.PartitionBatch{Partition: 0, Ops: []*types.Update{up(0, 3, 30)}})
 	waitFor(t, 2*time.Second, func() bool {
 		for _, u := range sink.snapshot() {
 			if u.TS == 30 {
@@ -299,7 +301,7 @@ func TestFailoverNoLossNoReorder(t *testing.T) {
 	for i := 1; i <= total; i++ {
 		batch := []*types.Update{up(0, uint64(i), hlc.Timestamp(i*10))}
 		for _, r := range c.Replicas() {
-			r.NewBatch(0, batch) // dead replicas just error; ignore
+			r.NewBatch(types.PartitionBatch{Partition: 0, Ops: batch}) // dead replicas just error; ignore
 		}
 		if i == crashAt {
 			c.Replica(0).Stop()
@@ -396,7 +398,7 @@ func TestStatsSnapshot(t *testing.T) {
 	c := NewCluster(1, Config{Partitions: 1, StableInterval: time.Millisecond}, nil)
 	defer c.Stop()
 	r := c.Replica(0)
-	r.NewBatch(0, []*types.Update{up(0, 1, 10)})
+	r.NewBatch(types.PartitionBatch{Partition: 0, Ops: []*types.Update{up(0, 1, 10)}})
 	waitFor(t, time.Second, func() bool { return r.Stats().OpsShipped == 1 })
 	st := r.Stats()
 	if !st.Leader || st.OpsReceived != 1 || st.StableTime != 10 {

@@ -13,8 +13,8 @@ import (
 // Aggregator is a fan-in node of the §5 propagation tree, hosted as a
 // first-class fabric endpoint: when the number of partitions is large,
 // all-to-one partition→Eunomia communication stops scaling, so partitions
-// stream at intermediate aggregators, which merge many per-partition
-// batches into one MultiBatchMsg per flush toward their parents — the
+// stream at intermediate aggregators, which merge many partitions' stream
+// entries into one MultiBatchMsg per flush toward their parents — the
 // datacenter's Eunomia replica set, or a parent aggregator for deeper
 // trees (an Aggregator serves the same frames it emits, so trees of any
 // depth compose).
@@ -28,6 +28,14 @@ import (
 // aggregator begins with empty state and simply re-forwards what children
 // retransmit (parents deduplicate by watermark). The tree is purely a
 // message-count optimization, exactly as the paper frames it.
+//
+// Marks: the aggregator relays a child's mark only once its parents hold
+// the child's base and the entry's last operation, so a relayed mark never
+// masks an operation buffered here, and its forwarded entries carry base
+// 0. It does not check bases on operations: a restarted aggregator has
+// no stream state, and refusing entries above it would stall a stream
+// whose child has pruned through the other path of its pair. A lost
+// forwarded frame can therefore still leave a gap at the parent.
 //
 // Fabric mechanics mirror ReplicaConn: unacknowledged operations are
 // retained and the per-parent unacknowledged suffix is retransmitted
@@ -47,17 +55,15 @@ type Aggregator struct {
 	dead    []bool // per parent, sticky (explicit Err only)
 	alive   []time.Time
 	probed  []time.Time
-	nextID  uint64
 
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
 	// BatchesIn / BatchesOut count fan-in efficiency: frames received
-	// from children (batches, heartbeats, and merged frames alike —
-	// every message the parent would otherwise have received) versus
-	// merged frames forwarded to parents. FlushLatency records how long
-	// each merge-and-forward pass takes.
+	// from children (every message the parent would otherwise have
+	// received) versus merged frames forwarded to parents. FlushLatency
+	// records how long each merge-and-forward pass takes.
 	BatchesIn    metrics.Counter
 	BatchesOut   metrics.Counter
 	FlushLatency *metrics.Histogram
@@ -68,13 +74,12 @@ type aggStream struct {
 	pending []*types.Update // buffered beyond acked, ascending by TS
 	seen    hlc.Timestamp   // highest buffered timestamp (child-resend dedup)
 	acked   hlc.Timestamp   // folded parent watermark, reported downstream
-	hb      hlc.Timestamp   // pending heartbeat relay
+	mark    hlc.Timestamp   // pending mark relay
 
-	// children remembers every downstream sender of this stream (true =
-	// speaks the multi-batch protocol, i.e. a child aggregator), so
+	// children remembers every downstream sender of this stream, so
 	// watermark advances can be pushed without waiting for the child's
 	// next send.
-	children map[Addr]bool
+	children map[Addr]struct{}
 
 	parentAck  []hlc.Timestamp // per parent: acknowledged watermark
 	parentSent []hlc.Timestamp // per parent: highest streamed (resend trim)
@@ -185,7 +190,7 @@ func (a *Aggregator) stream(p types.PartitionID) *aggStream {
 	s := a.streams[p]
 	if s == nil {
 		s = &aggStream{
-			children:   make(map[Addr]bool),
+			children:   make(map[Addr]struct{}),
 			parentAck:  make([]hlc.Timestamp, len(a.parents)),
 			parentSent: make([]hlc.Timestamp, len(a.parents)),
 			progress:   make([]time.Time, len(a.parents)),
@@ -195,80 +200,53 @@ func (a *Aggregator) stream(p types.PartitionID) *aggStream {
 	return s
 }
 
-// handle is the endpoint: batches and heartbeats from partition clients,
-// merged frames from child aggregators, and multi-acks from parents.
+// handle is the endpoint: stream frames from partition conns and child
+// aggregators, and acknowledgements from parents.
 func (a *Aggregator) handle(m Message) {
 	switch v := m.Payload.(type) {
-	case BatchMsg:
-		a.BatchesIn.Inc()
-		w := a.ingest(m.From, false, v.Partition, v.Ops)
-		a.f.Send(a.local, m.From, AckMsg{ID: v.ID, Partition: v.Partition, Watermark: w})
-	case HeartbeatMsg:
-		// The mark follows the child's batch, which this node may still
-		// be buffering: it is relayed only once the parents hold its
-		// base, so a relayed mark can never mask a buffered operation.
-		// The ack is the watermark that is then safe to promise — the
-		// mark if relayed, else the parents' — as a served replica's is;
-		// a lost or dropped mark is regenerated at the next flush.
-		a.BatchesIn.Inc()
-		w := a.heartbeat(m.From, false, v.Partition, v.Base, v.TS)
-		a.f.Send(a.local, m.From, AckMsg{ID: v.ID, Partition: v.Partition, Watermark: w})
 	case MultiBatchMsg:
 		a.BatchesIn.Inc()
-		acks := make([]types.PartitionMark, 0, len(v.Batches)+len(v.Marks))
-		for _, sb := range v.Batches {
-			w := a.ingest(m.From, true, sb.Partition, sb.Ops)
-			acks = append(acks, types.PartitionMark{Partition: sb.Partition, TS: w})
+		acks := make([]types.PartitionMark, len(v.Batches))
+		for i, b := range v.Batches {
+			acks[i] = types.PartitionMark{Partition: b.Partition, TS: a.ingest(m.From, b)}
 		}
-		for _, hb := range v.Marks {
-			// A child aggregator relays only marks its parents (this
-			// node) hold the base of: base 0.
-			w := a.heartbeat(m.From, true, hb.Partition, 0, hb.TS)
-			acks = append(acks, types.PartitionMark{Partition: hb.Partition, TS: w})
-		}
-		a.f.Send(a.local, m.From, MultiAckMsg{ID: v.ID, Acks: acks})
+		a.f.Send(a.local, m.From, MultiAckMsg{Acks: acks})
 	case MultiAckMsg:
 		a.handleParentAck(m.From, v)
 	}
 }
 
-// ingest buffers fresh operations of one child stream and returns the
-// parent-acknowledged watermark — never the buffered one (transparency).
-func (a *Aggregator) ingest(child Addr, multi bool, p types.PartitionID, ops []*types.Update) hlc.Timestamp {
+// ingest buffers the fresh operations of one child entry and queues its
+// mark for relay if the parents hold the stream up to the entry's base
+// and last operation; otherwise the mark is dropped, and the child sends
+// a fresh one next flush. It returns the watermark the child may treat as
+// acknowledged: the parents' (transparency), or the mark once queued — as
+// a served replica's is.
+func (a *Aggregator) ingest(child Addr, b types.PartitionBatch) hlc.Timestamp {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	s := a.stream(p)
-	s.children[child] = multi
-	for _, u := range ops {
+	s := a.stream(b.Partition)
+	s.children[child] = struct{}{}
+	base := b.Base
+	for _, u := range b.Ops {
+		base = max(base, u.TS)
 		if u.TS <= s.seen {
 			continue // duplicate of something already buffered/forwarded
 		}
 		s.seen = u.TS
 		s.pending = append(s.pending, u)
 	}
-	return s.acked
-}
-
-// heartbeat queues a child's mark for relay if the parents hold the
-// stream up to base, and otherwise drops it: the child sends a fresh mark
-// every flush. It returns the watermark the child may treat as
-// acknowledged.
-func (a *Aggregator) heartbeat(child Addr, multi bool, p types.PartitionID, base, ts hlc.Timestamp) hlc.Timestamp {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	s := a.stream(p)
-	s.children[child] = multi
 	if s.acked < base {
 		return s.acked
 	}
-	s.hb = max(s.hb, ts)
-	return max(s.acked, ts)
+	s.mark = max(s.mark, b.Mark)
+	return max(s.acked, b.Mark)
 }
 
-// flush merges every stream's unacknowledged suffix into one frame per
-// live parent, retransmitting stalled windows, and relays pending
-// heartbeats. Frames are built under the lock and sent outside it, so a
-// backpressured parent stalls this loop but never the ingest handler.
+// flush merges every stream's unacknowledged suffix, and its pending mark,
+// into one frame per live parent, retransmitting stalled windows. Frames
+// are built under the lock and sent outside it, so a backpressured parent
+// stalls this loop but never the ingest handler.
 func (a *Aggregator) flush() {
 	start := time.Now()
 	type outFrame struct {
@@ -277,13 +255,6 @@ func (a *Aggregator) flush() {
 	}
 	var frames []outFrame
 	a.mu.Lock()
-	var hbs []types.PartitionMark
-	for p, s := range a.streams {
-		if s.hb > 0 {
-			hbs = append(hbs, types.PartitionMark{Partition: p, TS: s.hb})
-			s.hb = 0
-		}
-	}
 	for i, parent := range a.parents {
 		if a.dead[i] {
 			continue
@@ -299,54 +270,54 @@ func (a *Aggregator) flush() {
 			a.probed[i] = start
 			probe = true
 		}
-		// Ready streams (fresh suffix only) and lagging streams (window
-		// retransmissions) travel in separate frames, ready first: a
-		// laggard's retransmitted window — potentially the whole
+		// Ready streams (fresh suffix and marks) and lagging streams
+		// (window retransmissions) travel in separate frames, ready
+		// first: a laggard's retransmitted window — potentially the whole
 		// unacknowledged suffix of one slow stream — must not delay the
 		// fresh operations of every healthy stream behind it on the same
 		// FIFO connection.
 		var ready, lagging []types.PartitionBatch
 		for p, s := range a.streams {
-			if len(s.pending) == 0 {
-				continue
-			}
 			resend := false
-			if probe {
-				s.parentSent[i] = s.parentAck[i]
-				s.progress[i] = start
-				resend = true
-			} else if s.parentSent[i] > s.parentAck[i] {
-				// In flight beyond the parent's watermark: if it has
-				// stalled, assume the stream was lost and retransmit the
-				// unacknowledged window.
-				if s.progress[i].IsZero() {
-					s.progress[i] = start
-				} else if start.Sub(s.progress[i]) > resendAfter {
+			if len(s.pending) > 0 {
+				if probe {
 					s.parentSent[i] = s.parentAck[i]
 					s.progress[i] = start
 					resend = true
+				} else if s.parentSent[i] > s.parentAck[i] {
+					// In flight beyond the parent's watermark: if it has
+					// stalled, assume the stream was lost and retransmit
+					// the unacknowledged window.
+					if s.progress[i].IsZero() {
+						s.progress[i] = start
+					} else if start.Sub(s.progress[i]) > resendAfter {
+						s.parentSent[i] = s.parentAck[i]
+						s.progress[i] = start
+						resend = true
+					}
 				}
 			}
-			from := sort.Search(len(s.pending), func(j int) bool { return s.pending[j].TS > s.parentSent[i] })
-			if from == len(s.pending) {
-				continue
+			b := types.PartitionBatch{Partition: p, Mark: s.mark}
+			if from := sort.Search(len(s.pending), func(j int) bool { return s.pending[j].TS > s.parentSent[i] }); from < len(s.pending) {
+				b.Ops = s.pending[from:]
+				s.parentSent[i] = s.pending[len(s.pending)-1].TS
 			}
-			b := types.PartitionBatch{Partition: p, Ops: s.pending[from:]}
-			if resend {
+			switch {
+			case resend:
 				lagging = append(lagging, b)
-			} else {
+			case len(b.Ops) > 0 || b.Mark > 0:
 				ready = append(ready, b)
 			}
-			s.parentSent[i] = s.pending[len(s.pending)-1].TS
 		}
-		if len(ready) > 0 || len(hbs) > 0 {
-			a.nextID++
-			frames = append(frames, outFrame{to: parent, msg: MultiBatchMsg{ID: a.nextID, Batches: ready, Marks: hbs}})
+		if len(ready) > 0 {
+			frames = append(frames, outFrame{to: parent, msg: MultiBatchMsg{Batches: ready}})
 		}
 		if len(lagging) > 0 {
-			a.nextID++
-			frames = append(frames, outFrame{to: parent, msg: MultiBatchMsg{ID: a.nextID, Batches: lagging}})
+			frames = append(frames, outFrame{to: parent, msg: MultiBatchMsg{Batches: lagging}})
 		}
+	}
+	for _, s := range a.streams {
+		s.mark = 0
 	}
 	a.mu.Unlock()
 	for _, fr := range frames {
@@ -365,7 +336,6 @@ func (a *Aggregator) flush() {
 // lock and sent after it.
 type ackPush struct {
 	child Addr
-	multi bool
 	mark  types.PartitionMark
 }
 
@@ -431,8 +401,8 @@ func (a *Aggregator) advance(p types.PartitionID, s *aggStream, pushes []ackPush
 		// Copy: in-flight frames alias the old backing array.
 		s.pending = append([]*types.Update(nil), s.pending[drop:]...)
 	}
-	for child, multi := range s.children {
-		pushes = append(pushes, ackPush{child: child, multi: multi, mark: types.PartitionMark{Partition: p, TS: w}})
+	for child := range s.children {
+		pushes = append(pushes, ackPush{child: child, mark: types.PartitionMark{Partition: p, TS: w}})
 	}
 	return pushes
 }
@@ -467,21 +437,14 @@ func (a *Aggregator) fold(s *aggStream) hlc.Timestamp {
 	return w
 }
 
-// push delivers queued watermark notifications: plain acks to partition
-// children, merged multi-acks to child aggregators.
+// push delivers queued watermark notifications, merged into one
+// acknowledgement per child.
 func (a *Aggregator) push(pushes []ackPush) {
 	if len(pushes) == 0 {
 		return
 	}
-	var merged map[Addr][]types.PartitionMark
+	merged := make(map[Addr][]types.PartitionMark)
 	for _, p := range pushes {
-		if !p.multi {
-			a.f.Send(a.local, p.child, AckMsg{Partition: p.mark.Partition, Watermark: p.mark.TS})
-			continue
-		}
-		if merged == nil {
-			merged = make(map[Addr][]types.PartitionMark)
-		}
 		merged[p.child] = append(merged[p.child], p.mark)
 	}
 	for child, marks := range merged {

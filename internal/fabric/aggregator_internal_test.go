@@ -63,8 +63,8 @@ func TestAggregatorFlushPrioritizesReadyStreams(t *testing.T) {
 	})
 	defer a.Close()
 
-	a.ingest(child, false, 1, seqOps(1, 1, 3))
-	a.ingest(child, false, 2, seqOps(2, 1, 3))
+	a.ingest(child, types.PartitionBatch{Partition: 1, Ops: seqOps(1, 1, 3)})
+	a.ingest(child, types.PartitionBatch{Partition: 2, Ops: seqOps(2, 1, 3)})
 	a.flush()
 	if n := len(fake.frames()); n != 1 {
 		t.Fatalf("first flush sent %d frames, want 1", n)
@@ -72,15 +72,14 @@ func TestAggregatorFlushPrioritizesReadyStreams(t *testing.T) {
 
 	// The parent acknowledges stream 2 only: stream 1 becomes the laggard
 	// with an in-flight window beyond the parent's watermark.
-	first := fake.frames()[0]
-	a.handleParentAck(parent, MultiAckMsg{ID: first.ID, Acks: []types.PartitionMark{{Partition: 2, TS: 3}}})
+	a.handleParentAck(parent, MultiAckMsg{Acks: []types.PartitionMark{{Partition: 2, TS: 3}}})
 
 	// Age the laggard's stall past the retransmit threshold.
 	a.mu.Lock()
 	a.streams[1].progress[0] = time.Now().Add(-2 * resendAfter)
 	a.mu.Unlock()
 
-	a.ingest(child, false, 2, seqOps(2, 4, 6))
+	a.ingest(child, types.PartitionBatch{Partition: 2, Ops: seqOps(2, 4, 6)})
 	a.flush()
 
 	frames := fake.frames()[1:]
@@ -103,11 +102,10 @@ func TestAggregatorFlushPrioritizesReadyStreams(t *testing.T) {
 }
 
 // TestAggregatorRelaysMarkOnlyOverParentHeldBase pins the tree's mark
-// rule: a child's mark that arrives while its base is still only
-// buffered here is neither relayed nor acknowledged (the child hears the
-// parent-held watermark and sends a fresh mark next flush); once the
-// parents acknowledge the base, a mark over it is relayed and
-// acknowledged.
+// rule: a child's mark whose base is still only buffered here is neither
+// relayed nor acknowledged (the child hears the parent-held watermark and
+// sends a fresh mark next flush); once the parents acknowledge the base,
+// a mark over it is relayed, in an entry with base 0, and acknowledged.
 func TestAggregatorRelaysMarkOnlyOverParentHeldBase(t *testing.T) {
 	fake := &recordingFabric{}
 	parent := EunomiaAddr(0, 0)
@@ -118,28 +116,43 @@ func TestAggregatorRelaysMarkOnlyOverParentHeldBase(t *testing.T) {
 	})
 	defer a.Close()
 
-	a.ingest(child, false, 1, seqOps(1, 1, 3))
-	if w := a.heartbeat(child, false, 1, 3, 9); w != 0 {
+	// A mark in the entry that carries its operations waits for them too.
+	if w := a.ingest(child, types.PartitionBatch{Partition: 1, Ops: seqOps(1, 1, 3), Mark: 4}); w != 0 {
+		t.Fatalf("mark over unacknowledged operations answered %v, want the parent-held 0", w)
+	}
+	if w := a.ingest(child, types.PartitionBatch{Partition: 1, Base: 3, Mark: 9}); w != 0 {
 		t.Fatalf("mark above an unacknowledged base answered %v, want the parent-held 0", w)
 	}
 	a.flush()
-	first := fake.frames()[0]
-	if len(first.Marks) != 0 {
-		t.Fatalf("relayed %+v before the parents held the base", first.Marks)
+	if m := relayedMarks(fake.frames()); len(m) != 0 {
+		t.Fatalf("relayed %+v before the parents held the base", m)
 	}
 
-	a.handleParentAck(parent, MultiAckMsg{ID: first.ID, Acks: []types.PartitionMark{{Partition: 1, TS: 3}}})
+	a.handleParentAck(parent, MultiAckMsg{Acks: []types.PartitionMark{{Partition: 1, TS: 3}}})
 	a.flush()
-	frames := fake.frames()
-	if last := frames[len(frames)-1]; len(last.Marks) != 0 {
-		t.Fatalf("the refused mark was relayed later: %+v", last.Marks)
+	if m := relayedMarks(fake.frames()); len(m) != 0 {
+		t.Fatalf("a refused mark was relayed later: %+v", m)
 	}
-	if w := a.heartbeat(child, false, 1, 3, 12); w != 12 {
+	if w := a.ingest(child, types.PartitionBatch{Partition: 1, Base: 3, Mark: 12}); w != 12 {
 		t.Fatalf("mark over a parent-held base answered %v, want 12", w)
 	}
 	a.flush()
-	frames = fake.frames()
-	if last := frames[len(frames)-1]; len(last.Marks) != 1 || last.Marks[0] != (types.PartitionMark{Partition: 1, TS: 12}) {
-		t.Fatalf("after the base was acknowledged the flush relayed %+v, want the mark 12", last.Marks)
+	frames := fake.frames()
+	last := frames[len(frames)-1]
+	if len(last.Batches) != 1 || last.Batches[0].Base != 0 || len(last.Batches[0].Ops) != 0 || last.Batches[0].Mark != 12 {
+		t.Fatalf("after the base was acknowledged the flush sent %+v, want the mark 12 alone over base 0", last.Batches)
 	}
+}
+
+// relayedMarks returns the entries of frames that carry a mark.
+func relayedMarks(frames []MultiBatchMsg) []types.PartitionBatch {
+	var out []types.PartitionBatch
+	for _, f := range frames {
+		for _, b := range f.Batches {
+			if b.Mark > 0 {
+				out = append(out, b)
+			}
+		}
+	}
+	return out
 }

@@ -1,9 +1,9 @@
 package fabric_test
 
 // Propagation-tree tests at the fabric level: the aggregator as a real
-// endpoint serving BatchMsg/HeartbeatMsg from partition clients and
-// MultiBatchMsg from child aggregators, with the in-process simulated WAN
-// as the substrate. The TCP variants live in cmd/eunomia-server's tests.
+// endpoint serving stream frames (MultiBatchMsg) from partition clients
+// and child aggregators, with the in-process simulated WAN as the
+// substrate. The TCP variants live in cmd/eunomia-server's tests.
 
 import (
 	"sync"
@@ -170,27 +170,36 @@ func TestAggregatorAcksOnlyUpstreamDurableState(t *testing.T) {
 	defer cluster.Stop()
 	root := fabric.EunomiaAddr(0, 0)
 	fabric.ServeReplica(net, root, cluster.Replica(0))
-	agg := fabric.NewAggregator(fabric.AggregatorConfig{Fabric: net, Local: fabric.AggregatorAddr(0, 0), Parents: []fabric.Addr{root}})
+	// The first flush tick is far off, so the frame's own acknowledgement
+	// is the first one back.
+	agg := fabric.NewAggregator(fabric.AggregatorConfig{
+		Fabric: net, Local: fabric.AggregatorAddr(0, 0), Parents: []fabric.Addr{root},
+		FlushInterval: 200 * time.Millisecond,
+	})
 	defer agg.Close()
 
 	local := fabric.PartitionAddr(0, 0)
 	rc := fabric.NewReplicaConn(net, local, agg.LocalAddr())
-	reply := make(chan fabric.AckMsg, 1)
+	reply := make(chan fabric.MultiAckMsg, 1)
 	net.Register(local, func(m fabric.Message) {
-		if ack, ok := m.Payload.(fabric.AckMsg); ok && ack.ID == 1 {
-			reply <- ack
+		if ack, ok := m.Payload.(fabric.MultiAckMsg); ok {
+			select {
+			case reply <- ack:
+			default:
+			}
 		}
 		rc.HandleMessage(m)
 	})
 
-	// The batch's own acknowledgement (its ID echoed; watermark pushes
-	// carry none) is sent on receipt, before the aggregator can have
-	// forwarded it.
-	net.Send(local, agg.LocalAddr(), fabric.BatchMsg{ID: 1, Partition: 0, Ops: []*types.Update{{Partition: 0, Seq: 1, TS: 10}}})
+	// The frame's acknowledgement is sent on receipt, before the
+	// aggregator can have forwarded it.
+	net.Send(local, agg.LocalAddr(), fabric.MultiBatchMsg{Batches: []types.PartitionBatch{
+		{Partition: 0, Ops: []*types.Update{{Partition: 0, Seq: 1, TS: 10}}},
+	}})
 	select {
 	case ack := <-reply:
-		if ack.Watermark != 0 {
-			t.Fatalf("aggregator acknowledged unforwarded data: %v", ack.Watermark)
+		if len(ack.Acks) != 1 || ack.Acks[0].TS != 0 {
+			t.Fatalf("aggregator acknowledged unforwarded data: %+v", ack.Acks)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no acknowledgement for the batch")
@@ -317,7 +326,7 @@ func TestAggregatorCrashFailover(t *testing.T) {
 }
 
 // TestAggregatorRelaysHeartbeats checks liveness for idle partitions:
-// heartbeats ride the merged frames, so the replica's stable time keeps
+// marks ride the merged frames, so the replica's stable time keeps
 // advancing past the last operation without any direct partition→replica
 // message.
 func TestAggregatorRelaysHeartbeats(t *testing.T) {
@@ -335,8 +344,8 @@ func TestAggregatorRelaysHeartbeats(t *testing.T) {
 	defer client.Close()
 	ts := client.Issue(0, &types.Update{Partition: 0, Seq: 1})
 
-	// The op ships once its own heartbeat-advanced stability covers it,
-	// and stable time then keeps climbing on relayed heartbeats alone.
+	// The op ships once its own mark-advanced stability covers it, and
+	// stable time then keeps climbing on relayed marks alone.
 	waitFor(t, 10*time.Second, "op shipped and stability past it", func() bool {
 		st := cluster.Replica(0).Stats()
 		return sink.len() == 1 && st.StableTime > ts

@@ -11,69 +11,40 @@ import (
 	"eunomia/internal/types"
 )
 
-// This file adapts the partition↔Eunomia protocol — metadata batches,
-// heartbeats, and acknowledgement watermarks — onto a Fabric, so the same
-// batching client (internal/eunomia.Client) runs over the in-process
-// simulated WAN and over real TCP without knowing which.
+// This file adapts the partition↔Eunomia protocol — stream frames and
+// their acknowledgement watermarks — onto a Fabric, so the same batching
+// client (internal/eunomia.Client) runs over the in-process simulated WAN
+// and over real TCP without knowing which.
 
-// BatchMsg carries one partition's metadata batch to a replica
-// (Algorithm 4 lines 1-5). ID is echoed in the acknowledgement; the
-// acknowledgement's watermark is cumulative, so ReplicaConn leaves it 0.
-type BatchMsg struct {
-	ID        uint64
-	Partition types.PartitionID
-	Ops       []*types.Update
-}
-
-// HeartbeatMsg offers a partition's watermark TS without an operation
-// (Algorithm 3 line 5). It travels right behind the batch of the same
-// flush, and the replica adopts it only if it already holds the stream
-// up to Base, that batch's last operation (0: nothing was unacknowledged).
-type HeartbeatMsg struct {
-	ID        uint64
-	Partition types.PartitionID
-	TS        hlc.Timestamp
-	Base      hlc.Timestamp
-}
-
-// AckMsg is the replica's acknowledgement: the watermark is the largest
-// timestamp the replica now holds from the partition — the resend window's
-// lower bound. A non-empty Err reports a stopped replica.
-type AckMsg struct {
-	ID        uint64
-	Partition types.PartitionID
-	Watermark hlc.Timestamp
-	Err       string
-}
-
-// MultiBatchMsg is the propagation-tree hop (§5): many partitions' batches
-// — and any heartbeats the tree is relaying — merged into one type-tagged
-// frame, so a replica (or a parent aggregator) pays one message receive
-// for a whole fan-in set's streams. Batches are ascending per partition;
-// Marks carry relayed heartbeats.
+// MultiBatchMsg is the stream frame: one flush of one or more partition
+// streams, each entry a batch with its base and mark (types.PartitionBatch,
+// Algorithm 4 lines 1-5 and Algorithm 3 line 5 in one message). A
+// partition's conn sends one entry per flush; a §5 propagation-tree
+// aggregator merges a whole fan-in set's streams into one frame, so a
+// replica (or a parent aggregator) pays one message receive for all of
+// them. Entries are ascending per partition.
 type MultiBatchMsg struct {
-	ID      uint64
 	Batches []types.PartitionBatch
-	Marks   []types.PartitionMark
 }
 
 // MultiAckMsg acknowledges a MultiBatchMsg: one watermark per partition
-// the frame mentioned, with the same semantics as AckMsg.Watermark. A
-// non-empty Err reports a stopped replica.
+// the frame mentioned, the largest timestamp the receiver now holds from
+// that stream — the sender's resend window's lower bound. A non-empty Err
+// reports a stopped replica.
 type MultiAckMsg struct {
-	ID   uint64
 	Acks []types.PartitionMark
 	Err  string
 }
 
 // ReplicaConn implements eunomia.Conn over a Fabric. It never waits:
-// batches are streamed and each call returns the latest watermark the
-// replica has acknowledged so far. Acknowledgements flow back
-// asynchronously and advance the window; the client's
-// resend-unacknowledged-suffix loop supplies at-least-once delivery and
-// the replica deduplicates by watermark, so a flush never blocks on a
-// round trip before the next batch can be sent. The owner of the local
-// address must route incoming AckMsg messages to HandleMessage.
+// each flush's entry is streamed in one frame and each call returns the
+// latest watermark the replica has acknowledged so far.
+// Acknowledgements flow back asynchronously and advance the window; the
+// client's resend-unacknowledged-suffix loop supplies at-least-once
+// delivery and the replica deduplicates by watermark, so a flush never
+// blocks on a round trip before the next batch can be sent. The owner of
+// the local address must route incoming MultiAckMsg messages to
+// HandleMessage.
 type ReplicaConn struct {
 	f             Fabric
 	local, remote Addr
@@ -144,19 +115,21 @@ func (c *ReplicaConn) Remote() Addr { return c.remote }
 // acknowledgements (an at-least-once fabric may replay them) are harmless:
 // the watermark is monotonic.
 func (c *ReplicaConn) HandleMessage(m Message) bool {
-	ack, ok := m.Payload.(AckMsg)
+	ack, ok := m.Payload.(MultiAckMsg)
 	if !ok || m.From != c.remote {
 		return false
 	}
+	now := time.Now()
 	c.mu.Lock()
-	c.lastAlive = time.Now()
-	if ack.Err == "" {
-		if ack.Watermark > c.marks[ack.Partition] {
-			c.marks[ack.Partition] = ack.Watermark
-			c.progress[ack.Partition] = time.Now()
-		}
-	} else {
+	c.lastAlive = now
+	if ack.Err != "" {
 		c.failed = ack.Err
+	}
+	for _, a := range ack.Acks {
+		if a.TS > c.marks[a.Partition] {
+			c.marks[a.Partition] = a.TS
+			c.progress[a.Partition] = now
+		}
 	}
 	c.mu.Unlock()
 	return true
@@ -169,14 +142,19 @@ func (c *ReplicaConn) Watermark(p types.PartitionID) hlc.Timestamp {
 	return c.marks[p]
 }
 
-func (c *ReplicaConn) send(payload any) { c.f.Send(c.local, c.remote, payload) }
-
-// NewBatch implements eunomia.Conn.
-func (c *ReplicaConn) NewBatch(p types.PartitionID, ops []*types.Update) (hlc.Timestamp, error) {
+// NewBatch implements eunomia.Conn. It sends one stream frame carrying
+// b, trimmed of the operations already streamed, and returns the latest
+// acknowledged watermark without waiting.
+func (c *ReplicaConn) NewBatch(b types.PartitionBatch) (hlc.Timestamp, error) {
+	p := b.Partition
 	c.mu.Lock()
 	failed, w, streamed := c.failed, c.marks[p], c.sent[p]
+	if failed != "" {
+		c.mu.Unlock()
+		return 0, errors.New(failed)
+	}
 	now := time.Now()
-	if failed == "" && now.Sub(c.lastAlive) > peerSuspendAfter {
+	if now.Sub(c.lastAlive) > peerSuspendAfter {
 		// The remote has gone completely silent (killed process, dead
 		// route): stop feeding its bounded transport window. One probe
 		// per peerProbeEvery — the full unacknowledged window — keeps
@@ -190,7 +168,7 @@ func (c *ReplicaConn) NewBatch(p types.PartitionID, ops []*types.Update) (hlc.Ti
 		c.sent[p] = w
 		streamed = w
 		c.progress[p] = now
-	} else if failed == "" && streamed > w {
+	} else if streamed > w {
 		// Operations are in flight beyond the acknowledged watermark.
 		// If acknowledgements have stalled, assume the stream was lost
 		// (Send is fire-and-forget: a missing route drops silently) and
@@ -204,96 +182,35 @@ func (c *ReplicaConn) NewBatch(p types.PartitionID, ops []*types.Update) (hlc.Ti
 		}
 	}
 	c.mu.Unlock()
-	if failed != "" {
-		return 0, errors.New(failed)
-	}
 	// Trim the prefix already streamed: the fabric delivers it (FIFO,
 	// retransmitted across reconnects), so only the fresh suffix needs
-	// to go out.
-	start := sort.Search(len(ops), func(i int) bool { return ops[i].TS > streamed })
-	if start < len(ops) {
-		c.send(BatchMsg{Partition: p, Ops: ops[start:]})
+	// to go out, over a base the replica holds only if that prefix
+	// arrived. A resend's streamed position is the acknowledged
+	// watermark, which the replica holds.
+	if start := sort.Search(len(b.Ops), func(i int) bool { return b.Ops[i].TS > streamed }); start > 0 {
+		b.Ops = b.Ops[start:]
+		b.Base = max(b.Base, streamed)
+	}
+	c.f.Send(c.local, c.remote, MultiBatchMsg{Batches: []types.PartitionBatch{b}})
+	if n := len(b.Ops); n > 0 {
 		c.mu.Lock()
-		if last := ops[len(ops)-1].TS; last > c.sent[p] {
-			c.sent[p] = last
-		}
+		c.sent[p] = max(c.sent[p], b.Ops[n-1].TS)
 		c.mu.Unlock()
 	}
 	return w, nil
 }
 
-// Heartbeat implements eunomia.Conn. The mark follows the flush's batch
-// on the same FIFO stream, so the replica can adopt it in the same round;
-// the returned watermark is the latest acknowledged.
-func (c *ReplicaConn) Heartbeat(p types.PartitionID, base, ts hlc.Timestamp) (hlc.Timestamp, error) {
-	c.mu.Lock()
-	failed, w := c.failed, c.marks[p]
-	drop := false
-	if failed == "" {
-		if now := time.Now(); now.Sub(c.lastAlive) > peerSuspendAfter {
-			// Same suspension as NewBatch: heartbeats fire every flush,
-			// and a silent peer's transport window must not absorb them
-			// all. A heartbeat makes a fine probe, so one goes through
-			// per peerProbeEvery; heartbeats are regenerated each flush,
-			// so the dropped ones cost nothing.
-			if now.Sub(c.lastProbe) < peerProbeEvery {
-				drop = true
-			} else {
-				c.lastProbe = now
-			}
-		}
-	}
-	c.mu.Unlock()
-	if failed != "" {
-		return 0, errors.New(failed)
-	}
-	if !drop {
-		c.send(HeartbeatMsg{Partition: p, TS: ts, Base: base})
-	}
-	return w, nil
-}
-
-// ServeReplica registers a handler at addr that feeds batches, merged
-// propagation-tree frames, and heartbeats into the replica and returns
-// acknowledgement watermarks to the sender: always the watermark the
-// replica holds afterwards, never a refused mark's, or the sender would
-// prune operations the replica never received. Unknown payloads are
-// ignored, so the address can be shared with other protocols if needed.
+// ServeReplica registers a handler at addr that feeds stream frames into
+// the replica and returns acknowledgement watermarks to the sender:
+// always the watermark the replica holds afterwards, never a refused
+// entry's mark, or the sender would prune operations the replica never
+// received. Unknown payloads are ignored, so the address can be shared
+// with other protocols if needed.
 func ServeReplica(f Fabric, at Addr, r *eunomia.Replica) {
 	f.Register(at, func(m Message) {
-		switch v := m.Payload.(type) {
-		case BatchMsg:
-			w, err := r.NewBatch(v.Partition, v.Ops)
-			f.Send(at, m.From, AckMsg{ID: v.ID, Partition: v.Partition, Watermark: w, Err: errString(err)})
-		case HeartbeatMsg:
-			w, err := r.Heartbeat(v.Partition, v.Base, v.TS)
-			f.Send(at, m.From, AckMsg{ID: v.ID, Partition: v.Partition, Watermark: w, Err: errString(err)})
-		case MultiBatchMsg:
-			// The propagation-tree root: one message receive ingests a
-			// whole fan-in set's streams, plus any heartbeats the tree
-			// relayed. An aggregator relays a mark only once its parents
-			// hold the mark's base, so a relayed mark can never mask a
-			// buffered operation and needs no base of its own (see the
-			// aggregator's contract).
+		if v, ok := m.Payload.(MultiBatchMsg); ok {
 			acks, err := r.NewMultiBatch(v.Batches)
-			if err == nil {
-				for _, hb := range v.Marks {
-					switch w, hbErr := r.Heartbeat(hb.Partition, 0, hb.TS); {
-					case hbErr == nil:
-						acks = append(acks, types.PartitionMark{Partition: hb.Partition, TS: w})
-					case errors.Is(hbErr, eunomia.ErrUnknownPartition):
-						// One misconfigured sender's heartbeat must not
-						// poison the merged frame; skip it, like
-						// NewMultiBatch skips its stream.
-					default:
-						err = hbErr
-					}
-					if err != nil {
-						break
-					}
-				}
-			}
-			f.Send(at, m.From, MultiAckMsg{ID: v.ID, Acks: acks, Err: errString(err)})
+			f.Send(at, m.From, MultiAckMsg{Acks: acks, Err: errString(err)})
 		}
 	})
 }

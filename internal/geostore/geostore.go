@@ -580,8 +580,8 @@ func (n *Node) StoreBytes() int64 {
 	return total
 }
 
-// buildEunomia starts the replica set and serves each replica's batch and
-// heartbeat ingestion at its fabric address; the acting leader ships
+// buildEunomia starts the replica set and serves each replica's stream
+// frame ingestion at its fabric address; the acting leader ships
 // stable metadata to every remote receiver over its own FIFO channel.
 //
 // Shipping goes through one asynchronous queue per destination
@@ -805,7 +805,7 @@ func (n *Node) buildPartitions(nc NodeConfig) error {
 				if unparked {
 					n.wakeRelease()
 				}
-			case fabric.AckMsg:
+			case fabric.MultiAckMsg:
 				for _, rc := range pconns {
 					if rc.HandleMessage(msg) {
 						return

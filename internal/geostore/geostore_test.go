@@ -338,19 +338,25 @@ func TestStragglerDelaysOnlyItsDatacenterOrigin(t *testing.T) {
 	defer s.Close()
 
 	// Make partition 0 of dc2 a straggler.
-	s.SetPartitionInterval(2, 0, 200*time.Millisecond)
+	const straggle = 200 * time.Millisecond
+	s.SetPartitionInterval(2, 0, straggle)
 
+	// The writes cover two whole straggler periods, so a dc2-origin
+	// update waits for the straggler's next boundary half a period on
+	// average, wherever that boundary falls.
+	const gap = 10 * time.Millisecond
+	const writes = int(2 * straggle / gap)
 	c2 := s.NewClient(2)
 	c0 := s.NewClient(0)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < writes; i++ {
 		c2.Update(types.Key(fmt.Sprintf("s%d", i)), []byte("x"))
 		c0.Update(types.Key(fmt.Sprintf("h%d", i)), []byte("y"))
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(gap)
 	}
 	waitFor(t, 5*time.Second, func() bool {
 		mu.Lock()
 		defer mu.Unlock()
-		return len(latencies[0]) >= 10 && len(latencies[2]) >= 10
+		return len(latencies[0]) >= writes && len(latencies[2]) >= writes
 	})
 
 	mu.Lock()

@@ -1,7 +1,7 @@
 package harness
 
 // Codec micro-benchmark: the wire codec on the exact message shapes the
-// hot fabric edges carry — metadata batches (BatchMsg), windowed releases
+// hot fabric edges carry — metadata stream frames (MultiBatchMsg), windowed releases
 // (ReleaseMsg), and receiver shipping (ShipMsg).
 
 import (
@@ -23,7 +23,7 @@ type CodecBenchOptions struct {
 	// Iters is the encode+decode round trips measured per message type
 	// (default 20000).
 	Iters int
-	// BatchOps is how many updates a BatchMsg/ShipMsg carries
+	// BatchOps is how many updates a stream frame/ShipMsg carries
 	// (default 8, a typical 1ms batch).
 	BatchOps int
 	// PayloadBytes sizes each update's value (default 100, the paper's
@@ -82,7 +82,7 @@ func CodecBench(o CodecBenchOptions) (CodecBenchResult, error) {
 		name    string
 		payload any
 	}{
-		{"BatchMsg", fabric.BatchMsg{ID: 42, Partition: 3, Ops: batch}},
+		{"MultiBatchMsg", fabric.MultiBatchMsg{Batches: []types.PartitionBatch{{Partition: 3, Base: batch[0].TS - 1, Ops: batch, Mark: batch[len(batch)-1].TS}}}},
 		{"ReleaseMsg", geostore.ReleaseMsg{Epoch: 7, Seq: 99, U: update(1), ArrivedUnixNano: 1753900000000000000}},
 		{"ShipMsg", geostore.ShipMsg{Origin: 1, Ops: batch}},
 	}

@@ -12,7 +12,7 @@ import (
 
 // wanBatch builds a wire-encodable cross-DC payload whose modeled frame
 // size the bandwidth queue can chew on.
-func wanBatch(n int) fabric.BatchMsg {
+func wanBatch(n int) fabric.MultiBatchMsg {
 	ops := make([]*types.Update, n)
 	for i := range ops {
 		ops[i] = &types.Update{
@@ -20,7 +20,7 @@ func wanBatch(n int) fabric.BatchMsg {
 			TS: hlc.Timestamp(1753900000000000+i) << 16,
 		}
 	}
-	return fabric.BatchMsg{ID: 1, Partition: 1, Ops: ops}
+	return fabric.MultiBatchMsg{Batches: []types.PartitionBatch{{Partition: 1, Ops: ops}}}
 }
 
 // TestShapeWANCrossDCOnly pins the overlay contract: cross-datacenter
@@ -101,7 +101,7 @@ func TestShapeWANBandwidthDelaysMultiBatch(t *testing.T) {
 	// The pipe has drained; a tiny control frame pays only propagation
 	// and its own (negligible) serialization, far below the batch's.
 	start = time.Now()
-	n.Send(src, dst, fabric.HeartbeatMsg{ID: 2, Partition: 1, TS: 1})
+	n.Send(src, dst, fabric.MultiBatchMsg{Batches: []types.PartitionBatch{{Partition: 1, Mark: 1}}})
 	waitLen(t, snap, 2, 5*time.Second)
 	if elapsed := time.Since(start); elapsed > ser {
 		t.Fatalf("small frame took %v, at least the fat frame's serialization %v — cap misapplied", elapsed, ser)

@@ -26,9 +26,11 @@ func codecPayloads() []any {
 	}
 	return []any{
 		[]*types.Update{u, u.Meta()},
-		fabric.BatchMsg{ID: 7, Partition: 2, Ops: []*types.Update{u}},
-		fabric.HeartbeatMsg{ID: 8, Partition: 2, TS: u.TS, Base: u.TS - 1},
-		fabric.AckMsg{ID: 9, Partition: 2, Watermark: u.TS, Err: "boom"},
+		fabric.MultiBatchMsg{Batches: []types.PartitionBatch{
+			{Partition: 2, Base: u.TS - 2, Ops: []*types.Update{u}, Mark: u.TS + 1},
+			{Partition: 4, Mark: u.TS - 1},
+		}},
+		fabric.MultiAckMsg{Acks: []types.PartitionMark{{Partition: 2, TS: u.TS}}, Err: "boom"},
 		testMsg{N: 77},
 	}
 }

@@ -24,7 +24,7 @@ import (
 // compressibleBatch is a protocol-shaped payload big enough to clear the
 // default compression threshold: the self-similar metadata batches the
 // aggregator tree ships are exactly what the codecs feast on.
-func compressibleBatch(n int) fabric.BatchMsg {
+func compressibleBatch(n int) fabric.MultiBatchMsg {
 	ops := make([]*types.Update, n)
 	for i := range ops {
 		ops[i] = &types.Update{
@@ -32,7 +32,7 @@ func compressibleBatch(n int) fabric.BatchMsg {
 			TS: hlc.Timestamp(1753900000000000+i) << 16,
 		}
 	}
-	return fabric.BatchMsg{ID: 1, Partition: 3, Ops: ops}
+	return fabric.MultiBatchMsg{Batches: []types.PartitionBatch{{Partition: 3, Ops: ops}}}
 }
 
 // TestCompressionMatrixInteroperates runs every dialer scheme (wire
@@ -82,11 +82,12 @@ func TestCompressionMatrixInteroperates(t *testing.T) {
 				defer client.Close()
 
 				src := fabric.PartitionAddr(0, 0)
-				want := compressibleBatch(64)
+				frame := compressibleBatch(64)
+				want := frame.Batches[0].Ops
 				const n = 20
 				for i := 0; i < n; i++ {
 					client.Send(src, dst, testMsg{N: i})
-					client.Send(src, dst, want)
+					client.Send(src, dst, frame)
 				}
 				waitFor(t, 5*time.Second, func() bool { return col.len() == 2*n })
 				msgs := col.snapshot()
@@ -94,9 +95,9 @@ func TestCompressionMatrixInteroperates(t *testing.T) {
 					if got := msgs[2*i].Payload.(testMsg).N; got != i {
 						t.Fatalf("FIFO broken at %d: got %d", i, got)
 					}
-					batch := msgs[2*i+1].Payload.(fabric.BatchMsg)
-					if len(batch.Ops) != len(want.Ops) || batch.Ops[7].Seq != want.Ops[7].Seq ||
-						batch.Ops[7].TS != want.Ops[7].TS {
+					batch := msgs[2*i+1].Payload.(fabric.MultiBatchMsg).Batches[0]
+					if len(batch.Ops) != len(want) || batch.Ops[7].Seq != want[7].Seq ||
+						batch.Ops[7].TS != want[7].TS {
 						t.Fatalf("batch %d corrupted across %s→%s", i, dc.name, lc.name)
 					}
 				}

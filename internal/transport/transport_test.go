@@ -303,7 +303,7 @@ func TestDuplicateResendFilteredByWatermark(t *testing.T) {
 		{Partition: 0, Seq: 2, TS: 20, Key: "b"},
 	}
 	resend := func() {
-		client.Send(fabric.PartitionAddr(0, 0), conn.Remote(), fabric.BatchMsg{Partition: 0, Ops: batch})
+		client.Send(fabric.PartitionAddr(0, 0), conn.Remote(), fabric.MultiBatchMsg{Batches: []types.PartitionBatch{{Partition: 0, Ops: batch}}})
 	}
 	for i := 0; i < 3; i++ { // at-least-once resend
 		resend()
@@ -321,7 +321,7 @@ func TestDuplicateResendFilteredByWatermark(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		resend()
 	}
-	if _, err := conn.Heartbeat(0, 20, 30); err != nil {
+	if _, err := conn.NewBatch(types.PartitionBatch{Partition: 0, Base: 20, Mark: 30}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, func() bool { return conn.Watermark(0) == 30 })
@@ -415,7 +415,7 @@ func TestPipelinedFlushDoesNotWaitForServer(t *testing.T) {
 
 	start := time.Now()
 	for i := 0; i < 10; i++ {
-		if _, err := conn.NewBatch(0, []*types.Update{{Partition: 0, Seq: uint64(i + 1), TS: hlc.Timestamp(i + 1)}}); err != nil {
+		if _, err := conn.NewBatch(types.PartitionBatch{Partition: 0, Ops: []*types.Update{{Partition: 0, Seq: uint64(i + 1), TS: hlc.Timestamp(i + 1)}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -432,9 +432,9 @@ func TestStoppedReplicaErrorsPropagate(t *testing.T) {
 	client, conn := dialReplica(t, f.Addr().String(), 0)
 	defer client.Close()
 	// First send can't know yet; the nack makes the failure sticky.
-	_, _ = conn.NewBatch(0, []*types.Update{{Partition: 0, Seq: 1, TS: 1}})
+	_, _ = conn.NewBatch(types.PartitionBatch{Partition: 0, Ops: []*types.Update{{Partition: 0, Seq: 1, TS: 1}}})
 	waitFor(t, 5*time.Second, func() bool {
-		_, err := conn.NewBatch(0, nil)
+		_, err := conn.NewBatch(types.PartitionBatch{Partition: 0})
 		return err != nil
 	})
 }

@@ -114,18 +114,23 @@ func (u *Update) String() string {
 		u.Key, u.Origin, u.Partition, u.Seq, u.TS, u.VTS)
 }
 
-// PartitionBatch groups one partition's operations inside a multi-stream
-// message: the unit a §5 propagation-tree aggregator merges many of into a
-// single fabric frame. Ops are in ascending timestamp order, exactly as a
-// single-partition batch would be.
+// PartitionBatch is one flush of one partition stream: the operations it
+// ships, in ascending timestamp order, and the stream's watermark Mark
+// (0: none), which promises that the stream issues nothing at or below it
+// beyond Ops. A receiver holding the stream below Base refuses the whole
+// entry, since a lost batch lies between what it holds and Ops; otherwise
+// it ingests the operations above what it holds and raises the stream to
+// Mark. An idle stream's entry has no operations and Base 0. Many
+// entries share one fabric frame on the §5 propagation-tree hop.
 type PartitionBatch struct {
 	Partition PartitionID
+	Base      hlc.Timestamp
 	Ops       []*Update
+	Mark      hlc.Timestamp
 }
 
 // PartitionMark pairs a partition with a timestamp: an acknowledgement
-// watermark in a multi-batch reply, or a relayed heartbeat in a
-// multi-batch frame.
+// watermark in a multi-batch reply.
 type PartitionMark struct {
 	Partition PartitionID
 	TS        hlc.Timestamp

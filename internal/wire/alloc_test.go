@@ -30,6 +30,14 @@ func allocUpdate(seq uint64) *types.Update {
 	}
 }
 
+// streamFrame is one partition's flush as its conn sends it: the
+// operations over a base, with the stream's mark.
+func streamFrame(ops []*types.Update) fabric.MultiBatchMsg {
+	return fabric.MultiBatchMsg{Batches: []types.PartitionBatch{
+		{Partition: 2, Base: ops[0].TS - 1, Ops: ops, Mark: ops[len(ops)-1].TS + 1},
+	}}
+}
+
 // TestSteadyStateEncodeAllocs drives the pooled encode path the
 // transport's frame writer uses for each hot message type: once the
 // pooled buffer has grown to size, an encode may allocate at most once
@@ -40,7 +48,7 @@ func TestSteadyStateEncodeAllocs(t *testing.T) {
 		name    string
 		payload any
 	}{
-		{"BatchMsg", fabric.BatchMsg{ID: 9, Partition: 2, Ops: batch}},
+		{"MultiBatchMsg", streamFrame(batch)},
 		{"ReleaseMsg", geostore.ReleaseMsg{Epoch: 3, Seq: 77, U: allocUpdate(5), ArrivedUnixNano: 1753900000000000000}},
 		{"ShipMsg", geostore.ShipMsg{Origin: 1, Ops: batch}},
 		{"Updates", batch},
@@ -72,7 +80,7 @@ func TestSteadyStateEncodeAllocs(t *testing.T) {
 func TestReusedBufferEncodeAllocsZero(t *testing.T) {
 	// Box the payload once, as the transport does (frame.Payload is
 	// already an interface by the time the frame writer encodes it).
-	var msg any = fabric.BatchMsg{ID: 9, Partition: 2, Ops: []*types.Update{allocUpdate(1), allocUpdate(2)}}
+	var msg any = streamFrame([]*types.Update{allocUpdate(1), allocUpdate(2)})
 	buf, err := wire.AppendPayload(nil, msg)
 	if err != nil {
 		t.Fatal(err)

@@ -24,8 +24,11 @@ import (
 
 // retiredPayloads are frames only a peer predating the tags' retirement
 // sends, in their last layout: the blocking-release request and reply
-// (TagApply, TagApplyAck) and the heartbeat without a base
-// (TagHeartbeatV1).
+// (TagApply, TagApplyAck), the heartbeat without a base
+// (TagHeartbeatV1), and the stream protocol before the stream frame —
+// batch, heartbeat with a base, and ack (TagBatch, TagHeartbeat, TagAck),
+// and the first merged frame and its reply (TagMultiBatchV1,
+// TagMultiAckV1).
 func retiredPayloads() [][]byte {
 	apply := wire.AppendUvarint(nil, uint64(wire.TagApply))
 	apply = wire.AppendUvarint(apply, 1)  // ID
@@ -38,7 +41,30 @@ func retiredPayloads() [][]byte {
 	hb = wire.AppendUvarint(hb, 1)   // ID
 	hb = wire.AppendUvarint(hb, 2)   // partition
 	hb = wire.AppendTimestamp(hb, 3) // watermark
-	return [][]byte{apply, ack, hb}
+	batch := wire.AppendUvarint(nil, uint64(wire.TagBatch))
+	batch = wire.AppendUvarint(batch, 1) // ID
+	batch = wire.AppendUvarint(batch, 2) // partition
+	batch = wire.AppendUvarint(batch, 0) // no operations
+	baseHB := wire.AppendUvarint(nil, uint64(wire.TagHeartbeat))
+	baseHB = wire.AppendUvarint(baseHB, 1)   // ID
+	baseHB = wire.AppendUvarint(baseHB, 2)   // partition
+	baseHB = wire.AppendTimestamp(baseHB, 4) // watermark
+	baseHB = wire.AppendTimestamp(baseHB, 3) // base
+	streamAck := wire.AppendUvarint(nil, uint64(wire.TagAck))
+	streamAck = wire.AppendUvarint(streamAck, 1)   // ID
+	streamAck = wire.AppendUvarint(streamAck, 2)   // partition
+	streamAck = wire.AppendTimestamp(streamAck, 3) // watermark
+	streamAck = wire.AppendString(streamAck, "")   // no error
+	multi := wire.AppendUvarint(nil, uint64(wire.TagMultiBatchV1))
+	multi = wire.AppendUvarint(multi, 1) // ID
+	multi = wire.AppendUvarint(multi, 0) // no operations
+	multi = wire.AppendUvarint(multi, 0) // no streams
+	multi = wire.AppendUvarint(multi, 0) // no marks
+	multiAck := wire.AppendUvarint(nil, uint64(wire.TagMultiAckV1))
+	multiAck = wire.AppendUvarint(multiAck, 1) // ID
+	multiAck = wire.AppendUvarint(multiAck, 0) // no acks
+	multiAck = wire.AppendString(multiAck, "") // no error
+	return [][]byte{apply, ack, hb, batch, baseHB, streamAck, multi, multiAck}
 }
 
 // TestRetiredTagsCorrupt pins the registry's retirement rule with every
@@ -68,21 +94,21 @@ func FuzzReadPayload(f *testing.F) {
 		VTS: vclock.V{1, 2, 3}, CreatedAt: 1753900000000000000,
 	}
 	f.Add(fuzzSeed([]*types.Update{u, u.Meta()}))
-	f.Add(fuzzSeed(fabric.BatchMsg{ID: 1, Partition: 2, Ops: []*types.Update{u}}))
-	f.Add(fuzzSeed(fabric.HeartbeatMsg{ID: 1, Partition: 2, TS: u.TS, Base: u.TS - 1}))
-	f.Add(fuzzSeed(fabric.HeartbeatMsg{ID: 1, Partition: 2, TS: u.TS})) // base 0
+	f.Add(fuzzSeed(fabric.MultiBatchMsg{Batches: []types.PartitionBatch{{Partition: 2, Base: u.TS - 1, Ops: []*types.Update{u}, Mark: u.TS + 1}}}))
+	f.Add(fuzzSeed(fabric.MultiBatchMsg{Batches: []types.PartitionBatch{{Partition: 2, Mark: u.TS}}})) // base 0, no operations
 	f.Add(retiredPayloads()[2])
-	f.Add(fuzzSeed(fabric.AckMsg{ID: 1, Partition: 2, Watermark: u.TS, Err: "x"}))
-	f.Add(fuzzSeed(fabric.MultiBatchMsg{
-		ID:      1,
-		Batches: []types.PartitionBatch{{Partition: 2, Ops: []*types.Update{u}}, {Partition: 3, Ops: []*types.Update{u.Meta()}}},
-		Marks:   []types.PartitionMark{{Partition: 4, TS: u.TS}},
-	}))
-	f.Add(fuzzSeed(fabric.MultiAckMsg{ID: 1, Acks: []types.PartitionMark{{Partition: 2, TS: u.TS}}, Err: "x"}))
+	f.Add(retiredPayloads()[3])
+	f.Add(fuzzSeed(fabric.MultiBatchMsg{Batches: []types.PartitionBatch{
+		{Partition: 2, Ops: []*types.Update{u}},
+		{Partition: 3, Base: u.TS, Ops: []*types.Update{u.Meta()}, Mark: u.TS + 2},
+		{Partition: 4, Mark: u.TS},
+	}}))
+	f.Add(fuzzSeed(fabric.MultiAckMsg{Acks: []types.PartitionMark{{Partition: 2, TS: u.TS}}, Err: "x"}))
 	f.Add(fuzzSeed(geostore.ShipMsg{Origin: 1, Ops: []*types.Update{u}}))
 	f.Add(fuzzSeed(geostore.ReleaseMsg{Epoch: 9, Seq: 4, U: u, ArrivedUnixNano: 5}))
 	f.Add(fuzzSeed(geostore.ReleaseAckMsg{Epoch: 9, Cum: 4, Durable: 3, Admitted: 5, NeedReset: true}))
 	f.Add(retiredPayloads()[0])
+	f.Add(retiredPayloads()[6])
 	f.Add(fuzzSeed(geostore.PayloadPullMsg{Dest: 1, U: u}))
 	f.Add(fuzzSeed(geostore.PayloadSupersededMsg{ID: u.ID()}))
 	// Hostile shapes: truncated, tag garbage, dishonest lengths.

@@ -19,9 +19,10 @@ func testPartitionBatches() []types.PartitionBatch {
 			u.TS += hlc.Timestamp(i)
 			ops = append(ops, u)
 		}
-		batches = append(batches, types.PartitionBatch{Partition: types.PartitionID(p), Ops: ops})
+		batches = append(batches, types.PartitionBatch{Partition: types.PartitionID(p), Base: ops[0].TS - 1, Ops: ops, Mark: ops[3].TS + 1})
 	}
-	return batches
+	// An idle stream's entry: a mark alone.
+	return append(batches, types.PartitionBatch{Partition: 3, Mark: testUpdate().TS})
 }
 
 func TestPartitionBatchesRoundTrip(t *testing.T) {
@@ -99,6 +100,8 @@ func TestPartitionBatchesStrictness(t *testing.T) {
 	b = AppendUvarint(nil, 5) // total claims 5
 	b = AppendUvarint(b, 1)   // one stream...
 	b = AppendUvarint(b, 0)   // partition 0
+	b = AppendTimestamp(b, 0) // base
+	b = AppendTimestamp(b, 0) // mark
 	b = AppendUvarint(b, 1)   // ...of one op
 	b = AppendUpdate(b, testUpdate())
 	d = NewDec(b)
@@ -110,6 +113,8 @@ func TestPartitionBatchesStrictness(t *testing.T) {
 	b = AppendUvarint(nil, 1) // total claims 1
 	b = AppendUvarint(b, 1)
 	b = AppendUvarint(b, 0)
+	b = AppendTimestamp(b, 0)
+	b = AppendTimestamp(b, 0)
 	b = AppendUvarint(b, 2) // ...but the stream claims 2
 	b = AppendUpdate(b, testUpdate())
 	b = AppendUpdate(b, testUpdate())

@@ -19,11 +19,12 @@ const (
 	// deployment ships; encoded by this package itself.
 	TagUpdates Tag = 1
 
-	// internal/fabric: the partition↔Eunomia protocol. TagHeartbeatV1
-	// is retired: it carried a heartbeat without a base, which a replica
-	// adopted unconditionally — a meaning the base-checked TagHeartbeat
-	// replaced. No decoder is registered for it, so a frame carrying it
-	// is corrupt.
+	// internal/fabric: the partition↔Eunomia protocol before the stream
+	// frame (TagMultiBatch) carried every flush. All three are retired:
+	// TagBatch carried a batch without a base, which a replica ingested
+	// over a gap; TagHeartbeatV1 a heartbeat without a base, which a
+	// replica adopted unconditionally; TagAck their per-stream reply. No
+	// decoder is registered for them, so a frame carrying any is corrupt.
 	TagBatch       Tag = 2
 	TagHeartbeatV1 Tag = 3
 	TagAck         Tag = 4
@@ -54,10 +55,11 @@ const (
 	TagBenchPing Tag = 15
 	TagBenchPong Tag = 16
 
-	// internal/fabric: the propagation-tree hop — many per-partition
-	// batches merged into one frame, and its multi-watermark reply.
-	TagMultiBatch Tag = 17
-	TagMultiAck   Tag = 18
+	// internal/fabric: retired. The first propagation-tree frame and its
+	// reply: batches without a base, heartbeats in a separate list, and
+	// an ID nothing read. TagMultiBatch and TagMultiAck replace them.
+	TagMultiBatchV1 Tag = 17
+	TagMultiAckV1   Tag = 18
 
 	// internal/geostore: the client front door — causal get/put round
 	// trips between a frontend and its datacenter's partitions, plus the
@@ -75,9 +77,17 @@ const (
 	TagSnapshotRequest Tag = 25
 	TagSnapshotChunk   Tag = 26
 
-	// internal/fabric: a partition's watermark with the base a replica
-	// must hold before adopting it (replaces TagHeartbeatV1).
+	// internal/fabric: retired. A partition's watermark with the base a
+	// replica had to hold before adopting it, sent behind the flush's
+	// TagBatch; the stream frame's entries carry both.
 	TagHeartbeat Tag = 27
+
+	// internal/fabric: the stream frame — every flush of one or many
+	// partition streams, each entry a batch with its base and mark — on
+	// the partition→Eunomia hop and every propagation-tree hop, and its
+	// per-stream watermark reply.
+	TagMultiBatch Tag = 28
+	TagMultiAck   Tag = 29
 
 	// TagTest is reserved for package test payloads.
 	TagTest Tag = 1000

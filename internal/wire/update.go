@@ -88,10 +88,10 @@ func ReadUpdates(d *Dec) []*types.Update {
 }
 
 // AppendPartitionBatches appends a multi-stream batch — the body of a
-// propagation-tree MultiBatchMsg: a uvarint total operation count (so the
-// decoder can block-allocate before parsing), a uvarint stream count, then
-// per stream a uvarint partition id, a uvarint operation count, and the
-// operations.
+// stream frame (fabric.MultiBatchMsg): a uvarint total operation count (so
+// the decoder can block-allocate before parsing), a uvarint stream count,
+// then per stream a uvarint partition id, the compact Base and Mark
+// timestamps, a uvarint operation count, and the operations.
 func AppendPartitionBatches(b []byte, batches []types.PartitionBatch) []byte {
 	total := 0
 	for _, sb := range batches {
@@ -101,6 +101,8 @@ func AppendPartitionBatches(b []byte, batches []types.PartitionBatch) []byte {
 	b = AppendUvarint(b, uint64(len(batches)))
 	for _, sb := range batches {
 		b = AppendUvarint(b, uint64(sb.Partition))
+		b = AppendTimestamp(b, sb.Base)
+		b = AppendTimestamp(b, sb.Mark)
 		b = AppendUvarint(b, uint64(len(sb.Ops)))
 		for _, u := range sb.Ops {
 			b = AppendUpdate(b, u)
@@ -124,8 +126,9 @@ func ReadPartitionBatches(d *Dec) []types.PartitionBatch {
 		d.fail()
 		return nil
 	}
-	// Each stream costs at least two bytes (partition id + count).
-	if ns > uint64(d.Remaining()/2)+1 {
+	// Each stream costs at least four bytes (partition id, base, mark,
+	// count).
+	if ns > uint64(d.Remaining()/4)+1 {
 		d.fail()
 		return nil
 	}
@@ -142,10 +145,15 @@ func ReadPartitionBatches(d *Dec) []types.PartitionBatch {
 	k := uint64(0)
 	for i := range out {
 		out[i].Partition = types.PartitionID(d.Uvarint())
+		out[i].Base = d.Timestamp()
+		out[i].Mark = d.Timestamp()
 		n := d.Uvarint()
 		if d.Err() != nil || k+n > total || k+n < k {
 			d.fail()
 			return nil
+		}
+		if n == 0 {
+			continue // a mark-only entry: Ops stays nil, as encoded
 		}
 		ops := ptrs[k : k+n : k+n]
 		for j := range ops {
@@ -164,7 +172,7 @@ func ReadPartitionBatches(d *Dec) []types.PartitionBatch {
 	return out
 }
 
-// AppendPartitionMarks appends a watermark/heartbeat list: a uvarint
+// AppendPartitionMarks appends a watermark list: a uvarint
 // count, then per mark a uvarint partition id and a compact timestamp.
 func AppendPartitionMarks(b []byte, marks []types.PartitionMark) []byte {
 	b = AppendUvarint(b, uint64(len(marks)))
@@ -175,7 +183,7 @@ func AppendPartitionMarks(b []byte, marks []types.PartitionMark) []byte {
 	return b
 }
 
-// ReadPartitionMarks decodes a watermark/heartbeat list.
+// ReadPartitionMarks decodes a watermark list.
 func ReadPartitionMarks(d *Dec) []types.PartitionMark {
 	n := d.Uvarint()
 	if n == 0 {

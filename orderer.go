@@ -110,7 +110,7 @@ func (o *Orderer) CrashReplica(r int) { o.cluster.Replica(types.ReplicaID(r)).St
 // Close flushes every stream, waits for the last submitted timestamp to
 // become stable — so every submitted operation has been emitted through
 // OnStable — and stops the service. The drain is deterministic: closing
-// the clients flushes their buffers, a final heartbeat at the global
+// the clients flushes their buffers, a final mark at the global
 // maximum timestamp advances every partition watermark past every
 // submission (safe, because no handle will ever issue again), and Close
 // then waits for the acting leader's stable time to cover it.
@@ -127,13 +127,13 @@ func (o *Orderer) Close() {
 			for p := 0; p < o.cfg.Partitions; p++ {
 				// Base 0: the closed clients' final flushes reached
 				// every live replica synchronously.
-				if _, err := r.Heartbeat(types.PartitionID(p), 0, maxTS); err != nil {
+				if _, err := r.NewBatch(types.PartitionBatch{Partition: types.PartitionID(p), Mark: maxTS}); err != nil {
 					break // crashed replica; the survivors drain
 				}
 			}
 		}
 		// The drain needs at least one stabilization round after the
-		// final heartbeat; scale the bound with θ so large intervals
+		// final mark; scale the bound with θ so large intervals
 		// still drain instead of hitting an absolute cutoff first.
 		wait := 10 * o.stabilization()
 		if wait < 5*time.Second {
