@@ -163,51 +163,6 @@ func BenchmarkFig7_Stragglers(b *testing.B) {
 	}
 }
 
-// BenchmarkFabricPipelinedTCP compares the pipelined, windowed-ack wire
-// protocol against the original one-request-one-response protocol over a
-// real TCP connection on loopback.
-func BenchmarkFabricPipelinedTCP(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := harness.PipelineBench(harness.PipelineBenchOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.PipelinedPerSec, "pipelined-msgs/s")
-		b.ReportMetric(res.RequestResponsePerSec, "reqresp-msgs/s")
-		b.ReportMetric(res.Speedup, "pipeline-speedup-x")
-	}
-}
-
-// BenchmarkWireCodec measures the zero-reflection wire codec on the
-// hot-path message shapes (metadata batch, windowed release, receiver
-// ship): encode+decode round trips per second, bytes per message,
-// allocations per round trip.
-func BenchmarkWireCodec(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := harness.CodecBench(harness.CodecBenchOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range res.Points {
-			b.ReportMetric(p.WirePerSec, p.Message+"-wire-encdec/s")
-			b.ReportMetric(float64(p.WireBytes), p.Message+"-wire-B")
-			b.ReportMetric(p.WireAllocs, p.Message+"-wire-allocs/op")
-		}
-	}
-}
-
-// BenchmarkFabricWindowedRelease measures the windowed receiver→partition
-// release stream in a split-role datacenter with a 1ms link delay.
-func BenchmarkFabricWindowedRelease(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := harness.ReleaseBench(harness.ReleaseBenchOptions{Updates: 150})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.WindowedPerSec, "windowed-applies/s")
-	}
-}
-
 // BenchmarkRecoveryRejoin compares a crashed partition-role node's
 // durable rejoin (WAL replay + release-stream resume at the durable
 // watermark) against the volatile alternative, a full re-replication of
@@ -251,10 +206,9 @@ func BenchmarkSnapshotBootstrap(b *testing.B) {
 }
 
 // BenchmarkDurableSaturation is the group-commit headline: end-to-end
-// client update throughput at fixed durability. "always" and "group" give
-// the identical durable-on-return guarantee; the ratio between them is
-// what fsync coalescing buys. Archived in BENCH_ci.json by the CI bench
-// job.
+// client update throughput with no WAL, with a flush-cadence WAL, and
+// with group commit's durable-on-return guarantee. Archived in
+// BENCH_ci.json by the CI bench job.
 func BenchmarkDurableSaturation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := harness.SaturationBench(harness.SaturationBenchOptions{})
@@ -263,9 +217,7 @@ func BenchmarkDurableSaturation(b *testing.B) {
 		}
 		b.ReportMetric(res.VolatileOps, "volatile-ops/s")
 		b.ReportMetric(res.FlushOps, "flush-ops/s")
-		b.ReportMetric(res.AlwaysOps, "always-ops/s")
 		b.ReportMetric(res.GroupOps, "group-ops/s")
-		b.ReportMetric(res.GroupVsAlways, "group-vs-always-x")
 	}
 }
 

@@ -148,8 +148,10 @@ func TestFrontdoorSessionMigrationOverTCP(t *testing.T) {
 }
 
 // TestOperationsDocCoversEveryFlag lints OPERATIONS.md against the
-// binary's actual flag set: every -flag the server accepts must be
-// documented, so the flag reference cannot silently rot as flags land.
+// binary's actual flag set, both ways: every -flag the server accepts must
+// be documented, and every row of the "Flag reference" tables must name a
+// flag the server accepts, so the reference cannot silently rot as flags
+// land or go.
 func TestOperationsDocCoversEveryFlag(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping process test in -short mode")
@@ -163,18 +165,47 @@ func TestOperationsDocCoversEveryFlag(t *testing.T) {
 	if len(matches) < 20 {
 		t.Fatalf("parsed only %d flags from -help; output:\n%s", len(matches), out)
 	}
-	doc, err := os.ReadFile("../../OPERATIONS.md")
+	raw, err := os.ReadFile("../../OPERATIONS.md")
 	if err != nil {
 		t.Fatalf("reading OPERATIONS.md: %v", err)
 	}
+	doc := string(raw)
+	accepted := make(map[string]bool, len(matches))
 	var missing []string
 	for _, m := range matches {
-		if !strings.Contains(string(doc), "`-"+m[1]+"`") {
+		accepted[m[1]] = true
+		if !strings.Contains(doc, "`-"+m[1]+"`") {
 			missing = append(missing, "-"+m[1])
 		}
 	}
 	if len(missing) > 0 {
 		t.Fatalf("OPERATIONS.md does not document: %s (every eunomia-server flag needs a `-flag` entry)",
 			strings.Join(missing, ", "))
+	}
+
+	// The server's flag tables run from "## Flag reference" to the next
+	// top-level section; eunomia-load's table lives elsewhere.
+	start := strings.Index(doc, "\n## Flag reference\n")
+	if start < 0 {
+		t.Fatal(`OPERATIONS.md has no "## Flag reference" section`)
+	}
+	ref := doc[start+1:]
+	if end := strings.Index(ref[1:], "\n## "); end >= 0 {
+		ref = ref[:end+1]
+	}
+	rowRe := regexp.MustCompile("(?m)^\\| `-([a-z][a-z0-9-]*)`")
+	rows := rowRe.FindAllStringSubmatch(ref, -1)
+	if len(rows) < len(matches) {
+		t.Fatalf("parsed only %d flag rows from the Flag reference, want at least %d", len(rows), len(matches))
+	}
+	var unknown []string
+	for _, r := range rows {
+		if !accepted[r[1]] {
+			unknown = append(unknown, "-"+r[1])
+		}
+	}
+	if len(unknown) > 0 {
+		t.Fatalf("OPERATIONS.md's Flag reference documents flags eunomia-server does not accept: %s",
+			strings.Join(unknown, ", "))
 	}
 }

@@ -150,10 +150,9 @@ func main() {
 		demo       = flag.String("demo", "", `demo workload: "write:N" or "watch:N"`)
 		dataDir    = flag.String("data-dir", "", "mode eunomia: persist node state (partition WALs, release-stream position, receiver SiteTime+queues) under this directory; a restart with the same dir rejoins instead of wedging")
 		storeB     = flag.String("store", "mem", `mode eunomia: partition version-store backend: "mem" (in-memory maps) or "disk" (log-structured per-shard segment files whose live dataset may exceed memory; requires -data-dir)`)
-		storeBud   = flag.Int64("store-budget", 0, "-store disk: advisory resident-memory budget in bytes for the disk backend's in-memory indexes, split across the hosted partitions (0 = unbudgeted)")
 		snapThresh = flag.Int64("snapshot-threshold", 0, "mode eunomia with -data-dir: per-store WAL size in bytes that triggers snapshot compaction (default 1 MiB)")
 		bootFrom   = flag.String("bootstrap-from", "", `mode eunomia: comma list of donor datacenter ids (e.g. "1,2", in preference order) to pull partition snapshots from at startup — a rebuilding process installs a compressed snapshot from a live peer and replays only the WAL suffix past it; needs a role that includes partitions`)
-		walSync    = flag.String("wal-sync", "flush", `WAL fsync policy: "flush" (per batch/ack, bounded loss window), "always" (per append, none), or "group" (group commit: durable on return like always, fsyncs shared across concurrent appends)`)
+		walSync    = flag.String("wal-sync", "flush", `WAL fsync policy: "flush" (per batch/ack, bounded loss window) or "group" (group commit: durable on return, fsyncs shared across concurrent appends)`)
 		metricsAd  = flag.String("metrics-addr", "", "serve Prometheus-style metrics (fabric, peer windows, codec latency, node state) on this HTTP address at /metrics")
 		compressN  = flag.String("compress", "off", `frame compression for connections this process dials: "off", "snappy", or "zstd"; inbound connections always follow the remote dialer's announcement, so mixed deployments interoperate`)
 		wanSeed    = flag.Int64("wan-seed", 42, "seed for -wan jitter and loss draws; the same seed and topology replay identical link behaviour")
@@ -231,6 +230,15 @@ func main() {
 	default:
 		log.Fatalf("unknown -session %q (want vector or scalar)", *sessMode)
 	}
+	var policy wal.SyncPolicy
+	switch *walSync {
+	case "flush":
+		policy = wal.SyncOnFlush
+	case "group":
+		policy = wal.SyncGroupCommit
+	default:
+		log.Fatalf("unknown -wal-sync %q (want flush or group)", *walSync)
+	}
 	aggIdxs, err := parseAggIndexes(*aggIndex, *aggFanin)
 	if err != nil {
 		log.Fatal(err)
@@ -291,17 +299,6 @@ func main() {
 		return
 	}
 
-	var policy wal.SyncPolicy
-	switch *walSync {
-	case "flush":
-		policy = wal.SyncOnFlush
-	case "always":
-		policy = wal.SyncEachAppend
-	case "group":
-		policy = wal.SyncGroupCommit
-	default:
-		log.Fatalf("unknown -wal-sync %q (want flush, always or group)", *walSync)
-	}
 	if *dataDir != "" && *mode != "eunomia" {
 		log.Fatalf("-data-dir is supported only by -mode eunomia (got %q)", *mode)
 	}
@@ -312,9 +309,6 @@ func main() {
 	}
 	if *storeB == "disk" && (*mode != "eunomia" || *dataDir == "") {
 		log.Fatalf("-store disk requires -mode eunomia and -data-dir (got -mode %s, -data-dir %q)", *mode, *dataDir)
-	}
-	if flagSet("store-budget") && *storeB != "disk" {
-		log.Fatalf("-store-budget applies only to -store disk (got -store %s)", *storeB)
 	}
 	if flagSet("snapshot-threshold") {
 		if *mode != "eunomia" || *dataDir == "" {
@@ -361,7 +355,6 @@ func main() {
 			Faults:              inj,
 			SnapshotThreshold:   *snapThresh,
 			StoreBackend:        *storeB,
-			StoreMemBudget:      *storeBud,
 			BootstrapFrom:       bootstrapFrom,
 		})
 	case "sequencer":

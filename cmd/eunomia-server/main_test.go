@@ -799,15 +799,15 @@ func TestRejectsContradictoryFlags(t *testing.T) {
 		{"bad-wan-spec",
 			[]string{"-mode", "eunomia", "-role", "dc", "-wan", "dc0-dc1:fast"},
 			"link spec"},
+		{"wal-sync-always-retired",
+			[]string{"-mode", "eunomia", "-role", "dc", "-wal-sync", "always"},
+			"want flush or group"},
 		{"unknown-store",
 			[]string{"-mode", "eunomia", "-role", "dc", "-store", "rocksdb"},
 			"unknown -store"},
 		{"disk-store-needs-data-dir",
 			[]string{"-mode", "eunomia", "-role", "dc", "-store", "disk"},
 			"-store disk requires -mode eunomia and -data-dir"},
-		{"store-budget-needs-disk-store",
-			[]string{"-mode", "eunomia", "-role", "dc", "-store-budget", "1048576"},
-			"-store-budget applies only to -store disk"},
 		{"snapshot-threshold-needs-data-dir",
 			[]string{"-mode", "eunomia", "-role", "dc", "-snapshot-threshold", "1024"},
 			"-snapshot-threshold requires -mode eunomia and -data-dir"},

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"eunomia/internal/racedetect"
 )
 
 // corpus spans the shapes the transport ships: empty, tiny, highly
@@ -154,25 +156,30 @@ func TestDeclaredLengthMismatch(t *testing.T) {
 func TestSteadyStateAllocs(t *testing.T) {
 	src := bytes.Repeat([]byte("steady-state payload over the wire;"), 400)
 	for _, scheme := range []Scheme{Snappy, Zstd} {
-		comp := Compress(scheme, nil, src)
-		dec, err := Decompress(scheme, nil, comp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cBuf := make([]byte, 0, cap(comp)*2)
-		dBuf := make([]byte, 0, cap(dec)*2)
-		allocs := testing.AllocsPerRun(50, func() {
-			cBuf = Compress(scheme, cBuf[:0], src)
-			var err error
-			dBuf, err = Decompress(scheme, dBuf[:0], cBuf)
+		t.Run(scheme.String(), func(t *testing.T) {
+			if scheme == Zstd && racedetect.Enabled {
+				t.Skip("the DEFLATE coders come from a sync.Pool, which the race runtime drains on purpose; the bound is checked without -race")
+			}
+			comp := Compress(scheme, nil, src)
+			dec, err := Decompress(scheme, nil, comp)
 			if err != nil {
 				t.Fatal(err)
 			}
+			cBuf := make([]byte, 0, cap(comp)*2)
+			dBuf := make([]byte, 0, cap(dec)*2)
+			allocs := testing.AllocsPerRun(50, func() {
+				cBuf = Compress(scheme, cBuf[:0], src)
+				var err error
+				dBuf, err = Decompress(scheme, dBuf[:0], cBuf)
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+			// One alloc of slack for pool churn.
+			if allocs > 1 {
+				t.Errorf("%.1f allocs per warm round trip, want <= 1", allocs)
+			}
 		})
-		// One alloc of slack for pool churn under the race detector.
-		if allocs > 1 {
-			t.Errorf("%v: %.1f allocs per warm round trip, want <= 1", scheme, allocs)
-		}
 	}
 }
 

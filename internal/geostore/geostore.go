@@ -226,8 +226,9 @@ type NodeConfig struct {
 	// original in-memory-only behavior.
 	DataDir string
 	// WALSync selects the fsync policy for all of the node's stores.
-	// Default wal.SyncOnFlush: one fsync per batch/ack cadence, loss
-	// window bounded by it (see DESIGN.md).
+	// Default wal.SyncGroupCommit: an append is on disk when it returns.
+	// wal.SyncOnFlush fsyncs once per batch/ack cadence and bounds the
+	// loss window by it (see DESIGN.md).
 	WALSync wal.SyncPolicy
 	// SnapshotThreshold is the per-store log size that triggers
 	// compaction. Default wal.DefaultSnapshotThreshold (1 MiB).
@@ -238,10 +239,6 @@ type NodeConfig struct {
 	// per-shard segment store whose live dataset may exceed memory).
 	// "disk" requires DataDir.
 	StoreBackend string
-	// StoreMemBudget is the disk backend's advisory resident-memory
-	// budget (kvstore.DiskOptions.MemBudget), split evenly across the
-	// hosted partitions. Zero = unbudgeted.
-	StoreMemBudget int64
 
 	// BootstrapFrom lists donor datacenters to pull partition snapshots
 	// from at open, in preference order: a rebuilding node installs a
@@ -725,7 +722,7 @@ func (n *Node) buildPartitions(nc NodeConfig) error {
 		if nc.StoreBackend == "disk" {
 			ds, err := kvstore.OpenDisk(
 				filepath.Join(nc.DataDir, fmt.Sprintf("dc%d-partition%d-store", m, i)),
-				kvstore.DiskOptions{MemBudget: nc.StoreMemBudget / int64(cfg.Partitions)})
+				kvstore.DiskOptions{})
 			if err != nil {
 				return fmt.Errorf("opening dc%d partition %d disk store: %w", m, i, err)
 			}

@@ -135,7 +135,7 @@ func TestSplitRestartHealsPrunedPayloads(t *testing.T) {
 	for p := 0; p < cfg.Partitions; p++ {
 		s.net.SetDrop(fabric.PartitionAddr(1, types.PartitionID(p)), fabric.PartitionAddr(0, types.PartitionID(p)), false)
 	}
-	restarted, err := OpenNode(NodeConfig{Config: cfg, DC: 0, Roles: RolePartitions | RoleEunomia, Fabric: s.net, DataDir: dir, WALSync: wal.SyncEachAppend})
+	restarted, err := OpenNode(NodeConfig{Config: cfg, DC: 0, Roles: RolePartitions | RoleEunomia, Fabric: s.net, DataDir: dir, WALSync: wal.SyncGroupCommit})
 	if err != nil {
 		t.Fatalf("split rejoin from %s: %v", dir, err)
 	}

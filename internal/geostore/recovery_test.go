@@ -16,7 +16,7 @@ import (
 // partition group can be "killed" (closed without draining) and rejoin.
 func newDurableSplitDC(t *testing.T, dir string) *splitDC {
 	t.Helper()
-	return newDurableSplitDCPolicy(t, dir, wal.SyncEachAppend)
+	return newDurableSplitDCPolicy(t, dir, wal.SyncGroupCommit)
 }
 
 // newDurableSplitDCPolicy pins the WAL sync policy on every durable dc0
@@ -35,14 +35,15 @@ func newDurableSplitDCPolicy(t *testing.T, dir string, policy wal.SyncPolicy) *s
 	return s
 }
 
-// TestPartitionRestartRejoinsFromDurableWatermark is the tentpole's
-// in-process acceptance check: the partition-group process dies
-// mid-stream (durably applied prefix, un-durable suffix still windowed),
-// a successor recovers from the same data dir, and the release stream
-// resumes from the durable watermark — every update becomes visible
-// exactly once, in causal order, with no wedge.
+// TestPartitionRestartRejoinsFromDurableWatermark is the in-process
+// rejoin check under wal.SyncOnFlush, the server's default: the
+// partition-group process dies mid-stream (durably applied prefix,
+// un-durable suffix still windowed), a successor recovers from the same
+// data dir, and the release stream resumes from the durable watermark —
+// every update becomes visible exactly once, in causal order, with no
+// wedge.
 func TestPartitionRestartRejoinsFromDurableWatermark(t *testing.T) {
-	runPartitionRestartRejoin(t, wal.SyncEachAppend)
+	runPartitionRestartRejoin(t, wal.SyncOnFlush)
 }
 
 // TestPartitionRestartRejoinsGroupCommitDurable runs the same crash

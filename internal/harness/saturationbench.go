@@ -1,13 +1,12 @@
 package harness
 
 // SaturationBench is the headline number for the group-commit work:
-// end-to-end client update throughput at a fixed durability guarantee.
-// Four legs run the same workload — concurrent clients hammering a
-// partition group — under the four WAL policies. The interesting pair is
-// SyncEachAppend vs SyncGroupCommit: both return from Update only when
-// the record is on disk (identical loss window: none), but each-append
-// pays one serialized fsync per update while group commit folds every
-// concurrent updater into one fsync per disk round trip.
+// end-to-end client update throughput at each durability level. Three
+// legs run the same workload — concurrent clients hammering a partition
+// group — with no WAL, under SyncOnFlush (a loss window of one batch
+// interval) and under SyncGroupCommit (Update returns only once the
+// record is on disk, with one fsync per disk round trip shared by every
+// concurrent updater).
 
 import (
 	"fmt"
@@ -51,22 +50,16 @@ func (o *SaturationBenchOptions) fill() {
 }
 
 // SaturationBenchResult reports client updates per second under each WAL
-// policy, plus the headline ratio.
+// policy.
 type SaturationBenchResult struct {
 	// VolatileOps: no WAL at all — the ceiling.
 	VolatileOps float64
 	// FlushOps: wal.SyncOnFlush — buffered appends, cadence fsyncs, loss
 	// window of one batch interval.
 	FlushOps float64
-	// AlwaysOps: wal.SyncEachAppend — durable on return, one fsync per
-	// update.
-	AlwaysOps float64
 	// GroupOps: wal.SyncGroupCommit — durable on return, fsyncs shared
 	// across concurrent updaters.
 	GroupOps float64
-	// GroupVsAlways is GroupOps / AlwaysOps: what coalescing buys at an
-	// identical durable-on-return guarantee.
-	GroupVsAlways float64
 }
 
 // SaturationBench measures sustained client update throughput under each
@@ -80,7 +73,6 @@ func SaturationBench(o SaturationBenchOptions) (SaturationBenchResult, error) {
 	}{
 		{"volatile", false, wal.SyncOnFlush},
 		{"flush", true, wal.SyncOnFlush},
-		{"always", true, wal.SyncEachAppend},
 		{"group", true, wal.SyncGroupCommit},
 	}
 	var out SaturationBenchResult
@@ -94,14 +86,9 @@ func SaturationBench(o SaturationBenchOptions) (SaturationBenchResult, error) {
 			out.VolatileOps = ops
 		case "flush":
 			out.FlushOps = ops
-		case "always":
-			out.AlwaysOps = ops
 		case "group":
 			out.GroupOps = ops
 		}
-	}
-	if out.AlwaysOps > 0 {
-		out.GroupVsAlways = out.GroupOps / out.AlwaysOps
 	}
 	return out, nil
 }

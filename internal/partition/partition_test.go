@@ -294,7 +294,7 @@ func TestApplyRemoteIdempotentAfterAckLoss(t *testing.T) {
 // a duplicate below a watermark another writer's update or a heartbeat
 // already advanced — and shipped in timestamp order.
 func TestConcurrentUpdatesAllReachEunomia(t *testing.T) {
-	st, err := wal.OpenStore(t.TempDir(), wal.SyncEachAppend)
+	st, err := wal.OpenStore(t.TempDir(), wal.SyncGroupCommit)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"eunomia/internal/fabric"
 	"eunomia/internal/types"
 )
 
@@ -257,7 +258,7 @@ func TestBatcherFlushAndOrder(t *testing.T) {
 	h, snap := collector()
 	dst := Addr{DC: 1, Name: "dst"}
 	n.Register(dst, h)
-	b := NewBatcher[int](n, Addr{DC: 0, Name: "src"}, 5*time.Millisecond)
+	b := fabric.NewBatcher[int](n, Addr{DC: 0, Name: "src"}, 5*time.Millisecond)
 	for i := 0; i < 100; i++ {
 		b.Add(dst, i)
 	}
@@ -286,7 +287,7 @@ func TestBatcherPeriodicFlush(t *testing.T) {
 	h, snap := collector()
 	dst := Addr{DC: 1, Name: "dst"}
 	n.Register(dst, h)
-	b := NewBatcher[string](n, Addr{DC: 0, Name: "src"}, 2*time.Millisecond)
+	b := fabric.NewBatcher[string](n, Addr{DC: 0, Name: "src"}, 2*time.Millisecond)
 	defer b.Close()
 	b.Add(dst, "x")
 	waitLen(t, snap, 1, time.Second) // arrives without Close

@@ -9,9 +9,9 @@ package wal
 // while one fsync is in flight, let every new append accumulate in the
 // write buffer; when the sync returns, issue one more covering all of
 // them and complete all of their durability waits at once. Blocking
-// Append keeps SyncEachAppend's contract — the caller's record is on disk
-// when Append returns — while the fsyncs-per-append ratio drops with
-// concurrency instead of staying pinned at 1.
+// Append returns only once the caller's record is on disk, while the
+// fsyncs-per-append ratio drops with concurrency instead of staying
+// pinned at 1.
 //
 // Single-goroutine pipelines (the applier, the receiver's fabric handler)
 // must not block once per record or the coalescing collapses back to one
@@ -68,7 +68,7 @@ func (o Options) withDefaults() Options {
 // SyncMetrics collects durability observability for one log: every fsync's
 // latency and, per durability advance, how many records it covered —
 // Records/Commits is the realized group-commit batch size (1.0 means no
-// coalescing, i.e. SyncEachAppend economics). The zero counters are ready
+// coalescing: one fsync per record). The zero counters are ready
 // to use; Fsync may be nil to skip latency recording.
 type SyncMetrics struct {
 	Fsync   *metrics.Histogram
@@ -95,10 +95,9 @@ func NewSyncMetrics() *SyncMetrics {
 
 // AppendNoWait writes one record and returns its LSN without waiting for
 // group durability: under SyncGroupCommit the record is buffered and the
-// committer woken, under SyncOnFlush it is buffered for the next Flush,
-// and under SyncEachAppend it is synced inline (that policy has no
-// deferred window to ride). Callers that must not acknowledge past disk
-// gate on WaitDurable(lsn) or DurableLSN().
+// committer woken, under SyncOnFlush it is buffered for the next Flush.
+// Callers that must not acknowledge past disk gate on WaitDurable(lsn) or
+// DurableLSN().
 func (l *Log) AppendNoWait(payload []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -106,20 +105,15 @@ func (l *Log) AppendNoWait(payload []byte) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	switch l.policy {
-	case SyncEachAppend:
-		if err := l.syncLocked(); err != nil {
-			return 0, err
-		}
-	case SyncGroupCommit:
+	if l.policy == SyncGroupCommit {
 		l.pokeCommitter()
 	}
 	return lsn, nil
 }
 
-// WaitDurable blocks until the record at lsn is on disk. Under policies
-// without a committer it forces the sync itself (one Flush) instead of
-// waiting for a cadence that may never come.
+// WaitDurable blocks until the record at lsn is on disk. Under
+// SyncOnFlush, which has no committer, it forces the sync itself (one
+// Flush) instead of waiting for a cadence that may never come.
 func (l *Log) WaitDurable(lsn uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -42,8 +42,11 @@ func TestGroupCommitDurabilityOrdering(t *testing.T) {
 					errs <- fmt.Errorf("wait for lsn %d returned at durable %d", lsn, d)
 					return
 				}
-				if a := l.AppendedLSN(); l.DurableLSN() > a {
-					errs <- fmt.Errorf("durable %d beyond appended %d", l.DurableLSN(), a)
+				// Durable first: both watermarks only grow, so a commit
+				// landing between the two reads cannot fake a violation.
+				d := l.DurableLSN()
+				if a := l.AppendedLSN(); d > a {
+					errs <- fmt.Errorf("durable %d beyond appended %d", d, a)
 					return
 				}
 				if i%8 != 0 {

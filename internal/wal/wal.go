@@ -37,20 +37,18 @@ import (
 type SyncPolicy int
 
 const (
-	// SyncEachAppend fsyncs on every append: slowest, no loss window.
-	SyncEachAppend SyncPolicy = iota
+	// SyncGroupCommit, the zero value, makes Append return only after
+	// the record is on disk, at a fraction of the fsync cost of syncing
+	// each append: a committer goroutine coalesces every record that
+	// arrived while the previous fsync was in flight into one sync and
+	// then completes all of their waits at once. Throughput scales with
+	// appender concurrency instead of being serialized behind one fsync
+	// per record; see Options for the accumulation knobs.
+	SyncGroupCommit SyncPolicy = iota
 	// SyncOnFlush fsyncs only on explicit Flush/Close: the batching
 	// analogue — a partition flushing its Eunomia batch every 1ms
 	// flushes its log on the same cadence, bounding loss to one batch.
 	SyncOnFlush
-	// SyncGroupCommit gives SyncEachAppend's guarantee (Append returns
-	// only after the record is on disk) at a fraction of the fsync cost:
-	// a committer goroutine coalesces every record that arrived while the
-	// previous fsync was in flight into one sync and then completes all
-	// of their waits at once. Throughput scales with appender concurrency
-	// instead of being serialized behind one fsync per record; see
-	// Options for the accumulation knobs.
-	SyncGroupCommit
 )
 
 // ErrClosed is returned by operations on a closed log.
@@ -203,9 +201,9 @@ func (l *Log) appendLocked(payload []byte) (uint64, error) {
 }
 
 // Append writes one record and applies the policy's durability guarantee:
-// SyncEachAppend fsyncs inline, SyncGroupCommit blocks until a group
-// commit covers the record (concurrent callers share one fsync), and
-// SyncOnFlush returns immediately (durability rides the next Flush).
+// SyncGroupCommit blocks until a group commit covers the record
+// (concurrent callers share one fsync), and SyncOnFlush returns
+// immediately (durability rides the next Flush).
 func (l *Log) Append(payload []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -213,15 +211,11 @@ func (l *Log) Append(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	switch l.policy {
-	case SyncEachAppend:
-		return l.syncLocked()
-	case SyncGroupCommit:
-		l.pokeCommitter()
-		return l.waitDurableLocked(lsn)
-	default:
+	if l.policy != SyncGroupCommit {
 		return nil
 	}
+	l.pokeCommitter()
+	return l.waitDurableLocked(lsn)
 }
 
 // Flush forces buffered records to stable storage.

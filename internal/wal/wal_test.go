@@ -71,7 +71,7 @@ func TestReplayMissingFileIsEmpty(t *testing.T) {
 func TestReopenAppends(t *testing.T) {
 	path := tmpLog(t)
 	for round := 0; round < 3; round++ {
-		l, err := Open(path, SyncEachAppend)
+		l, err := Open(path, SyncGroupCommit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestReopenAppends(t *testing.T) {
 
 func TestTornTailTruncatedOnOpen(t *testing.T) {
 	path := tmpLog(t)
-	l, err := Open(path, SyncEachAppend)
+	l, err := Open(path, SyncGroupCommit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 	f.Write([]byte{0x09, 0x00, 0x00, 0x00, 0xde, 0xad}) // truncated header+cksum
 	f.Close()
 
-	l2, err := Open(path, SyncEachAppend)
+	l2, err := Open(path, SyncGroupCommit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 
 func TestCorruptPayloadEndsReplay(t *testing.T) {
 	path := tmpLog(t)
-	l, _ := Open(path, SyncEachAppend)
+	l, _ := Open(path, SyncGroupCommit)
 	l.Append([]byte("good"))
 	l.Append([]byte("soon-corrupt"))
 	l.Close()

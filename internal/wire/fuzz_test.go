@@ -64,7 +64,12 @@ func retiredPayloads() [][]byte {
 	multiAck = wire.AppendUvarint(multiAck, 1) // ID
 	multiAck = wire.AppendUvarint(multiAck, 0) // no acks
 	multiAck = wire.AppendString(multiAck, "") // no error
-	return [][]byte{apply, ack, hb, batch, baseHB, streamAck, multi, multiAck}
+	ping := wire.AppendUvarint(nil, uint64(wire.TagBenchPing))
+	ping = wire.AppendUvarint(ping, 1)       // sequence
+	ping = wire.AppendBytes(ping, []byte{7}) // data
+	pong := wire.AppendUvarint(nil, uint64(wire.TagBenchPong))
+	pong = wire.AppendUvarint(pong, 1) // sequence
+	return [][]byte{apply, ack, hb, batch, baseHB, streamAck, multi, multiAck, ping, pong}
 }
 
 // TestRetiredTagsCorrupt pins the registry's retirement rule with every

@@ -51,7 +51,9 @@ const (
 	// internal/globalstab: sibling stabilization heartbeats.
 	TagStabHeartbeat Tag = 14
 
-	// internal/harness: fabric benchmark messages.
+	// internal/harness: retired. The ping and its reply of a benchmark
+	// that pitted the pipelined conn against a request/response protocol
+	// the fabric no longer has. No decoder is registered for them.
 	TagBenchPing Tag = 15
 	TagBenchPong Tag = 16
 
