@@ -145,7 +145,6 @@ func main() {
 		batchIvl   = flag.Duration("batch-interval", time.Millisecond, "partition→Eunomia and payload propagation period, flushed on wall-clock multiples (baseline modes: inter-DC ship batching interval)")
 		stableIvl  = flag.Duration("stable-interval", time.Millisecond, "fallback stabilization and follower-announcement period θ (the leader also stabilizes on every arrival)")
 		statsIvl   = flag.Duration("stats-interval", time.Second, "stats reporting period")
-		tree       = flag.String("tree", "redblack", "pending-set structure: redblack|avl (mode eunomia)")
 		aseq       = flag.Bool("aseq", false, "mode sequencer: contact the sequencer asynchronously (A-Seq)")
 		demo       = flag.String("demo", "", `demo workload: "write:N" or "watch:N"`)
 		dataDir    = flag.String("data-dir", "", "mode eunomia: persist node state (partition WALs, release-stream position, receiver SiteTime+queues) under this directory; a restart with the same dir rejoins instead of wedging")
@@ -179,21 +178,9 @@ func main() {
 	faultsSeed := flag.Int64("faults-seed", 1, "seed for -faults per-frame fault draws; the same seed and schedule replay identical behaviour")
 	flag.Parse()
 
-	kind := eunomia.RedBlack
-	switch *tree {
-	case "redblack":
-	case "avl":
-		kind = eunomia.AVL
-	default:
-		log.Fatalf("unknown -tree %q", *tree)
-	}
-
 	// Reject contradictory or silently-ignored flag combinations up
 	// front, before any socket binds: a misconfigured process should die
 	// with one line, not boot half a topology.
-	if flagSet("tree") && *mode != "eunomia" {
-		log.Fatalf("-tree is supported only by -mode eunomia (got %q)", *mode)
-	}
 	if *aseq && *mode != "sequencer" {
 		log.Fatalf("-aseq is supported only by -mode sequencer (got %q)", *mode)
 	}
@@ -238,6 +225,32 @@ func main() {
 		policy = wal.SyncGroupCommit
 	default:
 		log.Fatalf("unknown -wal-sync %q (want flush or group)", *walSync)
+	}
+	if *dataDir != "" && *mode != "eunomia" {
+		log.Fatalf("-data-dir is supported only by -mode eunomia (got %q)", *mode)
+	}
+	switch *storeB {
+	case "mem", "disk":
+	default:
+		log.Fatalf("unknown -store %q (want mem or disk)", *storeB)
+	}
+	if *storeB == "disk" && (*mode != "eunomia" || *dataDir == "") {
+		log.Fatalf("-store disk requires -mode eunomia and -data-dir (got -mode %s, -data-dir %q)", *mode, *dataDir)
+	}
+	if flagSet("snapshot-threshold") {
+		if *mode != "eunomia" || *dataDir == "" {
+			log.Fatalf("-snapshot-threshold requires -mode eunomia and -data-dir (got -mode %s, -data-dir %q)", *mode, *dataDir)
+		}
+		if *snapThresh <= 0 {
+			log.Fatalf("-snapshot-threshold must be positive bytes (got %d)", *snapThresh)
+		}
+	}
+	bootstrapFrom, err := parseBootstrapFrom(*bootFrom, *mode, *dcID, *dcs)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if *role == "orderer" && (*dataDir != "" || len(bootstrapFrom) > 0) {
+		log.Fatal("-data-dir and -bootstrap-from contradict -role orderer: the bare ordering service keeps no durable state")
 	}
 	aggIdxs, err := parseAggIndexes(*aggIndex, *aggFanin)
 	if err != nil {
@@ -295,32 +308,8 @@ func main() {
 			// it when a baseline was requested with the default role.
 			log.Fatalf("-role orderer supports only -mode eunomia (got %q); baselines need -role dc", *mode)
 		}
-		runOrderer(fab, *dcID, *partitions, *replicas, *stableIvl, *statsIvl, kind)
+		runOrderer(fab, *dcID, *partitions, *replicas, *stableIvl, *statsIvl)
 		return
-	}
-
-	if *dataDir != "" && *mode != "eunomia" {
-		log.Fatalf("-data-dir is supported only by -mode eunomia (got %q)", *mode)
-	}
-	switch *storeB {
-	case "mem", "disk":
-	default:
-		log.Fatalf("unknown -store %q (want mem or disk)", *storeB)
-	}
-	if *storeB == "disk" && (*mode != "eunomia" || *dataDir == "") {
-		log.Fatalf("-store disk requires -mode eunomia and -data-dir (got -mode %s, -data-dir %q)", *mode, *dataDir)
-	}
-	if flagSet("snapshot-threshold") {
-		if *mode != "eunomia" || *dataDir == "" {
-			log.Fatalf("-snapshot-threshold requires -mode eunomia and -data-dir (got -mode %s, -data-dir %q)", *mode, *dataDir)
-		}
-		if *snapThresh <= 0 {
-			log.Fatalf("-snapshot-threshold must be positive bytes (got %d)", *snapThresh)
-		}
-	}
-	bootstrapFrom, err := parseBootstrapFrom(*bootFrom, *mode, *dcID, *dcs)
-	if err != nil {
-		log.Fatal(err)
 	}
 
 	var h hosted
@@ -341,7 +330,6 @@ func main() {
 				Aggregators:    *aggFanin,
 				BatchInterval:  *batchIvl,
 				StableInterval: *stableIvl,
-				Tree:           kind,
 				ScalarMeta:     scalarSession,
 			},
 			DC:                  types.DCID(*dcID),
@@ -843,12 +831,11 @@ func hostEventual(fab *transport.TCP, role string, dcID, dcs, partitions int, sh
 
 // runOrderer serves a bare ordering service: the role the original daemon
 // played, now over the pipelined fabric protocol.
-func runOrderer(fab *transport.TCP, dc, partitions, replicas int, stableIvl, statsIvl time.Duration, kind eunomia.TreeKind) {
+func runOrderer(fab *transport.TCP, dc, partitions, replicas int, stableIvl, statsIvl time.Duration) {
 	var shipped atomic.Int64
 	cluster := eunomia.NewCluster(replicas, eunomia.Config{
 		Partitions:     partitions,
 		StableInterval: stableIvl,
-		Tree:           kind,
 	}, func(_ types.ReplicaID, ops []*types.Update) {
 		shipped.Add(int64(len(ops)))
 	})

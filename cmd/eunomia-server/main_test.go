@@ -766,9 +766,6 @@ func TestRejectsContradictoryFlags(t *testing.T) {
 		{"aseq-needs-sequencer",
 			[]string{"-mode", "eunomia", "-role", "dc", "-aseq"},
 			"-aseq is supported only by -mode sequencer"},
-		{"tree-needs-eunomia",
-			[]string{"-mode", "globalstab", "-role", "dc", "-tree", "avl"},
-			"-tree is supported only by -mode eunomia"},
 		{"unknown-role",
 			[]string{"-mode", "eunomia", "-role", "bogus"},
 			"unknown role"},
@@ -811,6 +808,12 @@ func TestRejectsContradictoryFlags(t *testing.T) {
 		{"snapshot-threshold-needs-data-dir",
 			[]string{"-mode", "eunomia", "-role", "dc", "-snapshot-threshold", "1024"},
 			"-snapshot-threshold requires -mode eunomia and -data-dir"},
+		{"orderer-rejects-store-flags",
+			[]string{"-mode", "eunomia", "-role", "orderer", "-store", "disk", "-snapshot-threshold", "5"},
+			"-store disk requires -mode eunomia and -data-dir"},
+		{"orderer-rejects-data-dir",
+			[]string{"-mode", "eunomia", "-role", "orderer", "-data-dir", "/tmp/unused"},
+			"contradict -role orderer"},
 		{"snapshot-threshold-must-be-positive",
 			[]string{"-mode", "eunomia", "-role", "dc", "-data-dir", "/tmp/unused", "-snapshot-threshold", "0"},
 			"-snapshot-threshold must be positive"},

@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"time"
 
-	"eunomia/internal/eunomia"
 	"eunomia/internal/geostore"
 	"eunomia/internal/hlc"
 	"eunomia/internal/simnet"
@@ -209,13 +208,3 @@ func (cl *Client) Read(key string) ([]byte, error) {
 func (cl *Client) Update(key string, value []byte) error {
 	return cl.inner.Update(types.Key(key), value)
 }
-
-// TreeKind selects the ordering service's pending-set data structure.
-type TreeKind = eunomia.TreeKind
-
-// Pending-set implementations (§6): the red-black tree is the paper's
-// choice; the AVL tree is retained for the ablation benchmark.
-const (
-	RedBlackTree TreeKind = eunomia.RedBlack
-	AVLTree      TreeKind = eunomia.AVL
-)

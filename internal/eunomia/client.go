@@ -380,10 +380,23 @@ func (c *Client) flush() {
 		}
 	}
 	drop := sort.Search(len(c.pending), func(j int) bool { return c.pending[j].TS > minAck })
-	if drop > 0 {
-		c.pending = append([]*types.Update(nil), c.pending[drop:]...)
-		c.notFull.Broadcast()
+	c.pruneLocked(drop)
+}
+
+// pruneLocked drops the first n pending operations. The rest move to a
+// fresh array, since a flush's snapshot of the old one may still be in
+// flight (a simnet message, a pipelined conn's queue). The fresh array
+// has room for n more, about one flush interval's issues, so the issuing
+// calls that follow do not grow it again from a few slots, and a burst's
+// array is not carried into the quiet flushes after it.
+func (c *Client) pruneLocked(n int) {
+	if n == 0 {
+		return
 	}
+	rest := make([]*types.Update, len(c.pending)-n, len(c.pending))
+	copy(rest, c.pending[n:])
+	c.pending = rest
+	c.notFull.Broadcast()
 }
 
 // flushFireAndForget is the Algorithm 3 (non-fault-tolerant) propagation
@@ -394,10 +407,7 @@ func (c *Client) flushFireAndForget() {
 	c.mu.Lock()
 	n := c.shippableLocked()
 	b := types.PartitionBatch{Partition: c.cfg.Partition, Ops: c.pending[:n:n], Mark: c.watermarkLocked()}
-	if n > 0 {
-		c.pending = append([]*types.Update(nil), c.pending[n:]...)
-		c.notFull.Broadcast()
-	}
+	c.pruneLocked(n)
 	c.mu.Unlock()
 	_, _ = c.conns[0].NewBatch(b) // service down: Algorithm 3 has no recovery
 }

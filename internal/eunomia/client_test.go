@@ -443,6 +443,30 @@ func TestClientSetInterval(t *testing.T) {
 	waitFor(t, time.Second, func() bool { return a.opCount() == 2 })
 }
 
+// TestClientPruneDropsBurstArray: a prune sizes the fresh pending array by
+// the flush it prunes, not by the largest buffer the client ever held, so
+// the quiet flushes after a burst do not each allocate a burst-sized array.
+func TestClientPruneDropsBurstArray(t *testing.T) {
+	a := &fakeConn{}
+	cl := newTestClient([]Conn{a}, ClientConfig{Partition: 0})
+	defer cl.Close()
+	const burst = 4096
+	for i := 1; i <= burst; i++ {
+		cl.Issue(0, up(0, uint64(i), 0))
+	}
+	waitFor(t, time.Second, func() bool { return a.opCount() == burst && cl.Pending() == 0 })
+	for i := 1; i <= 3; i++ {
+		cl.Issue(0, up(0, uint64(burst+i), 0))
+		waitFor(t, time.Second, func() bool { return a.opCount() == burst+i && cl.Pending() == 0 })
+	}
+	cl.mu.Lock()
+	c := cap(cl.pending)
+	cl.mu.Unlock()
+	if c > 16 {
+		t.Fatalf("pending array holds %d slots after three single-op flushes, want at most 16", c)
+	}
+}
+
 func TestClientAddedCounter(t *testing.T) {
 	a := &fakeConn{}
 	cl := newTestClient([]Conn{a}, ClientConfig{Partition: 0})

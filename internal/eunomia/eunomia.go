@@ -32,6 +32,7 @@ import (
 	"eunomia/internal/metrics"
 	"eunomia/internal/ordered"
 	"eunomia/internal/rbtree"
+	"eunomia/internal/runs"
 	"eunomia/internal/types"
 )
 
@@ -44,22 +45,28 @@ var ErrStopped = errors.New("eunomia: replica stopped")
 // on a fabric-delivered message.
 var ErrUnknownPartition = errors.New("eunomia: unknown partition stream")
 
-// TreeKind selects the pending-set implementation (§6 ablation).
+// TreeKind selects the pending-set implementation.
 type TreeKind int
 
 const (
-	// RedBlack is the paper's choice and the default.
-	RedBlack TreeKind = iota
+	// Runs, the zero value and the default, keeps one sorted run per
+	// partition stream and merges the runs on extraction (internal/runs):
+	// the stream rule makes every insert an append.
+	Runs TreeKind = iota
+	// RedBlack is the paper's choice (§6), kept for its ablation.
+	RedBlack
 	// AVL reproduces the alternative the paper measured and rejected.
 	AVL
 )
 
 func newSet(k TreeKind) ordered.Set[*types.Update] {
 	switch k {
+	case RedBlack:
+		return rbtree.New[*types.Update]()
 	case AVL:
 		return avltree.New[*types.Update]()
 	default:
-		return rbtree.New[*types.Update]()
+		return runs.New[*types.Update]()
 	}
 }
 
@@ -85,7 +92,8 @@ type Config struct {
 	// notification before probing for a dead leader. Default
 	// 10×StableInterval.
 	SuspectAfter time.Duration
-	// Tree selects the pending-set structure.
+	// Tree selects the pending-set structure; the zero value is the
+	// per-stream run set, and only the §6 ablation sets another.
 	Tree TreeKind
 	// MessageCost charges emulated per-batch processing time (one
 	// message receive and parse) to the replica. Because partitions

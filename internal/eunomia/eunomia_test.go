@@ -232,6 +232,45 @@ func TestFollowerPrunesOnStable(t *testing.T) {
 	}
 }
 
+// TestFollowerStableDrainsRuns prunes a follower holding several
+// partitions' runs with leader-announced stable times alone: a stable time
+// between the runs' timestamps leaves exactly the entries above it, and
+// one at the top leaves nothing, round after round.
+func TestFollowerStableDrainsRuns(t *testing.T) {
+	const partitions = 4
+	c := NewCluster(2, Config{Partitions: partitions, StableInterval: time.Millisecond}, nil)
+	defer c.Stop()
+	follower := c.Replica(1)
+	seq := uint64(0)
+	for round := hlc.Timestamp(0); round < 3; round++ {
+		base := round * 100
+		for p := types.PartitionID(0); p < partitions; p++ {
+			b := types.PartitionBatch{Partition: p}
+			for ts := base + 1 + hlc.Timestamp(p); ts <= base+100; ts += partitions {
+				seq++
+				b.Ops = append(b.Ops, up(p, seq, ts))
+			}
+			if _, err := follower.NewBatch(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := follower.Stats().Pending; got != 100 {
+			t.Fatalf("round %d: Pending %d after ingest, want 100", round, got)
+		}
+		follower.Stable(base + 50)
+		if got := follower.Stats().Pending; got != 50 {
+			t.Fatalf("round %d: Pending %d after Stable(%d), want 50", round, got, base+50)
+		}
+		follower.Stable(base + 100)
+		if got := follower.Stats().Pending; got != 0 {
+			t.Fatalf("round %d: Pending %d after Stable(%d), want 0", round, got, base+100)
+		}
+	}
+	if st := follower.Stats(); st.OpsShipped != 0 {
+		t.Fatalf("follower shipped %d operations", st.OpsShipped)
+	}
+}
+
 func TestLeaderFailover(t *testing.T) {
 	sink := &shipSink{}
 	cfg := Config{Partitions: 1, StableInterval: time.Millisecond, SuspectAfter: 10 * time.Millisecond}

@@ -115,8 +115,6 @@ type Config struct {
 	// ScalarMeta runs clients with scalar causal histories instead of
 	// vectors (the §4 metadata ablation).
 	ScalarMeta bool
-	// Tree selects Eunomia's pending-set structure.
-	Tree eunomia.TreeKind
 	// ClockFor, optional, supplies the physical clock source for each
 	// partition; nil uses the system clock everywhere. Tests inject
 	// skewed clocks here to verify skew tolerance.
@@ -606,7 +604,6 @@ func (n *Node) buildEunomia() {
 	n.cluster = eunomia.NewCluster(cfg.Replicas, eunomia.Config{
 		Partitions:     cfg.Partitions,
 		StableInterval: cfg.StableInterval,
-		Tree:           cfg.Tree,
 	}, ship)
 	for r, rep := range n.cluster.Replicas() {
 		fabric.ServeReplica(n.fab, fabric.EunomiaAddr(m, types.ReplicaID(r)), rep)

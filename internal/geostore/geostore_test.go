@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"eunomia/internal/clock"
-	"eunomia/internal/eunomia"
 	"eunomia/internal/fabric"
 	"eunomia/internal/hlc"
 	"eunomia/internal/types"
@@ -416,5 +415,4 @@ func TestAccessors(t *testing.T) {
 	if s.TotalUpdates() != 0 {
 		t.Fatal("fresh store has updates")
 	}
-	_ = eunomia.RedBlack // keep import for the config reference below
 }

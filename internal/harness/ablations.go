@@ -9,14 +9,16 @@ import (
 	"eunomia/internal/workload"
 )
 
-// TreeAblationResult compares the red-black and AVL pending sets at the
-// saturating partition count (§6 reports the red-black tree won).
+// TreeAblationResult compares the pending sets at the saturating partition
+// count: the per-stream run set every deployment runs, and the red-black
+// and AVL trees of §6 (which reports the red-black tree won).
 type TreeAblationResult struct {
-	RedBlack float64 // ops/s
+	Runs     float64 // ops/s
+	RedBlack float64
 	AVL      float64
 }
 
-// AblationTree measures both pending-set implementations under Figure 2
+// AblationTree measures the pending-set implementations under Figure 2
 // saturation load.
 func AblationTree(o ServiceOptions, partitions int) TreeAblationResult {
 	o.fill()
@@ -24,6 +26,7 @@ func AblationTree(o ServiceOptions, partitions int) TreeAblationResult {
 		partitions = 60
 	}
 	return TreeAblationResult{
+		Runs:     eunomiaSaturation(o, partitions, 1, false, eunomia.Runs),
 		RedBlack: eunomiaSaturation(o, partitions, 1, false, eunomia.RedBlack),
 		AVL:      eunomiaSaturation(o, partitions, 1, false, eunomia.AVL),
 	}
@@ -57,7 +60,7 @@ func AblationBatching(o ServiceOptions, partitions int, intervals []time.Duratio
 		opts.BatchInterval = iv
 		out = append(out, BatchingPoint{
 			Interval:   iv,
-			Throughput: eunomiaSaturation(opts, partitions, 1, false, eunomia.RedBlack),
+			Throughput: eunomiaSaturation(opts, partitions, 1, false, eunomia.Runs),
 		})
 	}
 	return out

@@ -102,7 +102,7 @@ func Fig2(o ServiceOptions, partitions []int) Fig2Result {
 	res := Fig2Result{Partitions: partitions}
 	var maxEu, maxSeq float64
 	for _, p := range partitions {
-		eu := eunomiaSaturation(o, p, 1, false, eunomia.RedBlack)
+		eu := eunomiaSaturation(o, p, 1, false, eunomia.Runs)
 		if eu > maxEu {
 			maxEu = eu
 		}

@@ -34,7 +34,7 @@ func Fig3(o ServiceOptions, partitions int) Fig3Result {
 		partitions = 60
 	}
 	var res Fig3Result
-	base := eunomiaSaturation(o, partitions, 1, true, eunomia.RedBlack)
+	base := eunomiaSaturation(o, partitions, 1, true, eunomia.Runs)
 	add := func(name string, thr float64) {
 		norm := 0.0
 		if base > 0 {
@@ -44,7 +44,7 @@ func Fig3(o ServiceOptions, partitions int) Fig3Result {
 	}
 	add("Eunomia Non-FT", base)
 	for r := 1; r <= 3; r++ {
-		thr := eunomiaSaturation(o, partitions, r, false, eunomia.RedBlack)
+		thr := eunomiaSaturation(o, partitions, r, false, eunomia.Runs)
 		add(formatFT("Eunomia", r), thr)
 	}
 	add("Sequencer Non-FT", sequencerSaturation(o, partitions, 0))

@@ -199,7 +199,7 @@ func TestFig7Tiny(t *testing.T) {
 
 func TestAblationsTiny(t *testing.T) {
 	tree := AblationTree(tinyService(), 8)
-	if tree.RedBlack <= 0 || tree.AVL <= 0 {
+	if tree.Runs <= 0 || tree.RedBlack <= 0 || tree.AVL <= 0 {
 		t.Fatalf("tree ablation: %+v", tree)
 	}
 	pts := AblationBatching(tinyService(), 4, []time.Duration{time.Millisecond, 2 * time.Millisecond})

@@ -5,10 +5,13 @@
 // Eunomia must hold a potentially very large set of unstable updates coming
 // from all partitions of a datacenter and, every stabilization period,
 // extract-in-order every update with timestamp <= StableTime (§6 of the
-// paper). The paper implements this with a red-black tree and reports that
-// it outperformed an AVL tree; both structures are provided
-// (internal/rbtree, internal/avltree) behind this package's Set interface
-// so the claim can be re-checked (BenchmarkAblationTreeChoice).
+// paper). Every deployment runs internal/runs, which keeps one sorted run
+// per partition stream, since each stream arrives in timestamp order, and
+// merges the runs on extraction. The paper implements the set with a
+// red-black tree and reports that it outperformed an AVL tree; both trees
+// are kept (internal/rbtree, internal/avltree) behind this package's Set
+// interface so that claim can be re-checked beside the run set
+// (BenchmarkAblationTreeChoice).
 package ordered
 
 import "eunomia/internal/hlc"

@@ -1,7 +1,7 @@
 // Package orderedtest is a conformance suite for ordered.Set
-// implementations: both internal/rbtree and internal/avltree must behave
-// identically to a reference model under deterministic and randomized
-// workloads, including the exact extraction pattern the Eunomia
+// implementations: internal/runs, internal/rbtree and internal/avltree must
+// behave identically to a reference model under deterministic and
+// randomized workloads, including the exact extraction pattern the Eunomia
 // stabilization loop performs.
 package orderedtest
 

@@ -33,8 +33,6 @@ type OrdererConfig struct {
 	StabilizationInterval time.Duration
 	// BatchInterval is the per-stream propagation period (default 1 ms).
 	BatchInterval time.Duration
-	// Tree selects the pending-set structure (default red-black).
-	Tree TreeKind
 	// OnStable receives stable operations in timestamp order. Required.
 	OnStable func(ops []StableOp)
 }
@@ -84,7 +82,6 @@ func NewOrderer(cfg OrdererConfig) (*Orderer, error) {
 	o.cluster = internal.NewCluster(cfg.Replicas, internal.Config{
 		Partitions:     cfg.Partitions,
 		StableInterval: cfg.StabilizationInterval,
-		Tree:           cfg.Tree,
 	}, ship)
 	o.handles = make([]*PartitionHandle, cfg.Partitions)
 	for i := range o.handles {
