@@ -80,6 +80,7 @@ import (
 	"eunomia/internal/faults"
 	"eunomia/internal/geostore"
 	"eunomia/internal/globalstab"
+	"eunomia/internal/hlc"
 	"eunomia/internal/metrics"
 	"eunomia/internal/sequencer"
 	"eunomia/internal/transport"
@@ -181,6 +182,9 @@ func main() {
 	// Reject contradictory or silently-ignored flag combinations up
 	// front, before any socket binds: a misconfigured process should die
 	// with one line, not boot half a topology.
+	if err := hlc.CheckStreams(*partitions); *mode == "eunomia" && err != nil {
+		log.Fatalf("-partitions: %v", err)
+	}
 	if *aseq && *mode != "sequencer" {
 		log.Fatalf("-aseq is supported only by -mode sequencer (got %q)", *mode)
 	}

@@ -784,6 +784,9 @@ func TestRejectsContradictoryFlags(t *testing.T) {
 		{"unknown-session",
 			[]string{"-mode", "eunomia", "-role", "dc", "-session", "bogus"},
 			"unknown -session"},
+		{"partitions-above-stream-ids",
+			[]string{"-mode", "eunomia", "-role", "orderer", "-partitions", "257"},
+			"exceed the hybrid clock's 256 stream ids"},
 		{"unknown-mode",
 			[]string{"-mode", "bogus", "-role", "dc"},
 			"unknown -mode"},

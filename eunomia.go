@@ -44,6 +44,12 @@ import (
 // natural order is the hybrid-clock order.
 type Timestamp = hlc.Timestamp
 
+// MaxPartitions bounds the partitions per datacenter (Config.Partitions)
+// and the streams of an Orderer (OrdererConfig.Partitions): a
+// timestamp's low bits carry its stream's id, so that no two streams
+// ever issue the same timestamp.
+const MaxPartitions = hlc.MaxStreams
+
 // Config parameterises a Cluster. The zero value reproduces the paper's
 // deployment: 3 datacenters × 8 partitions, one Eunomia replica each,
 // 1 ms batching/stabilization, Virginia-Oregon-Ireland WAN latencies,
@@ -120,6 +126,9 @@ type Cluster struct {
 func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.Datacenters < 0 || cfg.Partitions < 0 || cfg.OrderingReplicas < 0 {
 		return nil, errors.New("eunomia: negative sizes in Config")
+	}
+	if err := hlc.CheckStreams(cfg.Partitions); err != nil {
+		return nil, fmt.Errorf("eunomia: Config.Partitions: %w", err)
 	}
 	gcfg := geostore.Config{
 		DCs:            cfg.Datacenters,

@@ -54,6 +54,9 @@ func TestClusterValidation(t *testing.T) {
 	if _, err := NewCluster(Config{Datacenters: -1}); err == nil {
 		t.Fatal("negative config accepted")
 	}
+	if _, err := NewCluster(Config{Partitions: MaxPartitions + 1}); err == nil {
+		t.Fatalf("%d partitions accepted beyond the %d stream ids", MaxPartitions+1, MaxPartitions)
+	}
 	c, err := NewCluster(testConfig())
 	if err != nil {
 		t.Fatal(err)

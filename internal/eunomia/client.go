@@ -88,8 +88,13 @@ func (c *ClientConfig) fill() {
 // crosses a lost batch can mask it (a conn that trims what it already
 // streamed raises the base to match, see fabric.ReplicaConn).
 //
+// The client issues with hlc.Clock.Next, which reads no clock: the stream
+// id in a timestamp's low bits keeps the datacenter's streams from ever
+// tying, and every flush advances the clock to physical time, so a
+// timestamp trails wall time by at most one batch interval.
+//
 // The watermark never passes a timestamp that is issued but not yet
-// enqueued: Issue ticks and enqueues in one step under the client's
+// enqueued: Issue stamps and enqueues in one step under the client's
 // lock, and a timestamp taken with Reserve holds the stream back —
 // flushes ship only the operations below the oldest reservation and
 // promise at most one less than it — until Add enqueues it. So no
@@ -110,28 +115,30 @@ type Client struct {
 	closed   bool
 	acked    []hlc.Timestamp // per replica
 	dead     []bool          // per replica, sticky
+	added    int64
+	block    []types.Update // IssueValue's unused records
 
 	interval atomic.Int64 // current batch interval in nanoseconds
 
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
-
-	added   metrics64
-	flushes metrics64
 }
 
-type metrics64 struct{ v atomic.Int64 }
-
-func (m *metrics64) inc()        { m.v.Add(1) }
-func (m *metrics64) load() int64 { return m.v.Load() }
+// updateBlock is how many operation records IssueValue allocates at once.
+const updateBlock = 64
 
 // NewClient starts the propagation loop for one partition. clock is the
-// partition's hybrid clock: the client ticks it for every timestamp the
-// stream issues, and the partition may only Observe it (remote applies,
-// recovery), never tick it itself.
+// partition's hybrid clock: the client issues every timestamp of the
+// stream from it, and the partition may only Observe it (remote applies,
+// recovery), never issue from it itself. The partition id must be below
+// hlc.MaxStreams; a larger one panics.
 func NewClient(cfg ClientConfig, conns []Conn, clock *hlc.Clock) *Client {
 	cfg.fill()
+	if cfg.Partition < 0 || int(cfg.Partition) >= hlc.MaxStreams {
+		panic(fmt.Sprintf("eunomia: partition %d outside the clock's %d stream ids", cfg.Partition, hlc.MaxStreams))
+	}
+	clock.Advance()
 	c := &Client{
 		cfg:   cfg,
 		conns: conns,
@@ -155,16 +162,36 @@ func NewClient(cfg ClientConfig, conns []Conn, clock *hlc.Clock) *Client {
 func (c *Client) Issue(dep hlc.Timestamp, u *types.Update) hlc.Timestamp {
 	c.mu.Lock()
 	c.waitRoomLocked()
-	u.TS = c.clock.Tick(dep)
-	closed := c.closed
-	if !closed {
-		// The fresh timestamp is the largest ever issued, so appending
-		// keeps pending sorted.
-		c.pending = append(c.pending, u)
-	}
+	ts := c.issueLocked(dep, u)
 	c.mu.Unlock()
-	if !closed {
-		c.added.inc()
+	return ts
+}
+
+// IssueValue issues a fresh operation carrying value on the stream, as
+// Issue does. Its record comes from a block the client allocates
+// updateBlock at a time, so the caller allocates nothing per operation.
+func (c *Client) IssueValue(dep hlc.Timestamp, value types.Value) hlc.Timestamp {
+	c.mu.Lock()
+	c.waitRoomLocked()
+	if len(c.block) == 0 {
+		c.block = make([]types.Update, updateBlock)
+	}
+	u := &c.block[0]
+	c.block = c.block[1:]
+	u.Partition, u.Value = c.cfg.Partition, value
+	ts := c.issueLocked(dep, u)
+	c.mu.Unlock()
+	return ts
+}
+
+// issueLocked stamps u and, unless the client is closed, enqueues it. The
+// fresh timestamp is the largest ever issued, so appending keeps pending
+// sorted.
+func (c *Client) issueLocked(dep hlc.Timestamp, u *types.Update) hlc.Timestamp {
+	u.TS = c.clock.Next(dep, int(c.cfg.Partition))
+	if !c.closed {
+		c.pending = append(c.pending, u)
+		c.added++
 	}
 	return u.TS
 }
@@ -177,7 +204,7 @@ func (c *Client) Issue(dep hlc.Timestamp, u *types.Update) hlc.Timestamp {
 func (c *Client) Reserve(dep hlc.Timestamp) hlc.Timestamp {
 	c.mu.Lock()
 	c.waitRoomLocked()
-	ts := c.clock.Tick(dep)
+	ts := c.clock.Next(dep, int(c.cfg.Partition))
 	if !c.closed {
 		c.reserved = append(c.reserved, ts)
 	}
@@ -215,8 +242,8 @@ func (c *Client) Add(u *types.Update) {
 	c.pending = append(c.pending, nil)
 	copy(c.pending[j+1:], c.pending[j:])
 	c.pending[j] = u
+	c.added++
 	c.mu.Unlock()
-	c.added.inc()
 }
 
 // waitRoomLocked blocks while MaxPending operations are buffered or
@@ -239,15 +266,18 @@ func (c *Client) shippableLocked() int {
 	return sort.Search(len(c.pending), func(j int) bool { return c.pending[j].TS > oldest })
 }
 
-// watermarkLocked returns the timestamp a mark may promise once the
-// shippable prefix is held: just below the oldest reservation, or with
-// none outstanding the clock advanced to max(physical, last), which every
-// later issue exceeds.
+// watermarkLocked advances the clock to max(physical, last), the one
+// clock read of a flush, and returns the timestamp a mark may promise once
+// the shippable prefix is held: just below the oldest reservation, or with
+// none outstanding the advanced clock, which every later issue exceeds.
+// The clock advances even while a reservation holds the mark back, so
+// the stream's next timestamps never trail this flush's physical time.
 func (c *Client) watermarkLocked() hlc.Timestamp {
+	now := c.clock.Advance()
 	if len(c.reserved) > 0 {
 		return c.reserved[0] - 1
 	}
-	return c.clock.Advance()
+	return now
 }
 
 // SetInterval changes the propagation period at runtime. The straggler
@@ -268,7 +298,11 @@ func (c *Client) Pending() int {
 }
 
 // Added returns the total number of operations enqueued.
-func (c *Client) Added() int64 { return c.added.load() }
+func (c *Client) Added() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.added
+}
 
 // Close stops the propagation loop after a final flush and releases any
 // producer blocked on backpressure.
@@ -306,7 +340,6 @@ func (c *Client) loop() {
 // operations it has not acknowledged, with the stream's watermark; then
 // it prunes fully acknowledged operations.
 func (c *Client) flush() {
-	c.flushes.inc()
 	if c.cfg.FireAndForget {
 		c.flushFireAndForget()
 		return

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -353,6 +354,87 @@ func TestClientHeldReservationIsNotMasked(t *testing.T) {
 	got := sink.snapshot()
 	if len(got) != 3 || got[0].TS != before || got[1].TS != held || got[2].TS != after {
 		t.Fatalf("shipped %d ops out of order, want [%v %v %v]", len(got), before, held, after)
+	}
+}
+
+// countingClock is a manual physical clock that counts its reads.
+type countingClock struct {
+	now   atomic.Int64
+	reads atomic.Int64
+}
+
+func (c *countingClock) NowMicros() int64 {
+	c.reads.Add(1)
+	return c.now.Load()
+}
+
+// newManualClient returns a client over a counting manual clock whose
+// timer never fires within a test: the test flushes by hand.
+func newManualClient(conns []Conn, partition types.PartitionID) (*Client, *countingClock) {
+	src := &countingClock{}
+	src.now.Store(1000)
+	return NewClient(ClientConfig{Partition: partition, BatchInterval: 1000 * time.Hour}, conns, hlc.NewClock(src)), src
+}
+
+// TestClientIssuesWithoutReadingTheClock: the issuing calls read no
+// clock; the client reads it once when built and once per flush.
+func TestClientIssuesWithoutReadingTheClock(t *testing.T) {
+	a := &fakeConn{}
+	cl, src := newManualClient([]Conn{a}, 3)
+	defer cl.Close()
+	if n := src.reads.Load(); n != 1 {
+		t.Fatalf("NewClient read the clock %d times, want 1", n)
+	}
+	for i := uint64(1); i <= 100; i++ {
+		cl.Issue(0, up(3, 2*i, 0))
+		cl.Add(up(3, 2*i+1, cl.Reserve(0)))
+		cl.IssueValue(0, nil)
+	}
+	if n := src.reads.Load(); n != 1 {
+		t.Fatalf("300 issues read the clock %d times, want none", n-1)
+	}
+	cl.flush()
+	if n := src.reads.Load(); n != 2 {
+		t.Fatalf("a flush read the clock %d times, want 1", n-1)
+	}
+	for _, ts := range a.opTimestamps() {
+		if got := int(ts % hlc.MaxStreams); got != 3 {
+			t.Fatalf("timestamp %v carries stream %d, want 3", ts, got)
+		}
+	}
+}
+
+// TestClientSlowStreamTrailsOneFlush: a stream that issues less often
+// than it flushes still issues every timestamp at or above the physical
+// time of its previous flush, also while a held reservation keeps its
+// mark back.
+func TestClientSlowStreamTrailsOneFlush(t *testing.T) {
+	a := &fakeConn{}
+	cl, src := newManualClient([]Conn{a}, 0)
+	defer cl.Close()
+	var held hlc.Timestamp
+	for i := uint64(1); i <= 20; i++ {
+		now := int64(1000 + 500*i)
+		src.now.Store(now)
+		cl.flush()
+		if i == 5 {
+			held = cl.Reserve(0)
+		}
+		if i == 15 {
+			cl.Add(up(0, 0, held))
+			held = 0
+		}
+		if ts := cl.Issue(0, up(0, i, 0)); ts.Physical() < now {
+			t.Fatalf("issue %d stamped %v, behind its previous flush at %d µs (held %v)", i, ts, now, held)
+		}
+		if held != 0 {
+			a.mu.Lock()
+			mark := a.marks[len(a.marks)-1]
+			a.mu.Unlock()
+			if mark >= held {
+				t.Fatalf("flush %d marked %v, not below the held reservation %v", i, mark, held)
+			}
+		}
 	}
 }
 

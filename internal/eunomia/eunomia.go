@@ -309,14 +309,20 @@ func (r *Replica) ingestLocked(b types.PartitionBatch) (hlc.Timestamp, bool) {
 		return held, false
 	}
 	w := held
+	dups := 0
 	for _, u := range b.Ops {
 		if u.TS <= w {
-			r.duplicates.Inc()
+			dups++
 			continue
 		}
 		w = u.TS
 		r.ops.Insert(ordered.Key{TS: u.TS, Partition: int32(u.Partition), Seq: u.Seq}, u)
-		r.opsReceived.Inc()
+	}
+	if dups > 0 {
+		r.duplicates.Add(int64(dups))
+	}
+	if fresh := len(b.Ops) - dups; fresh > 0 {
+		r.opsReceived.Add(int64(fresh))
 	}
 	w = max(w, b.Mark)
 	r.partitionTime[b.Partition] = w

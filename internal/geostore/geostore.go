@@ -78,7 +78,9 @@ type VisibleFunc func(dest types.DCID, u *types.Update, arrived time.Time)
 // defaults (§7.2): 3 DCs, 8 partitions, 1 Eunomia replica, 1ms batching
 // and stabilization, data/metadata separation on, vector metadata.
 type Config struct {
-	DCs        int
+	DCs int
+	// Partitions per datacenter, at most hlc.MaxStreams: each issues
+	// timestamps carrying its id. OpenNode rejects a larger count.
 	Partitions int
 	// Replicas is the Eunomia replication factor per datacenter
 	// (1 = the non-fault-tolerant Algorithm 3 service).
@@ -335,6 +337,9 @@ func NewNode(nc NodeConfig) *Node {
 // keeps it maintained on the batch cadence.
 func OpenNode(nc NodeConfig) (*Node, error) {
 	nc.Config.fill()
+	if err := hlc.CheckStreams(nc.Partitions); err != nil {
+		return nil, fmt.Errorf("geostore: Config.Partitions: %w", err)
+	}
 	if nc.Roles == 0 {
 		nc.Roles = RoleAll
 	}

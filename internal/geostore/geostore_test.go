@@ -3,6 +3,7 @@ package geostore
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"eunomia/internal/clock"
 	"eunomia/internal/fabric"
 	"eunomia/internal/hlc"
+	"eunomia/internal/simnet"
 	"eunomia/internal/types"
 )
 
@@ -318,6 +320,65 @@ func TestClockSkewTolerance(t *testing.T) {
 	})
 	if err := s.WaitQuiescent(10 * time.Second); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConcurrentWritersOfOneDCNeverTie writes one key on each partition
+// of dc0 from two fresh sessions within one tick of a 10-ms partition
+// clock, after both partitions have flushed in that tick. The two
+// updates must carry distinct timestamps: a tie looks to dc1's receiver
+// like a resend (its per-origin filter drops ts <= the last enqueued),
+// and the second key would never reach dc1.
+func TestConcurrentWritersOfOneDCNeverTie(t *testing.T) {
+	const tick = 10000 // µs
+	s := NewStore(Config{DCs: 2, Partitions: 2, Delay: fastDelay(),
+		ClockFor: func(types.DCID, types.PartitionID) hlc.PhysSource {
+			return hlc.PhysFunc(func() int64 { return hlc.SystemSource{}.NowMicros() / tick * tick })
+		}})
+	defer s.Close()
+	var keys [2]types.Key // one per partition
+	for i := 0; keys[0] == "" || keys[1] == ""; i++ {
+		k := types.Key(fmt.Sprintf("k%d", i))
+		if p := s.Ring().Responsible(k); keys[p] == "" {
+			keys[p] = k
+		}
+	}
+	// 3 ms into a fresh tick: both partitions' 1-ms flushes have moved
+	// their clocks to it.
+	now := hlc.SystemSource{}.NowMicros()
+	time.Sleep(time.Duration(2*tick-now%tick+3000) * time.Microsecond)
+	var issued [2]hlc.Timestamp
+	for i, k := range keys {
+		c := s.NewClient(0)
+		if err := c.Update(k, []byte(k)); err != nil {
+			t.Fatal(err)
+		}
+		issued[i] = c.Session().Dep().Get(0)
+	}
+	if issued[0] == issued[1] {
+		t.Errorf("both partitions issued %v", issued[0])
+	}
+	reader := s.NewClient(1)
+	deadline := time.Now().Add(5 * time.Second)
+	for _, k := range keys {
+		for v, _ := reader.Read(k); string(v) != string(k); v, _ = reader.Read(k) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never reached dc1; its receiver dropped %d updates as duplicates", k, s.Receiver(1).DupDropped.Load())
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	if n := s.Receiver(1).DupDropped.Load(); n != 0 {
+		t.Fatalf("dc1's receiver dropped %d updates as duplicates", n)
+	}
+}
+
+// TestConfigRejectsPartitionsBeyondStreamIDs: a partition count whose ids
+// do not fit a timestamp's stream bits is refused before anything starts.
+func TestConfigRejectsPartitionsBeyondStreamIDs(t *testing.T) {
+	_, err := OpenNode(NodeConfig{Config: Config{DCs: 1, Partitions: hlc.MaxStreams + 1}, Fabric: simnet.New(fastDelay())})
+	if err == nil || !strings.Contains(err.Error(), "stream ids") {
+		t.Fatalf("OpenNode with %d partitions: %v, want a stream-id error", hlc.MaxStreams+1, err)
 	}
 }
 

@@ -19,8 +19,12 @@ type TreeAblationResult struct {
 }
 
 // AblationTree measures the pending-set implementations under Figure 2
-// saturation load.
+// saturation load, driven closed loop: every partition stream issues as
+// fast as backpressure lets it, so the figure is the capacity of the
+// replica with each set, not Figure 2's offered load, which every set
+// keeps up with.
 func AblationTree(o ServiceOptions, partitions int) TreeAblationResult {
+	o.PerPartitionRate = -1
 	o.fill()
 	if partitions <= 0 {
 		partitions = 60

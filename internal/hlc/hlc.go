@@ -16,6 +16,22 @@
 // partition receives a dependency ahead of its physical clock it moves the
 // hybrid clock forward instead of blocking until physical time catches up
 // (§3.2, Hybrid Clocks).
+//
+// A Clock issues timestamps in one of two ways. Tick reads the physical
+// clock on every call and returns max(physical, dep+1, last+1); the
+// baselines use it, as does a partition with no Eunomia stream. Next reads
+// no clock: it returns the smallest timestamp above max(dep, last) whose
+// low StreamBits hold the caller's stream id, so its timestamps are laid
+// out as
+//
+//	physical (48 bits) | logical (16-StreamBits) | stream (StreamBits)
+//
+// and two streams of one datacenter never issue the same timestamp. The
+// owner of a Next clock keeps its physical floor fresh with Advance: the
+// Eunomia client advances once when built and once per flush, so a
+// timestamp from Next trails wall time by at most one batch interval
+// (plus the time a flush takes). Gauges computed from such timestamps
+// read that trail as lag.
 package hlc
 
 import (
@@ -119,6 +135,26 @@ type SystemSource struct{}
 // NowMicros implements PhysSource.
 func (SystemSource) NowMicros() int64 { return time.Now().UnixMicro() - epochUnixMicro }
 
+// StreamBits is the width of the stream id Next writes into the low bits
+// of a timestamp's logical counter.
+const StreamBits = 8
+
+// MaxStreams bounds the streams that can share one datacenter's
+// timestamp space: Next accepts stream ids 0 to MaxStreams-1.
+const MaxStreams = 1 << StreamBits
+
+const streamMask = MaxStreams - 1
+
+// CheckStreams reports whether n streams, numbered from 0, fit the stream
+// bits. Deployments check their partition count with it once, up front,
+// so that no partition id is ever truncated into another's.
+func CheckStreams(n int) error {
+	if n > MaxStreams {
+		return fmt.Errorf("%d partition streams exceed the hybrid clock's %d stream ids", n, MaxStreams)
+	}
+	return nil
+}
+
 // Clock is a hybrid logical clock owned by one partition (or one client in
 // tests). It is safe for concurrent use.
 //
@@ -157,9 +193,31 @@ func (c *Clock) Tick(dep Timestamp) Timestamp {
 	return ts
 }
 
+// Next is Tick without the clock read, for a clock that issues for one
+// stream: it returns the smallest timestamp strictly greater than dep and
+// than every timestamp previously issued or observed by this clock whose
+// low StreamBits equal stream. Streams of one datacenter pass distinct
+// ids, so they never tie. The physical floor moves only through Advance
+// (and Tick, Observe). A stream id outside [0, MaxStreams) panics rather
+// than alias another stream.
+func (c *Clock) Next(dep Timestamp, stream int) Timestamp {
+	if uint(stream) >= MaxStreams {
+		panic(fmt.Sprintf("hlc: stream id %d outside [0, %d)", stream, MaxStreams))
+	}
+	c.mu.Lock()
+	base := max(c.last, dep)
+	ts := base&^streamMask | Timestamp(stream)
+	if ts <= base {
+		ts += MaxStreams
+	}
+	c.last = ts
+	c.mu.Unlock()
+	return ts
+}
+
 // Advance moves the clock to max(physical time, last issued) and returns
-// that timestamp: every later Tick is strictly greater, so it is a
-// watermark the owner may promise — provided nothing it already issued
+// that timestamp: every later Tick or Next is strictly greater, so it is
+// a watermark the owner may promise — provided nothing it already issued
 // is still unshipped, which is the caller's side of the bargain (the
 // Eunomia client calls it under the lock its issuing calls hold).
 func (c *Clock) Advance() Timestamp {

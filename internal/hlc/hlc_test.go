@@ -187,6 +187,103 @@ func TestNowDoesNotAdvanceWatermark(t *testing.T) {
 	}
 }
 
+// countingSource counts the physical clock reads.
+type countingSource struct {
+	manualSource
+	reads int
+}
+
+func (c *countingSource) NowMicros() int64 {
+	c.reads++
+	return c.manualSource.NowMicros()
+}
+
+// TestNextStreamsNeverTie gives two streams clocks in the same state —
+// the same physical floor, the same observed and dependency timestamps, a
+// coarse physical clock — and requires their timestamps never to tie,
+// each to exceed its dependency and everything observed, and each to
+// carry its stream id, all without reading the physical clock.
+func TestNextStreamsNeverTie(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	src := &countingSource{manualSource: manualSource{t: 1000}}
+	a, b := NewClock(src), NewClock(src)
+	a.Advance()
+	b.Advance()
+	src.reads = 0
+	seen := map[Timestamp]int{}
+	var dep Timestamp
+	for i := 0; i < 5000; i++ {
+		if r.Intn(10) == 0 {
+			obs := New(1000+int64(r.Intn(50)), uint16(r.Intn(1<<16)))
+			a.Observe(obs)
+			b.Observe(obs)
+		}
+		if r.Intn(4) == 0 {
+			dep = max(dep, New(1000+int64(r.Intn(50)), uint16(r.Intn(1<<16))))
+		}
+		lastA, lastB := a.Last(), b.Last()
+		ta, tb := a.Next(dep, 3), b.Next(dep, 200)
+		for _, c := range []struct {
+			ts, last Timestamp
+			stream   int
+		}{{ta, lastA, 3}, {tb, lastB, 200}} {
+			if c.ts <= dep || c.ts <= c.last {
+				t.Fatalf("Next = %v, not above dep %v and last %v", c.ts, dep, c.last)
+			}
+			if got := int(c.ts & (MaxStreams - 1)); got != c.stream {
+				t.Fatalf("Next = %v carries stream %d, want %d", c.ts, got, c.stream)
+			}
+			if c.ts-max(dep, c.last) > MaxStreams {
+				t.Fatalf("Next = %v skipped past the smallest candidate above %v", c.ts, max(dep, c.last))
+			}
+			if s, ok := seen[c.ts]; ok && s != c.stream {
+				t.Fatalf("streams %d and %d both issued %v", s, c.stream, c.ts)
+			}
+			seen[c.ts] = c.stream
+		}
+	}
+	if src.reads != 0 {
+		t.Fatalf("Next read the physical clock %d times", src.reads)
+	}
+}
+
+func TestNextFollowsAdvance(t *testing.T) {
+	src := &manualSource{t: 1000}
+	c := NewClock(src)
+	w := c.Advance()
+	if ts := c.Next(0, 0); ts <= w || ts.Physical() != 1000 {
+		t.Fatalf("Next after Advance to %v = %v, want above it on physical 1000", w, ts)
+	}
+	src.set(9000)
+	if ts := c.Next(0, 5); ts.Physical() != 1000 {
+		t.Fatalf("Next read the moved physical clock: %v", ts)
+	}
+	w = c.Advance()
+	if ts := c.Next(0, 5); ts <= w || ts.Physical() != 9000 {
+		t.Fatalf("Next after Advance to %v = %v, want above it on physical 9000", w, ts)
+	}
+}
+
+func TestNextRejectsOutOfRangeStream(t *testing.T) {
+	c := NewClock(nil)
+	for _, s := range []int{-1, MaxStreams} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Next accepted stream %d", s)
+				}
+			}()
+			c.Next(0, s)
+		}()
+	}
+	if err := CheckStreams(MaxStreams); err != nil {
+		t.Fatalf("CheckStreams(%d) = %v", MaxStreams, err)
+	}
+	if err := CheckStreams(MaxStreams + 1); err == nil {
+		t.Fatalf("CheckStreams(%d) accepted", MaxStreams+1)
+	}
+}
+
 func TestConcurrentTickUniqueAndMonotonicPerGoroutineObservation(t *testing.T) {
 	c := NewClock(nil)
 	const workers = 8
@@ -253,6 +350,14 @@ func BenchmarkTick(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.Tick(0)
+	}
+}
+
+func BenchmarkNext(b *testing.B) {
+	c := NewClock(nil)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c.Next(0, 1)
 	}
 }
 

@@ -9,8 +9,9 @@
 // run's backing array has grown to its working size. The red-black tree of
 // the paper's §6 re-sorts the same data at O(log n) and one node
 // allocation per insert. ExtractUpTo binary-searches each run's cut at the
-// stable time and merges the cut prefixes with a binary heap over the run
-// heads, in ordered.Key order.
+// stable time and merges the cut prefixes in ordered.Key order with a
+// loser tree over the run heads: one key comparison per tree level for
+// each entry, where a binary heap's sift-down takes up to two.
 //
 // A key that does not sort after its run's tail, which the replica never
 // inserts, is placed by a binary-search insert within its run, so Set
@@ -80,12 +81,73 @@ type cursor[V any] struct {
 	end   int
 }
 
+// merger merges cursors in key order with a loser tree. Cursor i is leaf
+// k+i of an implicit binary tree over nodes 1..2k-1, in which node j has
+// children 2j and 2j+1; each internal node holds the cursor that lost the
+// match played there, and tree[0] the overall winner. Taking the winner's
+// head replays only the winner's path to the root. An exhausted cursor
+// loses every match. Keys of different runs differ in Partition, so no
+// two heads tie. Its slices are reused from merge to merge.
+type merger[V any] struct {
+	cur  []cursor[V]
+	tree []int32 // tree[0] the winner; tree[j], 0 < j < k, a loser
+	win  []int32 // build scratch: the winner at each node
+}
+
+// less reports whether cursor a's head orders before cursor b's.
+func (m *merger[V]) less(a, b int32) bool {
+	x, y := m.cur[a].items, m.cur[b].items
+	if len(x) == 0 {
+		return false
+	}
+	return len(y) == 0 || x[0].key.Less(y[0].key)
+}
+
+// build plays the tournament over m.cur, which must not be empty.
+func (m *merger[V]) build() {
+	k := len(m.cur)
+	m.tree = slices.Grow(m.tree[:0], k)[:k]
+	m.win = slices.Grow(m.win[:0], 2*k)[:2*k]
+	for i := 0; i < k; i++ {
+		m.win[k+i] = int32(i)
+	}
+	for j := k - 1; j > 0; j-- {
+		a, b := m.win[2*j], m.win[2*j+1]
+		if m.less(b, a) {
+			a, b = b, a
+		}
+		m.win[j], m.tree[j] = a, b
+	}
+	m.tree[0] = m.win[1]
+}
+
+// replay restores the tournament after the winner's head moved: one
+// comparison per level on its path.
+func (m *merger[V]) replay() {
+	w := m.tree[0]
+	wi := m.cur[w].items
+	for j := (len(m.tree) + int(w)) / 2; j > 0; j /= 2 {
+		l := m.tree[j]
+		if li := m.cur[l].items; len(li) > 0 && (len(wi) == 0 || li[0].key.Less(wi[0].key)) {
+			m.tree[j], w, wi = w, l, li
+		}
+	}
+	m.tree[0] = w
+}
+
+// reset drops the cursors' references to the runs' arrays.
+func (m *merger[V]) reset() {
+	clear(m.cur)
+	m.cur = m.cur[:0]
+}
+
 // Set is the run set, keyed by ordered.Key and indexed by Key.Partition,
 // which must not be negative. It implements ordered.Set[V]. Construct
 // with New.
 type Set[V any] struct {
-	runs []run[V] // by partition
-	size int
+	runs  []run[V] // by partition
+	size  int
+	merge merger[V]
 }
 
 // New returns an empty set.
@@ -131,92 +193,64 @@ func (s *Set[V]) Min() (k ordered.Key, v V, ok bool) {
 }
 
 // ExtractUpTo removes and returns, in ascending key order, every entry
-// whose key timestamp is at or below max.
+// whose key timestamp is at or below max. Its one allocation is the
+// result.
 func (s *Set[V]) ExtractUpTo(max hlc.Timestamp) []V {
-	h := make([]cursor[V], 0, len(s.runs))
+	m := &s.merge
 	total := 0
 	for p := range s.runs {
 		r := &s.runs[p]
 		live := r.live()
 		cut := sort.Search(len(live), func(j int) bool { return live[j].key.TS > max })
 		if cut > 0 {
-			h = append(h, cursor[V]{items: live[:cut], run: p, end: r.head + cut})
+			m.cur = append(m.cur, cursor[V]{items: live[:cut], run: p, end: r.head + cut})
 			total += cut
 		}
 	}
 	if total == 0 {
 		return nil
 	}
+	defer m.reset()
 	out := make([]V, 0, total)
-	heapify(h)
-	for len(h) > 1 {
-		c := &h[0]
+	m.build()
+	for live := len(m.cur); live > 1; m.replay() {
+		c := &m.cur[m.tree[0]]
 		out = append(out, c.items[0].val)
 		if c.items = c.items[1:]; len(c.items) == 0 {
 			s.runs[c.run].consume(c.end)
-			h = pop(h)
+			live--
 		}
-		down(h, 0)
 	}
-	for _, e := range h[0].items {
+	// One cursor is left: the rest of its cut follows in order.
+	c := &m.cur[m.tree[0]]
+	for _, e := range c.items {
 		out = append(out, e.val)
 	}
-	s.runs[h[0].run].consume(h[0].end)
+	s.runs[c.run].consume(c.end)
 	s.size -= total
 	return out
 }
 
-// Ascend visits entries in ascending key order until fn returns false.
+// Ascend visits entries in ascending key order until fn returns false. fn
+// must not call back into the set: the merge's scratch is the set's.
 func (s *Set[V]) Ascend(fn func(ordered.Key, V) bool) {
-	var h []cursor[V]
+	m := &s.merge
 	for p := range s.runs {
 		if live := s.runs[p].live(); len(live) > 0 {
-			h = append(h, cursor[V]{items: live, run: p})
+			m.cur = append(m.cur, cursor[V]{items: live, run: p})
 		}
 	}
-	heapify(h)
-	for len(h) > 0 {
-		c := &h[0]
-		if !fn(c.items[0].key, c.items[0].val) {
-			return
-		}
-		if c.items = c.items[1:]; len(c.items) == 0 {
-			h = pop(h)
-		}
-		down(h, 0)
+	if len(m.cur) == 0 {
+		return
 	}
-}
-
-// The heap orders cursors by their head keys. Keys of different runs
-// differ in Partition, so no two heads tie.
-
-func heapify[V any](h []cursor[V]) {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		down(h, i)
-	}
-}
-
-// pop removes the root, moving the last cursor into its place; the caller
-// restores the order with down(h, 0).
-func pop[V any](h []cursor[V]) []cursor[V] {
-	last := len(h) - 1
-	h[0] = h[last]
-	return h[:last]
-}
-
-func down[V any](h []cursor[V], i int) {
+	defer m.reset()
+	m.build()
 	for {
-		m := i
-		if l := 2*i + 1; l < len(h) && h[l].items[0].key.Less(h[m].items[0].key) {
-			m = l
-		}
-		if r := 2*i + 2; r < len(h) && h[r].items[0].key.Less(h[m].items[0].key) {
-			m = r
-		}
-		if m == i {
+		c := &m.cur[m.tree[0]]
+		if len(c.items) == 0 || !fn(c.items[0].key, c.items[0].val) {
 			return
 		}
-		h[i], h[m] = h[m], h[i]
-		i = m
+		c.items = c.items[1:]
+		m.replay()
 	}
 }

@@ -85,17 +85,18 @@ func minOf(ws []uint64) uint64 {
 
 // TestRunsSteadyStateAllocs pins the point of the run set: once each run's
 // array has grown to its working size, an insert allocates nothing, while
-// extraction leaves part of every run pending between rounds. Only the
-// inserts are counted; ExtractUpTo allocates its result.
+// extraction leaves part of every run pending between rounds; and an
+// extraction's one allocation is its result, the loser-tree merge running
+// in scratch kept on the set.
 func TestRunsSteadyStateAllocs(t *testing.T) {
 	const partitions, perRound, rounds = 16, 64, 50
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	s := runs.New[*int]()
 	v := new(int)
 	ts := uint64(0)
-	var mallocs uint64
+	var inserts, extracts uint64
 	for r := 0; r < rounds; r++ {
-		var before, after runtime.MemStats
+		var before, mid, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < perRound; i++ {
 			ts++
@@ -103,16 +104,44 @@ func TestRunsSteadyStateAllocs(t *testing.T) {
 				s.Insert(ordered.Key{TS: hlc.Timestamp(ts), Partition: p, Seq: ts}, v)
 			}
 		}
-		runtime.ReadMemStats(&after)
-		if r >= 2 { // the first rounds grow the runs' arrays
-			mallocs += after.Mallocs - before.Mallocs
-		}
+		runtime.ReadMemStats(&mid)
 		// Leave the newest half pending, as a stable time trailing
 		// the freshest flushes does.
-		s.ExtractUpTo(hlc.Timestamp(ts - perRound/2))
+		out := s.ExtractUpTo(hlc.Timestamp(ts - perRound/2))
+		runtime.ReadMemStats(&after)
+		if r >= 2 { // the first rounds grow the runs' arrays
+			inserts += mid.Mallocs - before.Mallocs
+			extracts += after.Mallocs - mid.Mallocs
+		}
+		if r > 0 && len(out) != perRound*partitions {
+			t.Fatalf("round %d extracted %d entries, want %d", r, len(out), perRound*partitions)
+		}
 	}
-	if mallocs != 0 {
-		t.Fatalf("%d allocations over %d steady-state inserts, want 0", mallocs, (rounds-2)*perRound*partitions)
+	if inserts != 0 {
+		t.Fatalf("%d allocations over %d steady-state inserts, want 0", inserts, (rounds-2)*perRound*partitions)
+	}
+	if want := uint64(rounds - 2); extracts != want {
+		t.Fatalf("%d allocations over %d steady-state extractions, want %d (their results)", extracts, want, want)
+	}
+}
+
+// BenchmarkMerge extracts a window of 64 entries from each of 16 runs:
+// the merge alone, as the replica's stabilization round runs it.
+func BenchmarkMerge(b *testing.B) {
+	const partitions, window = 16, 64
+	s := runs.New[int]()
+	ts := uint64(0)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j := 0; j < window; j++ {
+			ts++
+			for p := int32(0); p < partitions; p++ {
+				s.Insert(ordered.Key{TS: hlc.Timestamp(ts), Partition: p}, j)
+			}
+		}
+		b.StartTimer()
+		s.ExtractUpTo(hlc.Timestamp(ts))
 	}
 }
 

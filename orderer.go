@@ -2,7 +2,6 @@ package eunomia
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	internal "eunomia/internal/eunomia"
@@ -59,10 +58,14 @@ type Orderer struct {
 	handles []*PartitionHandle
 }
 
-// NewOrderer builds and starts an ordering service.
+// NewOrderer builds and starts an ordering service. Partitions may not
+// exceed MaxPartitions.
 func NewOrderer(cfg OrdererConfig) (*Orderer, error) {
 	if cfg.Partitions <= 0 {
 		return nil, fmt.Errorf("eunomia: OrdererConfig.Partitions must be positive, got %d", cfg.Partitions)
+	}
+	if err := hlc.CheckStreams(cfg.Partitions); err != nil {
+		return nil, fmt.Errorf("eunomia: OrdererConfig.Partitions: %w", err)
 	}
 	if cfg.OnStable == nil {
 		return nil, fmt.Errorf("eunomia: OrdererConfig.OnStable is required")
@@ -87,8 +90,7 @@ func NewOrderer(cfg OrdererConfig) (*Orderer, error) {
 	for i := range o.handles {
 		clock := hlc.NewClock(nil)
 		o.handles[i] = &PartitionHandle{
-			partition: i,
-			clock:     clock,
+			clock: clock,
 			client: internal.NewClient(internal.ClientConfig{
 				Partition:     types.PartitionID(i),
 				BatchInterval: cfg.BatchInterval,
@@ -168,12 +170,11 @@ func (o *Orderer) stabilization() time.Duration {
 // handle are serialized by the stream's client, which timestamps and
 // enqueues each under one lock (matching the paper's assumption that
 // updates within a partition are serialized by the native update
-// protocol).
+// protocol). A timestamp is unique to its stream, so (Timestamp,
+// Partition) identifies an operation with no per-handle sequence number.
 type PartitionHandle struct {
-	partition int
-	clock     *hlc.Clock
-	client    *internal.Client
-	seq       atomic.Uint64
+	clock  *hlc.Clock
+	client *internal.Client
 }
 
 // Submit tags data with a hybrid timestamp strictly greater than dep and
@@ -184,11 +185,7 @@ type PartitionHandle struct {
 // To capture causality across handles, pass as dep the largest Timestamp
 // the submitting actor has observed (the paper's client clock).
 func (h *PartitionHandle) Submit(dep Timestamp, data []byte) Timestamp {
-	return h.client.Issue(dep, &types.Update{
-		Partition: types.PartitionID(h.partition),
-		Seq:       h.seq.Add(1),
-		Value:     data,
-	})
+	return h.client.IssueValue(dep, data)
 }
 
 // Timestamp returns the largest timestamp issued by this handle.

@@ -37,6 +37,27 @@ func TestOrdererValidation(t *testing.T) {
 	if _, err := NewOrderer(OrdererConfig{Partitions: 1}); err == nil {
 		t.Fatal("missing OnStable accepted")
 	}
+	if _, err := NewOrderer(OrdererConfig{Partitions: MaxPartitions + 1, OnStable: func([]StableOp) {}}); err == nil {
+		t.Fatalf("%d partitions accepted beyond the %d stream ids", MaxPartitions+1, MaxPartitions)
+	}
+}
+
+// TestSubmitAllocs: Submit allocates less than once per call on average,
+// counting everything the running service allocates meanwhile (flushes,
+// stabilization rounds, OnStable batches): the operation records come
+// from blocks each handle allocates at once.
+func TestSubmitAllocs(t *testing.T) {
+	ord, err := NewOrderer(OrdererConfig{Partitions: 4, OnStable: func([]StableOp) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ord.Close()
+	h := ord.Partition(1)
+	data := []byte("op")
+	var dep Timestamp
+	if allocs := testing.AllocsPerRun(20000, func() { dep = h.Submit(dep, data) }); allocs >= 1 {
+		t.Fatalf("%.2f allocations per Submit, want below 1", allocs)
+	}
 }
 
 func TestOrdererTotalOrder(t *testing.T) {
