@@ -27,7 +27,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"eunomia/internal/eunomia"
@@ -191,8 +190,7 @@ type NodeConfig struct {
 	// the node.
 	Fabric fabric.Fabric
 	// ReleaseWindow bounds in-flight releases on the windowed
-	// receiver→partition release path (split-role nodes only).
-	// Default 256.
+	// receiver→partition release path. Default 256.
 	ReleaseWindow int
 
 	// AggIndexes selects which of the datacenter's Config.Aggregators
@@ -281,14 +279,11 @@ type Node struct {
 	cluster    *eunomia.Cluster
 	recv       *receiver.Receiver
 	aggs       []*fabric.Aggregator
-	// unpark (a func()) retries the release path parked on a missing
-	// payload: the colocated receiver's Kick, or the applier's wake when
-	// the receiver lives elsewhere. The partition ingress (registered
-	// before either exists) calls it through wakeRelease.
-	unpark atomic.Value
 
-	// Windowed cross-process release: relWin on receiver-only nodes,
-	// app on partition-hosting nodes whose receiver lives elsewhere.
+	// The release path (release.go): the receiver's window streams
+	// releases to the applier over the fabric, also when both run in this
+	// process. relWin exists with the receiver, app with the partitions of
+	// a multi-DC deployment.
 	relWin *releaseWindow
 	app    *applier
 
@@ -373,10 +368,16 @@ func OpenNode(nc NodeConfig) (*Node, error) {
 		// at the aggregator endpoints the moment they exist.
 		n.buildAggregators(nc)
 	}
+	fail := func(err error) (*Node, error) {
+		if n.app != nil {
+			n.app.close()
+		}
+		n.closeStores()
+		return nil, err
+	}
 	if nc.Roles.Has(RolePartitions) {
 		if err := n.buildPartitions(nc); err != nil {
-			n.closeStores()
-			return nil, err
+			return fail(err)
 		}
 		if len(nc.BootstrapFrom) > 0 {
 			// After the partitions (their endpoints route the donors'
@@ -384,16 +385,19 @@ func OpenNode(nc NodeConfig) (*Node, error) {
 			// not serve or rejoin the release stream until its stores and
 			// watermarks are at the shipped snapshot.
 			if err := n.bootstrapPartitions(nc); err != nil {
-				n.closeStores()
-				return nil, err
+				return fail(err)
 			}
 		}
 	}
 	if nc.Roles.Has(RoleReceiver) && n.cfg.DCs > 1 {
 		if err := n.buildReceiver(nc); err != nil {
-			n.closeStores()
-			return nil, err
+			return fail(err)
 		}
+	}
+	if n.app != nil && nc.DataDir != "" {
+		// Every hosted role has replayed: entries recovered above carry
+		// replay-time arrival stamps, all safely below the gate set now.
+		n.app.healer.arm()
 	}
 	if nc.Roles.Has(RoleFrontend) {
 		n.frontend = NewFrontend(FrontendConfig{
@@ -415,10 +419,9 @@ func OpenNode(nc NodeConfig) (*Node, error) {
 }
 
 // flushLoop keeps the node's durable state maintained on the batch
-// cadence: partition WALs flush (bounding the SyncOnFlush loss window to
-// one batch), a colocated durable receiver's site watermarks advance to
-// what those flushes just made durable, and any store whose log outgrew
-// the threshold compacts.
+// cadence: partition and receiver WALs flush (bounding the SyncOnFlush
+// loss window to one batch), and any store whose log outgrew the
+// threshold compacts.
 func (n *Node) flushLoop() {
 	defer n.flushWG.Done()
 	ticker := time.NewTicker(n.cfg.BatchInterval)
@@ -429,22 +432,6 @@ func (n *Node) flushLoop() {
 			return
 		case <-ticker.C:
 		}
-		// Capture SiteTime BEFORE flushing the partition WALs: an apply
-		// counted here appended its WAL record before SiteTime advanced,
-		// so the flush below is guaranteed to cover it. Reading SiteTime
-		// after the flush could persist a durable watermark over an
-		// apply whose record landed between the flush and the read —
-		// and a crash would then lose that apply permanently, because
-		// the receiver never re-releases below its durable watermark.
-		var marks []hlc.Timestamp
-		if n.recv != nil && n.relWin == nil {
-			marks = make([]hlc.Timestamp, n.cfg.DCs)
-			for k := 0; k < n.cfg.DCs; k++ {
-				if types.DCID(k) != n.id {
-					marks[k] = n.recv.SiteTimeEntry(types.DCID(k))
-				}
-			}
-		}
 		for _, p := range n.parts {
 			if err := p.FlushWAL(); err != nil {
 				n.failFlush("partition WAL flush", err)
@@ -453,17 +440,6 @@ func (n *Node) flushLoop() {
 			if _, err := p.MaybeSnapshot(n.snapThreshold); err != nil {
 				n.failFlush("partition snapshot", err)
 				return
-			}
-		}
-		if marks != nil {
-			// Colocated: the partition flush above made every apply at or
-			// below the captured SiteTime durable, so the receiver may
-			// persist it. Split nodes persist through relWin.onDurable.
-			for k := 0; k < n.cfg.DCs; k++ {
-				if types.DCID(k) == n.id {
-					continue
-				}
-				n.recv.MarkDurable(types.DCID(k), marks[k])
 			}
 		}
 		if n.recv != nil {
@@ -479,18 +455,19 @@ func (n *Node) flushLoop() {
 	}
 }
 
-// failFlush records the first flush-loop failure as the node's sticky
-// durability error and stops the loop. The node keeps serving — the
-// failure is a disk problem, not a correctness problem for data already
-// applied — but it no longer advances durable watermarks, and the error
-// is surfaced through SyncErr (and from there the frontend /healthz and
-// the wal_sync_errors metric) until the node is restarted onto a
-// healthy disk.
+// failFlush records the first durability failure — of the flush loop, or
+// of the applier's stream store — as the node's sticky durability error;
+// the failing loop stops. The node keeps serving — the failure is a disk
+// problem, not a correctness problem for data already applied — but it
+// no longer advances durable watermarks, and the error is surfaced
+// through SyncErr (and from there the frontend /healthz and the
+// wal_sync_errors metric) until the node is restarted onto a healthy
+// disk.
 func (n *Node) failFlush(what string, err error) {
 	n.flushMu.Lock()
 	if n.flushErr == nil {
 		n.flushErr = fmt.Errorf("geostore: %s failed: %w", what, err)
-		log.Printf("geostore dc%d: durability lost: %s failed: %v; flush loop stopped — restart the node onto a healthy disk", n.id, what, err)
+		log.Printf("geostore dc%d: durability lost: %s failed: %v; restart the node onto a healthy disk", n.id, what, err)
 	}
 	n.flushMu.Unlock()
 }
@@ -686,16 +663,21 @@ func aggregatorPair(m types.DCID, i, aggregators int) []fabric.Addr {
 }
 
 // buildPartitions starts the partition servers, their batching clients
-// (replica conns over the fabric) and payload shippers, and the partition
-// ingress handler: sibling payload batches, replica acknowledgement
-// watermarks, and receiver release requests all arrive at the partition's
-// address.
+// (replica conns over the fabric) and payload shippers, the partition
+// ingress handler (sibling payload batches, replica acknowledgement
+// watermarks and client requests arrive at the partition's address), and,
+// when other datacenters exist, the applier that releases their updates.
 func (n *Node) buildPartitions(nc NodeConfig) error {
 	m := n.id
 	cfg := n.cfg
 	var partOpts wal.Options
 	if nc.DataDir != "" {
 		partOpts = n.walOptions(nc, "partition")
+	}
+	if cfg.DCs > 1 {
+		// Before the ingress handlers that wake it; it starts once the
+		// partitions below have replayed.
+		n.app = newApplier(n)
 	}
 	for i := 0; i < cfg.Partitions; i++ {
 		pid := types.PartitionID(i)
@@ -802,7 +784,7 @@ func (n *Node) buildPartitions(nc NodeConfig) error {
 					unparked = part.ReceivePayload(u) || unparked
 				}
 				if unparked {
-					n.wakeRelease()
+					n.app.kick()
 				}
 			case fabric.MultiAckMsg:
 				for _, rc := range pconns {
@@ -849,10 +831,9 @@ func (n *Node) buildPartitions(nc NodeConfig) error {
 			}
 		})
 	}
-	if !nc.Roles.Has(RoleReceiver) && cfg.DCs > 1 {
-		// Our datacenter's receiver runs in another process: expose the
-		// ordered ingress its windowed release stream targets. With a
-		// data dir the applier recovers its stream position (the
+	if n.app != nil {
+		// The ordered ingress the receiver's release window targets. With
+		// a data dir the applier recovers its stream position (the
 		// partitions above already replayed, so the position's applies
 		// are really present) and rejoins instead of forcing a wedge.
 		var stream *wal.Store
@@ -864,85 +845,46 @@ func (n *Node) buildPartitions(nc NodeConfig) error {
 			}
 			n.streamStore = stream
 		}
-		app, err := newApplier(n, stream)
-		if err != nil {
+		if err := n.app.start(stream); err != nil {
 			return fmt.Errorf("recovering dc%d release stream position: %w", m, err)
 		}
-		n.app = app
-		n.unpark.Store(app.kick)
 		n.fab.Register(fabric.ApplierAddr(m), n.app.handle)
 	}
 	return nil
 }
 
-// wakeRelease calls the unpark hook, once a release path has set it.
-func (n *Node) wakeRelease() {
-	if f, ok := n.unpark.Load().(func()); ok {
-		f()
-	}
-}
-
-// buildReceiver starts the receiver, releasing remote metadata to the
-// responsible partition: directly when the partition group is colocated,
-// through the windowed release stream (release.go) when it runs in
-// another process.
+// buildReceiver starts the receiver, releasing remote metadata through
+// the windowed release stream (release.go) to the applier of the
+// datacenter's partition group, in this process or another.
 func (n *Node) buildReceiver(nc NodeConfig) error {
 	m := n.id
-	var healer *payloadHealer
-	var apply receiver.ApplyFunc
-	if !n.roles.Has(RolePartitions) {
-		n.relWin = newReleaseWindow(n.fab, fabric.ReceiverAddr(m), fabric.ApplierAddr(m), nc.ReleaseWindow)
-		apply = n.relWin.release
-	} else {
-		// Colocated: releases go by direct call through the payload
-		// healer the split-role applier runs too (armed below on a
-		// durable node, where a crash can have lost payloads the origin
-		// pruned); the node's applier address, otherwise unused when the
-		// receiver is local, receives the origin's superseded verdicts.
-		healer = newPayloadHealer(n, n.wakeRelease)
-		apply = healer.apply
-		n.fab.Register(fabric.ApplierAddr(m), healer.handle)
-	}
+	n.relWin = newReleaseWindow(n.fab, fabric.ReceiverAddr(m), fabric.ApplierAddr(m), nc.ReleaseWindow)
 	rcfg := receiver.Config{
-		DC:    m,
-		DCs:   n.cfg.DCs,
-		Apply: apply,
+		DC:       m,
+		DCs:      n.cfg.DCs,
+		Apply:    n.relWin.release,
+		Released: n.relWin.flush,
 	}
 	if nc.DataDir != "" {
 		recv, err := receiver.RecoverOptions(rcfg, filepath.Join(nc.DataDir, fmt.Sprintf("dc%d-receiver", m)), n.walOptions(nc, "receiver"))
 		if err != nil {
-			if n.relWin != nil {
-				n.relWin.close()
-			}
+			n.relWin.close()
 			return fmt.Errorf("recovering dc%d receiver: %w", m, err)
 		}
 		n.recv = recv
-		if n.relWin != nil {
-			// Split role: the persisted site watermark follows the
-			// partition side's durable acknowledgements, so recovery
-			// never claims an apply a partition crash could still lose.
-			// (Colocated nodes mark durability from the flush loop
-			// instead.)
-			n.relWin.onDurable = func(rel ReleaseMsg) {
-				recv.MarkDurable(rel.U.Origin, rel.U.VTS.Get(int(rel.U.Origin)))
-			}
+		// The persisted site watermark follows the applier's durable
+		// acknowledgements, so recovery never claims an apply a
+		// partition crash could still lose.
+		n.relWin.onDurable = func(u *types.Update) {
+			recv.MarkDurable(u.Origin, u.VTS.Get(int(u.Origin)))
 		}
 	} else {
 		n.recv = receiver.New(rcfg)
 	}
 	recv := n.recv
-	if n.relWin == nil {
-		n.unpark.Store(recv.Kick)
-		if nc.DataDir != "" {
-			// Replay is done: entries recovered above carry replay-time
-			// arrival stamps, all safely below the gate set now.
-			healer.arm()
-		}
-	} else {
-		// Split role: acknowledgements move the watermark visibility
-		// waits answer from, so they wake the waits too.
-		n.relWin.onAcked = recv.NotifyAdvance
-	}
+	// Acknowledgements move the watermark visibility waits answer from,
+	// so they wake the waits too.
+	n.relWin.onAcked = recv.NotifyAdvance
 	n.fab.Register(fabric.ReceiverAddr(m), func(msg fabric.Message) {
 		switch v := msg.Payload.(type) {
 		case ShipMsg:
@@ -965,36 +907,27 @@ func (n *Node) buildReceiver(nc NodeConfig) error {
 				defer timer.Stop()
 				for {
 					advanced := recv.Advanced()
-					st := recv.SiteTime()
-					if n.relWin != nil {
-						// Split role: SiteTime advances on admission into
-						// the release window, not on apply at the remote
-						// partition process, so it overstates what a read
-						// there can see. Answer the wait (and the cached
-						// Site) from the durable-ack watermark instead —
-						// only the applier's acknowledgements prove the
-						// client's history is applied. A restarted window
-						// starts its acks empty; the receiver's persisted
-						// watermark carries the pre-restart baseline.
-						for k := 0; k < n.cfg.DCs; k++ {
-							if types.DCID(k) == m {
-								continue
-							}
-							acked := n.relWin.ackedEntry(types.DCID(k))
-							if d := recv.DurableSiteEntry(types.DCID(k)); d > acked {
-								acked = d
-							}
-							st.Set(k, acked)
-						}
-					}
+					// SiteTime advances on admission into the release
+					// window, not on apply, so it overstates what a read
+					// can see. Answer the wait (and the cached Site) from
+					// the durable-ack watermark instead: only the
+					// applier's acknowledgements prove the client's
+					// history is applied. A restarted window starts its
+					// acks empty; the receiver's persisted watermark
+					// carries the pre-restart baseline.
+					st := vclock.New(n.cfg.DCs)
 					ok := true
 					for k := 0; k < n.cfg.DCs; k++ {
 						if types.DCID(k) == m {
 							continue
 						}
-						if st.Get(k) < v.Dep.Get(k) {
+						acked := n.relWin.ackedEntry(types.DCID(k))
+						if d := recv.DurableSiteEntry(types.DCID(k)); d > acked {
+							acked = d
+						}
+						st.Set(k, acked)
+						if acked < v.Dep.Get(k) {
 							ok = false
-							break
 						}
 					}
 					if ok || time.Now().After(deadline) {
@@ -1008,9 +941,7 @@ func (n *Node) buildReceiver(nc NodeConfig) error {
 				}
 			}()
 		case ReleaseAckMsg:
-			if n.relWin != nil {
-				n.relWin.handleAck(v)
-			}
+			n.relWin.handleAck(v)
 		}
 	})
 	return nil
@@ -1042,8 +973,7 @@ func (n *Node) Frontend() *Frontend { return n.frontend }
 func (n *Node) Ring() kvstore.Ring { return n.ring }
 
 // ReleaseInflight reports how many releases the node's windowed release
-// stream is holding unacknowledged (0 unless the node hosts RoleReceiver
-// without RolePartitions).
+// stream is holding unacknowledged (0 without RoleReceiver).
 func (n *Node) ReleaseInflight() int {
 	if n.relWin == nil {
 		return 0
@@ -1068,7 +998,7 @@ func (n *Node) ReleaseWedged() bool {
 }
 
 // ApplierPending reports releases admitted by the node's applier but not
-// yet applied (0 unless the node hosts partitions for a remote receiver).
+// yet applied (0 without RolePartitions or in single-DC deployments).
 func (n *Node) ApplierPending() int {
 	if n.app == nil {
 		return 0
@@ -1379,8 +1309,9 @@ func (s *Store) Close() {
 	s.net.Close()
 }
 
-// WaitQuiescent blocks until every receiver queue is drained and every
-// partition's payload buffer is empty, or the timeout elapses. Tests use
+// WaitQuiescent blocks until every receiver queue and release stream is
+// drained and every partition's payload buffer is empty, or the timeout
+// elapses. Tests use
 // it to assert convergence after load stops.
 func (s *Store) WaitQuiescent(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
@@ -1402,6 +1333,9 @@ func (s *Store) quiescent() bool {
 				if n.recv.QueueLen(types.DCID(k)) > 0 {
 					return false
 				}
+			}
+			if n.relWin.inflightLen() > 0 || n.app.pending() > 0 {
+				return false
 			}
 		}
 		for _, q := range n.shipQueues {

@@ -1,13 +1,12 @@
 package geostore
 
-// Payload healing: the one pull/skip protocol both release paths run.
+// Payload healing: the pull/skip protocol the applier runs.
 //
 // A payload pruned at the origin — the shipper drops its buffered copy
 // once the transport acknowledges delivery — and lost to a crash here
 // (received after the last WAL flush) would park its release forever:
-// nothing re-ships it. payloadHealer wraps the apply of a release path —
-// the colocated receiver's direct call, or the split-role applier's
-// stream head — and heals such a park: it asks the origin to re-ship the
+// nothing re-ships it. payloadHealer wraps the apply of the applier's
+// stream head and heals such a park: it asks the origin to re-ship the
 // exact version (PayloadPullMsg), or skips the update when the origin
 // reports it superseded (PayloadSupersededMsg), since the superseding
 // version follows in the release order with its own payload.
@@ -18,8 +17,8 @@ package geostore
 // replication lag and parks untouched — pulling it could transiently hide
 // a slow update the moment its origin overwrites it.
 //
-// Neither release path polls a park: the partition ingress wakes it when
-// a payload lands, and the healer wakes it at each pull deadline, when a
+// The applier never polls a park: the partition ingress wakes it when a
+// payload lands, and the healer wakes it at each pull deadline, when a
 // superseded verdict arrives, and once when its gate is armed.
 
 import (
@@ -31,11 +30,11 @@ import (
 	"eunomia/internal/types"
 )
 
-// payloadHealer wraps a release path's apply with origin pulls for
+// payloadHealer wraps the applier's apply with origin pulls for
 // crash-suspect updates parked on a missing payload.
 type payloadHealer struct {
 	n *Node
-	// wake retries the wrapped release path's parked apply.
+	// wake retries the applier's parked apply.
 	wake func()
 	// pullBefore gates pulls to crash evidence: only updates whose
 	// metadata arrived before this instant (recovery end plus slack for
@@ -66,9 +65,9 @@ func newPayloadHealer(n *Node, wake func()) *payloadHealer {
 }
 
 // arm sets the crash-evidence gate once recovery has finished, and wakes
-// the release path so updates it parked before get their first suspect
-// pass. On the colocated path it must run after receiver replay, not at
-// construction: replay re-stamps every recovered entry with the
+// the applier so updates it parked before get their first suspect pass.
+// OpenNode calls it after every hosted role has replayed, not at
+// construction: receiver replay re-stamps every recovered entry with the
 // replay-time instant, so a gate stamped before a slow (>1s) replay would
 // classify recovered crash suspects as live replication lag.
 func (h *payloadHealer) arm() {
@@ -78,8 +77,8 @@ func (h *payloadHealer) arm() {
 
 // apply applies u at its responsible partition, healing a crash suspect's
 // park by pulling the payload from the origin (or skipping the update
-// when the origin reports it superseded). It has the shape of
-// receiver.ApplyFunc.
+// when the origin reports it superseded). It reports false while u stays
+// parked.
 func (h *payloadHealer) apply(u *types.Update, metaArrived time.Time) bool {
 	n := h.n
 	pid := n.ring.Responsible(u.Key)

@@ -7,13 +7,15 @@ import (
 	"time"
 
 	"eunomia/internal/fabric"
+	"eunomia/internal/faults"
 	"eunomia/internal/simnet"
 	"eunomia/internal/types"
 	"eunomia/internal/wal"
 )
 
-// durableSplitDC is splitDC with a data dir under every dc0 node, so the
-// partition group can be "killed" (closed without draining) and rejoin.
+// newDurableSplitDC is newSplitDC with a data dir under every dc0 node, so
+// the partition group can be "killed" (closed without draining) and
+// rejoin.
 func newDurableSplitDC(t *testing.T, dir string) *splitDC {
 	t.Helper()
 	return newDurableSplitDCPolicy(t, dir, wal.SyncGroupCommit)
@@ -23,16 +25,7 @@ func newDurableSplitDC(t *testing.T, dir string) *splitDC {
 // node, so the restart matrix covers group commit alongside the default.
 func newDurableSplitDCPolicy(t *testing.T, dir string, policy wal.SyncPolicy) *splitDC {
 	t.Helper()
-	cfg := Config{DCs: 2, Partitions: 2, Delay: func(from, to fabric.Addr) time.Duration { return 0 }}
-	net := simnet.New(nil)
-	s := &splitDC{
-		net:    net,
-		parts:  NewNode(NodeConfig{Config: cfg, DC: 0, Roles: RolePartitions | RoleEunomia, Fabric: net, DataDir: dir, WALSync: policy}),
-		recv:   NewNode(NodeConfig{Config: cfg, DC: 0, Roles: RoleReceiver, Fabric: net, DataDir: dir, WALSync: policy}),
-		origin: NewNode(NodeConfig{Config: cfg, DC: 1, Roles: RoleAll, Fabric: net}),
-	}
-	t.Cleanup(s.close)
-	return s
+	return newDC(t, nil, false, NodeConfig{Config: zeroDelayConfig(), DataDir: dir, WALSync: policy})
 }
 
 // TestPartitionRestartRejoinsFromDurableWatermark is the in-process
@@ -254,4 +247,58 @@ func TestClosedDurableNodeDropsPayload(t *testing.T) {
 		return net.Dropped.Load() > dropped
 	})
 	n.Partition(0).ReceivePayload(u) // a delivery that raced the close
+}
+
+// TestDurableApplierSyncsPerTickNotPerAck: under wal.SyncOnFlush a durable
+// applier's acknowledgements wait for the flush loop to make the partition
+// WALs durable instead of flushing them at every ack point, so while
+// remote updates stream in, partition WAL fsyncs stay at or below one per
+// partition per flush-loop tick.
+func TestDurableApplierSyncsPerTickNotPerAck(t *testing.T) {
+	for _, d := range deployments {
+		t.Run(d.name, func(t *testing.T) {
+			const interval = 10 * time.Millisecond
+			cfg := zeroDelayConfig()
+			cfg.Partitions = 4
+			cfg.BatchInterval = interval
+			s := newDC(t, nil, d.colocated, NodeConfig{Config: cfg, DataDir: t.TempDir(), WALSync: wal.SyncOnFlush})
+			var fsyncs *wal.SyncMetrics
+			for _, c := range s.parts.WALMetrics() {
+				if c.Component == "partition" {
+					fsyncs = c.M
+				}
+			}
+
+			start := time.Now()
+			before := fsyncs.Fsync.Count()
+			writePairs(t, s, "", 150)()
+			waitUntil(t, 10*time.Second, "durable acks to drain the window", func() bool {
+				return s.recv.ReleaseInflight() == 0
+			})
+			got := fsyncs.Fsync.Count() - before
+			ticks := int64(time.Since(start)/interval) + 2
+			if limit := int64(cfg.Partitions) * ticks; got > limit {
+				t.Fatalf("%d partition WAL fsyncs over %d flush-loop ticks, want at most %d: the applier syncs per ack point", got, ticks, limit)
+			}
+			t.Logf("%d partition WAL fsyncs over %d flush-loop ticks", got, ticks)
+		})
+	}
+}
+
+// TestApplierStreamSyncErrorIsSticky: an fsync error on a colocated
+// node's release stream store stops its durable acknowledgements and
+// surfaces through SyncErr, without stopping the node: it keeps applying
+// what its release window admits.
+func TestApplierStreamSyncErrorIsSticky(t *testing.T) {
+	inj := faults.NewInjector(1)
+	inj.ArmFsync("applier", nil)
+	s := newDC(t, nil, true, NodeConfig{Config: zeroDelayConfig(), DataDir: t.TempDir(), WALSync: wal.SyncOnFlush, Faults: inj})
+	writePairs(t, s, "", 5)()
+	waitUntil(t, 10*time.Second, "the stream sync error to surface", func() bool {
+		return s.parts.SyncErr() != nil
+	})
+	if got := s.parts.ApplierDurable(); got != 0 {
+		t.Fatalf("ApplierDurable = %d past a failed stream fsync, want 0", got)
+	}
+	writePairs(t, s, "after-", 2)()
 }

@@ -1,22 +1,24 @@
 package geostore
 
-// The cross-process receiver→partition release path.
+// The receiver→partition release path.
 //
-// When a datacenter's receiver and partition group run in different
-// processes, every update the receiver releases must cross the fabric
-// before it becomes visible. The original protocol performed one blocking
-// round trip per update, which capped split-role deployments at ~1/RTT
-// applies per origin (retired; DESIGN.md "Retired ablations"). The
-// windowed protocol here removes the round trips while keeping the
-// property the blocking path provided — the visible set at the partition
-// process is always a causal prefix:
+// Every update a datacenter's receiver releases crosses the fabric to the
+// partition group's applier before it becomes visible, whether the two
+// run in one process (over the in-process fabric: the simnet link, or the
+// transport's loopback) or in two. The original cross-process protocol
+// performed one blocking round trip per update, which capped split-role
+// deployments at ~1/RTT applies per origin (retired; DESIGN.md "Retired
+// ablations"). The windowed protocol here removes the round trips while
+// keeping the property the blocking path provided — the visible set at the
+// partitions is always a causal prefix:
 //
 //   - The receiver releases updates into a bounded in-flight window
 //     (releaseWindow): each release is assigned a dense per-stream
-//     sequence number and streamed to the partition process's single
-//     applier endpoint (fabric.ApplierAddr). One ordered endpoint pair
-//     means one FIFO channel, so releases arrive in release order — which
-//     is the causal order Algorithm 5 computed.
+//     sequence number, and the releases of one receiver pass are streamed
+//     as one run to the partition group's single applier endpoint
+//     (fabric.ApplierAddr). One ordered endpoint pair means one FIFO
+//     channel, so releases arrive in release order — which is the causal
+//     order Algorithm 5 computed.
 //   - The applier admits only the next expected sequence number (gaps wait
 //     for the retransmit pass; duplicates are re-acknowledged and dropped)
 //     and applies strictly in order. An update whose payload has not yet
@@ -30,7 +32,7 @@ package geostore
 //     route installed late — the window retransmits its whole
 //     unacknowledged suffix in order, and the applier's sequence filter
 //     makes the retransmission idempotent.
-//   - When the partition process is down, the window fills and release()
+//   - When the partition group is down, the window fills and release()
 //     blocks: the receiver's flush loop stalls with bounded memory in the
 //     stream (its own per-origin queues keep absorbing shipped metadata,
 //     exactly as before), and releases resume on reconnect. A partition
@@ -51,17 +53,24 @@ import (
 	"eunomia/internal/wal"
 )
 
-// ReleaseMsg releases one update to the remote partition group, Seq-th in
-// the receiver's release order. Epoch identifies the sender incarnation:
-// a restarted receiver process restarts Seq at 1, and without the epoch
-// the applier would discard its whole stream as duplicates (while acking
-// it as applied — fake success). ArrivedUnixNano carries the metadata
-// arrival instant for visibility metrics.
+// ReleaseMsg releases a run of updates to the partition group: Us[i] is
+// the (Seq+i)-th release in the receiver's release order, and Arrived[i]
+// its metadata arrival instant (UnixNano, for visibility metrics). Epoch
+// identifies the sender incarnation: a restarted receiver process
+// restarts Seq at 1, and without the epoch the applier would discard its
+// whole stream as duplicates (while acking it as applied — fake success).
 type ReleaseMsg struct {
-	Epoch           uint64
-	Seq             uint64
-	U               *types.Update
-	ArrivedUnixNano int64
+	Epoch   uint64
+	Seq     uint64
+	Us      []*types.Update
+	Arrived []int64
+}
+
+// release is one update of the stream, seq-th in release order.
+type release struct {
+	seq     uint64
+	u       *types.Update
+	arrived int64 // UnixNano
 }
 
 // ReleaseAckMsg is the applier's cumulative acknowledgement for one sender
@@ -110,7 +119,7 @@ const (
 )
 
 // releaseWindow is the sender half of the windowed release protocol,
-// owned by a node that hosts RoleReceiver without RolePartitions.
+// owned by the node that hosts RoleReceiver.
 type releaseWindow struct {
 	fab      fabric.Fabric
 	from, to fabric.Addr
@@ -119,19 +128,22 @@ type releaseWindow struct {
 	// sequence state when it changes (receiver process restart).
 	epoch uint64
 
-	// onDurable, optional, observes each release leaving the window
-	// (durably applied at the partition side); the receiver node feeds
-	// it into receiver.MarkDurable so a durable receiver's persisted
-	// SiteTime only covers applies that can no longer be lost.
-	onDurable func(ReleaseMsg)
+	// onDurable, optional, observes each released update leaving the
+	// window (durably applied at the partition side); the receiver node
+	// feeds it into receiver.MarkDurable so a durable receiver's
+	// persisted SiteTime only covers applies that can no longer be lost.
+	onDurable func(*types.Update)
 	// onAcked, optional, is called after an acknowledgement advanced the
 	// acknowledged site watermark (ackedEntry).
 	onAcked func()
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	inflight []ReleaseMsg // not durably acknowledged, ascending dense Seq
+	inflight []release // not durably acknowledged, ascending dense seq
 	nextSeq  uint64
+	// sent is the highest sequence handed to the fabric; the releases
+	// above it wait in inflight for the end of the receiver's pass.
+	sent uint64
 	// progress is when the window last advanced (ack) or was last
 	// retransmitted; a stall beyond releaseResendAfter triggers a resend.
 	progress time.Time
@@ -147,12 +159,11 @@ type releaseWindow struct {
 
 	// ackedSite tracks, per origin, the highest origin-entry timestamp
 	// among releases the applier has durably acknowledged — the
-	// strongest "applied at the partition process" claim the sender can
-	// make. The §4 migration wait consults it on split-role nodes:
-	// release() returns true on admission into the window, so SiteTime
-	// runs ahead of the actual applies, and a migrated read must not
-	// pass its visibility wait while its causal history is still in
-	// flight to the applier.
+	// strongest "applied at the partitions" claim the sender can make.
+	// The §4 migration wait answers from it: release() returns true on
+	// admission into the window, so SiteTime runs ahead of the actual
+	// applies, and a migrated read must not pass its visibility wait
+	// while its causal history is still in flight to the applier.
 	ackedSite map[types.DCID]hlc.Timestamp
 
 	stop chan struct{}
@@ -174,14 +185,20 @@ func newReleaseWindow(fab fabric.Fabric, from, to fabric.Addr, limit int) *relea
 }
 
 // release implements receiver.ApplyFunc: it admits the update into the
-// window — blocking while the window is full — and streams it out. The
-// optimistic true return advances SiteTime immediately; ordering is
-// preserved because every subsequent release travels the same FIFO stream
-// behind this one. A false return (window closed mid-shutdown) makes the
-// receiver keep the update queued, like any other failed apply.
+// window, blocking while the window is full; flush streams it out at the
+// end of the receiver's pass. The optimistic true return advances
+// SiteTime immediately; ordering is preserved because every subsequent
+// release travels the same FIFO stream behind this one. A false return
+// (window closed mid-shutdown, or the stream wedged) makes the receiver
+// keep the update queued.
 func (w *releaseWindow) release(u *types.Update, metaArrived time.Time) bool {
 	w.mu.Lock()
 	for !w.closed && !w.wedged && len(w.inflight) >= w.limit {
+		if w.sent < w.nextSeq {
+			// The acks that free the window need this pass's run out.
+			w.sendLocked()
+			continue
+		}
 		w.cond.Wait()
 	}
 	if w.closed || w.wedged {
@@ -189,20 +206,52 @@ func (w *releaseWindow) release(u *types.Update, metaArrived time.Time) bool {
 		return false
 	}
 	w.nextSeq++
-	m := ReleaseMsg{Epoch: w.epoch, Seq: w.nextSeq, U: u, ArrivedUnixNano: metaArrived.UnixNano()}
 	if len(w.inflight) == 0 {
 		// A fresh window starts its stall clock now, not at the last ack.
 		w.progress = time.Now()
 	}
-	w.inflight = append(w.inflight, m)
+	w.inflight = append(w.inflight, release{seq: w.nextSeq, u: u, arrived: metaArrived.UnixNano()})
 	w.mu.Unlock()
-	// Send outside the lock: a networked fabric may block here under
-	// backpressure, and acknowledgements must still be able to prune the
-	// window meanwhile. Only the receiver's flush loop calls release, so
-	// sends leave in sequence order; the rare race with a concurrent
-	// retransmit is healed by the applier's in-order admission.
-	w.fab.Send(w.from, w.to, m)
 	return true
+}
+
+// flush streams the releases admitted since the last flush as one run;
+// the receiver calls it at the end of each pass.
+func (w *releaseWindow) flush() {
+	w.mu.Lock()
+	if w.sent < w.nextSeq && !w.closed && !w.wedged {
+		w.sendLocked()
+	}
+	w.mu.Unlock()
+}
+
+// sendLocked sends the unsent tail of the window as one run (w.mu held;
+// released for the send and retaken). Send runs outside the lock: a
+// networked fabric may block here under backpressure, and
+// acknowledgements must still be able to prune the window meanwhile.
+// Only the receiver's flush loop sends fresh runs, so they leave in
+// sequence order; the rare race with a concurrent retransmit is healed
+// by the applier's in-order admission.
+func (w *releaseWindow) sendLocked() {
+	unsent := min(int(w.nextSeq-w.sent), len(w.inflight))
+	w.sent = w.nextSeq
+	if unsent == 0 {
+		return
+	}
+	m := w.runLocked(w.inflight[len(w.inflight)-unsent:])
+	w.mu.Unlock()
+	w.fab.Send(w.from, w.to, m)
+	w.mu.Lock()
+}
+
+// runLocked builds the message carrying rels, consecutive releases.
+func (w *releaseWindow) runLocked(rels []release) ReleaseMsg {
+	m := ReleaseMsg{Epoch: w.epoch, Seq: rels[0].seq,
+		Us: make([]*types.Update, len(rels)), Arrived: make([]int64, len(rels))}
+	for i, r := range rels {
+		m.Us[i], m.Arrived[i] = r.u, r.arrived
+	}
+	return m
 }
 
 // handleAck prunes the window up to the durable acknowledgement watermark.
@@ -218,7 +267,7 @@ func (w *releaseWindow) handleAck(ack ReleaseAckMsg) {
 	}
 	w.mu.Lock()
 	if ack.NeedReset && !w.wedged && len(w.inflight) > 0 &&
-		w.inflight[0].Seq > 1 && w.inflight[0].Seq > ack.Durable+1 {
+		w.inflight[0].seq > 1 && w.inflight[0].seq > ack.Durable+1 {
 		// A fresh applier incarnation is missing a prefix this window has
 		// already pruned, and its durable watermark (nothing, or a dead
 		// older epoch's) cannot bridge the gap: the lost prefix died with
@@ -227,24 +276,24 @@ func (w *releaseWindow) handleAck(ack ReleaseAckMsg) {
 		w.wedged = true
 		w.cond.Broadcast()
 		w.mu.Unlock()
-		log.Printf("geostore: release stream to %s lost: partition process restarted without usable durable state (resume watermark %d, oldest retained release %d); datacenter needs a full restart/resync", w.to, ack.Durable, w.inflight[0].Seq)
+		log.Printf("geostore: release stream to %s lost: partition process restarted without usable durable state (resume watermark %d, oldest retained release %d); datacenter needs a full restart/resync", w.to, ack.Durable, w.inflight[0].seq)
 		return
 	}
 	drop := 0
-	for drop < len(w.inflight) && w.inflight[drop].Seq <= ack.Durable {
+	for drop < len(w.inflight) && w.inflight[drop].seq <= ack.Durable {
 		drop++
 	}
-	var durable []ReleaseMsg
+	var durable []release
 	if drop > 0 {
-		for _, m := range w.inflight[:drop] {
-			if ts := m.U.VTS.Get(int(m.U.Origin)); ts > w.ackedSite[m.U.Origin] {
-				w.ackedSite[m.U.Origin] = ts
+		for _, r := range w.inflight[:drop] {
+			if ts := r.u.VTS.Get(int(r.u.Origin)); ts > w.ackedSite[r.u.Origin] {
+				w.ackedSite[r.u.Origin] = ts
 			}
 		}
 		if w.onDurable != nil {
 			durable = append(durable, w.inflight[:drop]...)
 		}
-		w.inflight = append([]ReleaseMsg(nil), w.inflight[drop:]...)
+		w.inflight = append([]release(nil), w.inflight[drop:]...)
 		w.cond.Broadcast()
 	}
 	// Progress: durability advanced, the whole in-flight suffix is
@@ -252,7 +301,7 @@ func (w *releaseWindow) handleAck(ack ReleaseAckMsg) {
 	// matters when the applier is parked but new releases keep extending
 	// the tail, so a heartbeat's snapshot never quite covers it.
 	if drop > 0 || len(w.inflight) == 0 ||
-		ack.Admitted >= w.inflight[len(w.inflight)-1].Seq || ack.Admitted > w.lastAdmitted {
+		ack.Admitted >= w.inflight[len(w.inflight)-1].seq || ack.Admitted > w.lastAdmitted {
 		w.progress = time.Now()
 	}
 	if ack.Admitted > w.lastAdmitted {
@@ -267,8 +316,8 @@ func (w *releaseWindow) handleAck(ack ReleaseAckMsg) {
 	cb, acked := w.onDurable, w.onAcked
 	w.mu.Unlock()
 	if cb != nil {
-		for _, m := range durable {
-			cb(m)
+		for _, r := range durable {
+			cb(r.u)
 		}
 	}
 	if drop > 0 && acked != nil {
@@ -304,13 +353,12 @@ func (w *releaseWindow) resendLoop() {
 			w.mu.Unlock()
 			continue
 		}
-		batch := append([]ReleaseMsg(nil), w.inflight...)
+		m := w.runLocked(w.inflight)
+		w.sent = w.nextSeq
 		w.progress = time.Now()
-		w.resent += int64(len(batch))
+		w.resent += int64(len(w.inflight))
 		w.mu.Unlock()
-		for _, m := range batch {
-			w.fab.Send(w.from, w.to, m)
-		}
+		w.fab.Send(w.from, w.to, m)
 	}
 }
 
@@ -349,21 +397,22 @@ func (w *releaseWindow) close() {
 }
 
 // applier is the receiving half: the single ordered ingress a
-// partition-hosting node exposes when its datacenter's receiver runs
-// elsewhere. One worker applies releases strictly in sequence order.
+// partition-hosting node of a multi-DC deployment exposes to its
+// datacenter's receiver. One worker applies releases strictly in sequence
+// order.
 type applier struct {
 	node *Node
 	from fabric.Addr // our address (acks originate here)
 	// stream, optional, persists the durably applied (epoch, seq)
-	// watermark: one KindStream record per durable-ack point, preceded
-	// by a flush of every partition WAL so the watermark never claims
+	// watermark: durTracker records a position only once the partition
+	// WALs cover every apply below it, so the watermark never claims
 	// applies the partitions could still lose. A recovered applier
 	// resumes mid-stream from it instead of forcing a wedge.
 	stream *wal.Store
 
 	// healer wraps the head's apply with the payload pull/skip protocol.
-	// Its gate is armed only over a durable stream store: a volatile
-	// applier has no recovered predecessor whose crash could have lost a
+	// OpenNode arms its gate only on a durable node: a volatile applier
+	// has no recovered predecessor whose crash could have lost a
 	// payload, so it parks until the payload arrives.
 	healer *payloadHealer
 	// wake (1-slot) rouses the worker, idle or parked: an admission, an
@@ -372,7 +421,7 @@ type applier struct {
 	wake chan struct{}
 
 	mu sync.Mutex
-	q  []ReleaseMsg // admitted, contiguous, awaiting apply
+	q  []release // admitted, contiguous, awaiting apply
 	// epoch is the sender incarnation the sequence state below belongs
 	// to; a new epoch (restarted receiver process) resets it.
 	epoch uint64
@@ -390,11 +439,10 @@ type applier struct {
 	lastResetAck time.Time
 	closed       bool
 
-	// durAsync, set when the stream store runs SyncGroupCommit, replaces
-	// the synchronous WAL walk at ack points with durability barriers the
-	// group committers retire in the background: Cum keeps streaming at
-	// apply speed, Durable advances as groups commit.
-	durAsync *durTracker
+	// dur, set with a stream store, retires the durability barriers left
+	// at ack points in the background: Cum keeps streaming at apply
+	// speed, Durable advances as the partition WALs reach disk.
+	dur *durTracker
 
 	// batchUs/batchAt are the worker's reusable scratch for gathering a
 	// same-partition run of releases into one batched apply.
@@ -404,18 +452,21 @@ type applier struct {
 	stop chan struct{}
 }
 
-// newApplier starts the applier, resuming from the stream store's
-// recovered watermark when one is configured (the caller replays the
-// partition WALs first, so "durably applied" state is already in the
-// partitions when the stream position claims it).
-func newApplier(n *Node, stream *wal.Store) (*applier, error) {
-	a := &applier{node: n, from: fabric.ApplierAddr(n.id), stream: stream, fresh: true,
+// newApplier builds the applier; start runs it.
+func newApplier(n *Node) *applier {
+	a := &applier{node: n, from: fabric.ApplierAddr(n.id), fresh: true,
 		wake: make(chan struct{}, 1), stop: make(chan struct{})}
 	a.healer = newPayloadHealer(n, a.kick)
+	return a
+}
+
+// start runs the applier, resuming from the stream store's recovered
+// watermark when one is configured (the caller replays the partition WALs
+// first, so "durably applied" state is already in the partitions when the
+// stream position claims it).
+func (a *applier) start(stream *wal.Store) error {
+	a.stream = stream
 	if stream != nil {
-		// Releases the receiver logged before this incarnation started
-		// may carry payloads that died with the predecessor.
-		a.healer.arm()
 		err := stream.Replay(func(rec []byte) error {
 			epoch, seq, err := wal.DecodeStream(rec)
 			if err != nil {
@@ -427,58 +478,13 @@ func newApplier(n *Node, stream *wal.Store) (*applier, error) {
 			return nil
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		a.enq, a.applied = a.durable, a.durable
-	}
-	if stream != nil && stream.Policy() == wal.SyncGroupCommit {
-		a.durAsync = newDurTracker(a, n.partStores, stream)
+		a.dur = newDurTracker(a, a.node.partStores, stream)
 	}
 	go a.run()
-	return a, nil
-}
-
-// syncDurable makes every apply at or below seq durable: partition WALs
-// first (the applies themselves), then the stream position that vouches
-// for them. Returns the watermark to advertise. A store closed by a
-// concurrent node shutdown is benign (the unjoined worker's last ack just
-// stops advertising new durability); any other failure is fatal.
-func (a *applier) syncDurable(epoch, seq uint64) uint64 {
-	fail := func(stage string, err error) uint64 {
-		if errors.Is(err, wal.ErrClosed) {
-			a.mu.Lock()
-			d := a.durable
-			a.mu.Unlock()
-			return d
-		}
-		panic("geostore: " + stage + " failed: " + err.Error())
-	}
-	if a.stream == nil {
-		return seq // volatile: advertise applies as prunable (PR 2 rules)
-	}
-	for _, p := range a.node.parts {
-		if err := p.FlushWAL(); err != nil {
-			return fail("partition WAL flush", err)
-		}
-	}
-	if err := a.stream.Append(wal.EncodeStream(epoch, seq)); err != nil {
-		return fail("stream WAL append", err)
-	}
-	if err := a.stream.Flush(); err != nil {
-		return fail("stream WAL flush", err)
-	}
-	if _, err := a.stream.MaybeSnapshot(4096, func(emit func([]byte) error) error {
-		return emit(wal.EncodeStream(epoch, seq))
-	}); err != nil {
-		return fail("stream WAL snapshot", err)
-	}
-	a.mu.Lock()
-	if a.epoch == epoch && seq > a.durable {
-		a.durable = seq
-	}
-	d := a.durable
-	a.mu.Unlock()
-	return d
+	return nil
 }
 
 // kick wakes the worker; kicks coalesce.
@@ -528,21 +534,26 @@ func (a *applier) handle(msg fabric.Message) {
 		a.q = nil
 		a.enq, a.applied, a.durable, a.sinceAck = 0, 0, 0, 0
 		a.fresh = true
-		if a.durAsync != nil {
+		if a.dur != nil {
 			// A pending barrier belongs to the dead incarnation's sequence
 			// space; recording its stream position now would corrupt the
 			// successor's.
-			a.durAsync.reset()
+			a.dur.reset()
 		}
 		a.kick() // a worker parked on the abandoned head moves on
 	}
+	if len(m.Us) == 0 {
+		a.mu.Unlock()
+		return
+	}
+	last := m.Seq + uint64(len(m.Us)) - 1
 	switch {
-	case m.Seq <= a.enq:
-		// Duplicate (a retransmission overlap): drop it. Only the tail
-		// duplicate re-acknowledges — one coalesced ack per retransmit
-		// pass, not one per message, since Sends here run on the fabric
-		// delivery goroutine.
-		if m.Seq != a.enq {
+	case last <= a.enq:
+		// Duplicate (a retransmission overlap): drop it. Only a run
+		// ending at the tail re-acknowledges — one coalesced ack per
+		// retransmit pass, since Sends here run on the fabric delivery
+		// goroutine.
+		if last != a.enq {
 			a.mu.Unlock()
 			return
 		}
@@ -550,7 +561,7 @@ func (a *applier) handle(msg fabric.Message) {
 		a.mu.Unlock()
 		a.node.fab.Send(a.from, msg.From, ack)
 		return
-	case m.Seq != a.enq+1:
+	case m.Seq > a.enq+1:
 		// Gap: something before it was dropped. The sender retransmits
 		// the whole unacknowledged suffix in order, so normally just
 		// wait — but a gap at a fresh incarnation (nothing admitted yet)
@@ -569,9 +580,11 @@ func (a *applier) handle(msg fabric.Message) {
 		a.mu.Unlock()
 		return
 	}
-	a.enq = m.Seq
+	for i := a.enq + 1 - m.Seq; i < uint64(len(m.Us)); i++ {
+		a.q = append(a.q, release{seq: m.Seq + i, u: m.Us[i], arrived: m.Arrived[i]})
+	}
+	a.enq = last
 	a.fresh = false
-	a.q = append(a.q, m)
 	a.mu.Unlock()
 	a.kick()
 }
@@ -602,16 +615,16 @@ func (a *applier) run() {
 		// partition: a causally ordered run applies as one batch — one
 		// payload-resolution pass, one shard-lock round, buffered WAL
 		// appends — instead of one full apply cycle per release.
-		pid := n.ring.Responsible(head.U.Key)
-		a.batchUs = append(a.batchUs[:0], head.U)
-		a.batchAt = append(a.batchAt[:0], time.Unix(0, head.ArrivedUnixNano))
+		pid := n.ring.Responsible(head.u.Key)
+		a.batchUs = append(a.batchUs[:0], head.u)
+		a.batchAt = append(a.batchAt[:0], time.Unix(0, head.arrived))
 		for i := 1; i < len(a.q) && i < releaseAckEvery; i++ {
-			m := a.q[i]
-			if n.ring.Responsible(m.U.Key) != pid {
+			r := a.q[i]
+			if n.ring.Responsible(r.u.Key) != pid {
 				break
 			}
-			a.batchUs = append(a.batchUs, m.U)
-			a.batchAt = append(a.batchAt, time.Unix(0, m.ArrivedUnixNano))
+			a.batchUs = append(a.batchUs, r.u)
+			a.batchAt = append(a.batchAt, time.Unix(0, r.arrived))
 		}
 		a.mu.Unlock()
 
@@ -644,7 +657,7 @@ func (a *applier) run() {
 		if len(a.q) == 0 {
 			a.q = nil
 		}
-		a.applied = last.Seq
+		a.applied = last.seq
 		a.sinceAck += applied
 		ack := len(a.q) == 0 || a.sinceAck >= releaseAckEvery
 		if ack {
@@ -655,17 +668,12 @@ func (a *applier) run() {
 		if !ack {
 			continue
 		}
-		var dur uint64
-		if a.durAsync != nil {
-			// Group commit: acknowledge Cum immediately and leave a
-			// durability barrier behind; Durable advances in a fresh ack
-			// when the commit pipeline covers it.
-			dur = a.durAsync.note(ep, cum)
-		} else {
-			// Durability rides the ack cadence: everything applied so far
-			// is flushed (partition WALs, then the stream position) before
-			// the ack advertises it as prunable.
-			dur = a.syncDurable(ep, cum)
+		// A volatile applier advertises its applies as prunable. A durable
+		// one acknowledges Cum now and leaves a durability barrier behind;
+		// Durable advances in a fresh ack once the partition WALs cover it.
+		dur := cum
+		if a.dur != nil {
+			dur = a.dur.note(ep, cum)
 		}
 		n.fab.Send(a.from, fabric.ReceiverAddr(n.id), ReleaseAckMsg{Epoch: ep, Cum: cum, Durable: dur, Admitted: adm})
 	}
@@ -678,10 +686,10 @@ func (a *applier) run() {
 // or an epoch reset replaced the queue. Meanwhile a timer heartbeats the
 // admission watermark, so the sender knows the stream is intact and does
 // not retransmit it. Reports false when the applier closed while parked.
-func (a *applier) applyHead(head ReleaseMsg) bool {
-	at := time.Unix(0, head.ArrivedUnixNano)
+func (a *applier) applyHead(head release) bool {
+	at := time.Unix(0, head.arrived)
 	var beat *time.Ticker
-	for !a.healer.apply(head.U, at) {
+	for !a.healer.apply(head.u, at) {
 		if beat == nil {
 			beat = time.NewTicker(releaseResendAfter / 2)
 			defer beat.Stop()
@@ -693,7 +701,7 @@ func (a *applier) applyHead(head ReleaseMsg) bool {
 		stale := len(a.q) == 0 || a.q[0] != head
 		a.mu.Unlock()
 		if stale {
-			a.healer.forget(head.U.ID()) // its successor re-releases it if needed
+			a.healer.forget(head.u.ID()) // its successor re-releases it if needed
 			break
 		}
 	}
@@ -744,18 +752,17 @@ func (a *applier) close() {
 	a.mu.Unlock()
 }
 
-// durTracker is the group-commit durability pipeline behind the applier's
-// acknowledgements. Under the synchronous policies every ack point walks
-// the WALs — partition flushes, then the stream position append — before
-// the ack leaves, so Durable costs a round of fsyncs on the apply path.
-// Under SyncGroupCommit the applier instead drops a durability barrier
-// (the partition-store LSNs its applies reached) and keeps applying; this
-// worker waits for the group committers to cover the barrier, durably
-// records the stream position that vouches for it (the two-phase order
-// that keeps a recovered stream position from ever claiming applies a
-// partition crash lost), and advertises the advance with a fresh ack.
-// Durable thus lags Cum by at most a couple of group commits while the
-// apply path never blocks on the disk.
+// durTracker is the durability pipeline behind a durable applier's
+// acknowledgements, under either WAL policy. At each ack point the
+// applier drops a durability barrier (the partition-store LSNs its
+// applies reached) and keeps applying; this worker waits for the
+// partition WALs to cover the barrier — the group committers make them
+// durable under SyncGroupCommit, the node's flush loop under SyncOnFlush
+// — then durably records the stream position that vouches for it (the
+// two-phase order that keeps a recovered stream position from ever
+// claiming applies a partition crash lost), and advertises the advance
+// with a fresh ack. Durable thus lags Cum by at most a group commit or a
+// flush-loop tick, while the apply path never blocks on the disk.
 type durTracker struct {
 	a      *applier
 	parts  []*wal.Store
@@ -821,7 +828,7 @@ func (d *durTracker) reset() {
 	d.mu.Unlock()
 }
 
-// run retires barriers: poked by every partition group commit (and every
+// run retires barriers: poked by every partition WAL commit (and every
 // note), it checks coverage and, once the applies are all on disk, records
 // the stream position and advances the advertised watermark. Like the
 // applier worker it exits on close without being joined; a Send may sit in
@@ -845,20 +852,34 @@ func (d *durTracker) run() {
 		}
 		d.mu.Unlock()
 		// Phase two: the applies are durable; record the stream position
-		// that vouches for them. Store.Append under SyncGroupCommit is
-		// append + wait-for-commit, so this blocks only the tracker.
-		if err := d.stream.Append(wal.EncodeStream(b.epoch, b.seq)); err != nil {
-			if errors.Is(err, wal.ErrClosed) {
-				return
-			}
-			panic("geostore: stream WAL append failed: " + err.Error())
+		// that vouches for them. Under SyncGroupCommit the Append waits
+		// for its commit and the Flush finds nothing left to sync; under
+		// SyncOnFlush the Flush is the one fsync. Either blocks only the
+		// tracker.
+		err := d.stream.Append(wal.EncodeStream(b.epoch, b.seq))
+		if err == nil {
+			err = d.stream.Flush()
+		}
+		if err != nil {
+			d.fail("release stream WAL write", err)
+			return
 		}
 		d.a.completeDurable(b.epoch, b.seq)
 		if _, err := d.stream.MaybeSnapshot(4096, func(emit func([]byte) error) error {
 			return emit(wal.EncodeStream(b.epoch, b.seq))
-		}); err != nil && !errors.Is(err, wal.ErrClosed) {
-			panic("geostore: stream WAL snapshot failed: " + err.Error())
+		}); err != nil {
+			d.fail("release stream snapshot", err)
+			return
 		}
+	}
+}
+
+// fail stops the tracker on a stream store failure: Durable stops
+// advancing, and anything but a shutdown becomes the node's sticky
+// durability error, as a failed flush loop does.
+func (d *durTracker) fail(what string, err error) {
+	if !errors.Is(err, wal.ErrClosed) {
+		d.a.node.failFlush(what, err)
 	}
 }
 

@@ -10,30 +10,67 @@ import (
 	"eunomia/internal/types"
 )
 
-// splitDC builds a two-datacenter deployment on one zero-delay simnet with
-// dc0 split by role — partitions+Eunomia in one node, the receiver in
-// another — so every dc0 release crosses the fabric through the windowed
-// stream. dc1 is a full node that originates traffic.
+// splitDC is a two-datacenter deployment on one simnet: dc1 is a full
+// node that originates traffic, and dc0 is split by role — partitions and
+// Eunomia in one node, the receiver in another, so every dc0 release
+// crosses the fabric between nodes — or colocated in one all-role node
+// (parts and recv are then the same node), whose releases take the same
+// windowed stream over the in-process fabric.
 type splitDC struct {
 	net      *simnet.Network
-	parts    *Node // dc0 partitions + Eunomia
-	recv     *Node // dc0 receiver
-	origin   *Node // dc1, all roles
+	partsNC  NodeConfig // how parts was opened, for restarts
+	parts    *Node      // dc0 partitions + Eunomia
+	recv     *Node      // dc0 receiver
+	origin   *Node      // dc1, all roles
 	shutdown bool
+}
+
+// deployments are the two dc0 shapes the release-path tests run over.
+var deployments = []struct {
+	name      string
+	colocated bool
+}{{"colocated", true}, {"split", false}}
+
+func zeroDelayConfig() Config {
+	return Config{DCs: 2, Partitions: 2, Delay: func(from, to fabric.Addr) time.Duration { return 0 }}
+}
+
+// newDC opens dc0 with nc's settings (Config, DataDir, WALSync,
+// ReleaseWindow) on net, or on a zero-delay simnet when net is nil, and
+// dc1 with nc's Config.
+func newDC(t *testing.T, net *simnet.Network, colocated bool, nc NodeConfig) *splitDC {
+	t.Helper()
+	if net == nil {
+		net = simnet.New(nil)
+	}
+	nc.DC, nc.Fabric = 0, net
+	s := &splitDC{net: net, partsNC: nc}
+	if colocated {
+		s.partsNC.Roles = RoleAll
+		s.parts = NewNode(s.partsNC)
+		s.recv = s.parts
+	} else {
+		s.partsNC.Roles = RolePartitions | RoleEunomia
+		s.parts = NewNode(s.partsNC)
+		recvNC := nc
+		recvNC.Roles = RoleReceiver
+		s.recv = NewNode(recvNC)
+	}
+	s.origin = NewNode(NodeConfig{Config: nc.Config, DC: 1, Roles: RoleAll, Fabric: net})
+	t.Cleanup(s.close)
+	return s
 }
 
 func newSplitDC(t *testing.T, window int) *splitDC {
 	t.Helper()
-	cfg := Config{DCs: 2, Partitions: 2, Delay: func(from, to fabric.Addr) time.Duration { return 0 }}
-	net := simnet.New(nil)
-	s := &splitDC{
-		net:    net,
-		parts:  NewNode(NodeConfig{Config: cfg, DC: 0, Roles: RolePartitions | RoleEunomia, Fabric: net}),
-		recv:   NewNode(NodeConfig{Config: cfg, DC: 0, Roles: RoleReceiver, Fabric: net, ReleaseWindow: window}),
-		origin: NewNode(NodeConfig{Config: cfg, DC: 1, Roles: RoleAll, Fabric: net}),
+	return newDC(t, nil, false, NodeConfig{Config: zeroDelayConfig(), ReleaseWindow: window})
+}
+
+func (s *splitDC) nodes() []*Node {
+	if s.recv == s.parts {
+		return []*Node{s.parts, s.origin}
 	}
-	t.Cleanup(s.close)
-	return s
+	return []*Node{s.parts, s.recv, s.origin}
 }
 
 func (s *splitDC) close() {
@@ -41,13 +78,35 @@ func (s *splitDC) close() {
 		return
 	}
 	s.shutdown = true
-	for _, n := range []*Node{s.parts, s.recv, s.origin} {
+	for _, n := range s.nodes() {
 		n.CloseIngress()
 	}
-	for _, n := range []*Node{s.parts, s.recv, s.origin} {
+	for _, n := range s.nodes() {
 		n.CloseServices()
 	}
 	s.net.Close()
+}
+
+// crashParts stops dc0's partition-hosting node (and with it the
+// receiver, when colocated) the way a killed process stops.
+func (s *splitDC) crashParts() {
+	s.parts.CloseIngress()
+	s.parts.CloseServices()
+}
+
+// restartParts reopens dc0's partition-hosting node from its data dir.
+func (s *splitDC) restartParts(t *testing.T) *Node {
+	t.Helper()
+	colocated := s.recv == s.parts
+	n, err := OpenNode(s.partsNC)
+	if err != nil {
+		t.Fatalf("restart from %s: %v", s.partsNC.DataDir, err)
+	}
+	s.parts = n
+	if colocated {
+		s.recv = n
+	}
+	return n
 }
 
 func waitUntil(t *testing.T, timeout time.Duration, what string, cond func() bool) {
@@ -297,76 +356,74 @@ func TestWindowedReleaseAsymmetricAckLoss(t *testing.T) {
 	}
 }
 
-// TestSplitParkedApplierIsNotPolled: a split-role applier parked on a
-// missing payload waits for the payload instead of polling for it. Every
-// dc1→dc0 payload is held 300ms while metadata and releases cross at
-// once, so the release parks at the applier for about that long. The
-// responsible partition's PayloadWait may rise by a handful (the first
-// attempt and any retry another wake causes), not once per poll, and
-// the payload's arrival must make the update visible within 50ms.
-func TestSplitParkedApplierIsNotPolled(t *testing.T) {
-	const hold = 300 * time.Millisecond
-	cfg := Config{DCs: 2, Partitions: 2}
-	held := func(from, to fabric.Addr) bool {
-		for p := 0; p < cfg.Partitions; p++ {
-			if from == fabric.PartitionAddr(1, types.PartitionID(p)) && to == fabric.PartitionAddr(0, types.PartitionID(p)) {
-				return true
+// TestParkedApplierIsNotPolled: an applier parked on a missing payload
+// waits for the payload instead of polling for it, colocated with its
+// receiver or not. Every dc1→dc0 payload is held 300ms while metadata
+// and releases cross at once, so the release parks at the applier for
+// about that long. The responsible partition's PayloadWait may rise by a
+// handful (the first attempt and any retry another wake causes), not once
+// per poll, and the payload's arrival must make the update visible within
+// 50ms.
+func TestParkedApplierIsNotPolled(t *testing.T) {
+	for _, d := range deployments {
+		t.Run(d.name, func(t *testing.T) {
+			const hold = 300 * time.Millisecond
+			cfg := Config{DCs: 2, Partitions: 2}
+			held := func(from, to fabric.Addr) bool {
+				for p := 0; p < cfg.Partitions; p++ {
+					if from == fabric.PartitionAddr(1, types.PartitionID(p)) && to == fabric.PartitionAddr(0, types.PartitionID(p)) {
+						return true
+					}
+				}
+				return false
 			}
-		}
-		return false
-	}
-	type seen struct{ arrived, visible time.Time }
-	visible := make(chan seen, 1)
-	cfg.OnVisible = func(dest types.DCID, u *types.Update, arrived time.Time) {
-		if dest == 0 && u.Key == "parked" {
-			visible <- seen{arrived, time.Now()}
-		}
-	}
-	net := simnet.New(func(from, to fabric.Addr) time.Duration {
-		if held(from, to) {
-			return hold
-		}
-		return 0
-	})
-	s := &splitDC{
-		net:    net,
-		parts:  NewNode(NodeConfig{Config: cfg, DC: 0, Roles: RolePartitions | RoleEunomia, Fabric: net}),
-		recv:   NewNode(NodeConfig{Config: cfg, DC: 0, Roles: RoleReceiver, Fabric: net}),
-		origin: NewNode(NodeConfig{Config: cfg, DC: 1, Roles: RoleAll, Fabric: net}),
-	}
-	t.Cleanup(s.close)
-	writePairs(t, s, "warm-", 1)()
+			type seen struct{ arrived, visible time.Time }
+			visible := make(chan seen, 1)
+			cfg.OnVisible = func(dest types.DCID, u *types.Update, arrived time.Time) {
+				if dest == 0 && u.Key == "parked" {
+					visible <- seen{arrived, time.Now()}
+				}
+			}
+			net := simnet.New(func(from, to fabric.Addr) time.Duration {
+				if held(from, to) {
+					return hold
+				}
+				return 0
+			})
+			s := newDC(t, net, d.colocated, NodeConfig{Config: cfg})
+			writePairs(t, s, "warm-", 1)()
 
-	part := s.parts.Partition(s.parts.ring.Responsible("parked"))
-	before := part.PayloadWait.Load()
-	if err := s.origin.NewClient().Update("parked", []byte("v")); err != nil {
-		t.Fatal(err)
+			part := s.parts.Partition(s.parts.ring.Responsible("parked"))
+			before := part.PayloadWait.Load()
+			if err := s.origin.NewClient().Update("parked", []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			var got seen
+			select {
+			case got = <-visible:
+			case <-time.After(10 * time.Second):
+				t.Fatal("parked update never became visible")
+			}
+			waits := part.PayloadWait.Load() - before
+			if waits < 1 {
+				t.Fatal("the release never parked on its payload; the hold was not exercised")
+			}
+			if waits > 5 {
+				t.Fatalf("PayloadWait rose by %d over a %v park, want at most 5: the parked applier is polling", waits, hold)
+			}
+			lag := got.visible.Sub(got.arrived)
+			if lag > 50*time.Millisecond {
+				t.Fatalf("update became visible %v after its payload arrived, want at most 50ms", lag)
+			}
+			t.Logf("PayloadWait +%d over the park; visible %v after the payload arrived", waits, lag)
+		})
 	}
-	var got seen
-	select {
-	case got = <-visible:
-	case <-time.After(10 * time.Second):
-		t.Fatal("parked update never became visible")
-	}
-	waits := part.PayloadWait.Load() - before
-	if waits < 1 {
-		t.Fatal("the release never parked on its payload; the hold was not exercised")
-	}
-	if waits > 5 {
-		t.Fatalf("PayloadWait rose by %d over a %v park, want at most 5: the parked applier is polling", waits, hold)
-	}
-	lag := got.visible.Sub(got.arrived)
-	if lag > 50*time.Millisecond {
-		t.Fatalf("update became visible %v after its payload arrived, want at most 50ms", lag)
-	}
-	t.Logf("PayloadWait +%d over the park; visible %v after the payload arrived", waits, lag)
 }
 
 // TestHealerKeepsOnlyTrackedVerdicts: a superseded verdict for an update
 // the healer is not pulling (its payload arrived and it applied while the
-// verdict was in flight) must leave no state behind, on the split-role
-// applier as on the colocated path; a verdict for a tracked update is
-// recorded and wakes the release path.
+// verdict was in flight) must leave no state behind; a verdict for a
+// tracked update is recorded and wakes the applier.
 func TestHealerKeepsOnlyTrackedVerdicts(t *testing.T) {
 	verdict := func(id types.UpdateID) fabric.Message {
 		return fabric.Message{From: fabric.PartitionAddr(1, 0), To: fabric.ApplierAddr(0), Payload: PayloadSupersededMsg{ID: id}}

@@ -61,14 +61,17 @@ func (m PayloadSupersededMsg) AppendWire(b []byte) []byte {
 // WireTag implements wire.Marshaler.
 func (m ReleaseMsg) WireTag() wire.Tag { return wire.TagRelease }
 
-// AppendWire implements wire.Marshaler. Epoch is a UnixNano instant, so
-// it rides fixed-width per the codec convention (a uvarint would cost 9
-// bytes).
+// AppendWire implements wire.Marshaler. Epoch and the arrival instants
+// are UnixNano instants, so they ride fixed-width per the codec
+// convention (a uvarint would cost 9 bytes).
 func (m ReleaseMsg) AppendWire(b []byte) []byte {
 	b = wire.AppendUint64(b, m.Epoch)
 	b = wire.AppendUvarint(b, m.Seq)
-	b = appendUpdatePtr(b, m.U)
-	return wire.AppendUint64(b, uint64(m.ArrivedUnixNano))
+	b = wire.AppendUpdates(b, m.Us)
+	for _, at := range m.Arrived {
+		b = wire.AppendUint64(b, uint64(at))
+	}
+	return b
 }
 
 // WireTag implements wire.Marshaler.
@@ -160,12 +163,12 @@ func init() {
 		}}
 	})
 	wire.Register(wire.TagRelease, func(d *wire.Dec) any {
-		return ReleaseMsg{
-			Epoch:           d.Uint64(),
-			Seq:             d.Uvarint(),
-			U:               readUpdatePtr(d),
-			ArrivedUnixNano: int64(d.Uint64()),
+		m := ReleaseMsg{Epoch: d.Uint64(), Seq: d.Uvarint(), Us: wire.ReadUpdates(d)}
+		m.Arrived = make([]int64, len(m.Us))
+		for i := range m.Arrived {
+			m.Arrived[i] = int64(d.Uint64())
 		}
+		return m
 	})
 	wire.Register(wire.TagReleaseAck, func(d *wire.Dec) any {
 		return ReleaseAckMsg{

@@ -111,9 +111,11 @@ type Partition struct {
 	Reads         metrics.Counter
 	Updates       metrics.Counter
 	RemoteApplied metrics.Counter
-	// PayloadWait counts receiver release attempts that found the
-	// payload missing (§7.2.2 observes this is rare because payloads
-	// ship immediately while metadata waits for stabilization).
+	// PayloadWait counts the times a release parked on a missing payload
+	// (§7.2.2 observes this is rare because payloads ship immediately
+	// while metadata waits for stabilization). A retry that finds the
+	// partition still parked — no payload arrived since — is the same
+	// park and is not counted again.
 	PayloadWait metrics.Counter
 }
 
@@ -339,9 +341,11 @@ func (p *Partition) ApplyRemote(u *types.Update, metaArrived time.Time) bool {
 		id := u.ID()
 		payload, ok := p.payloads[id]
 		if !ok {
-			p.parked = true
+			if !p.parked {
+				p.parked = true
+				p.PayloadWait.Inc()
+			}
 			p.payloadMu.Unlock()
-			p.PayloadWait.Inc()
 			return false
 		}
 		arrived = p.arrivals[id]
@@ -409,8 +413,10 @@ func (p *Partition) ApplyRemoteBatch(us []*types.Update, metaArrived []time.Time
 			id := u.ID()
 			payload, ok := p.payloads[id]
 			if !ok {
-				p.parked = true
-				p.PayloadWait.Inc()
+				if !p.parked {
+					p.parked = true
+					p.PayloadWait.Inc()
+				}
 				break // park here; nothing behind it may jump the queue
 			}
 			at = p.arrivals[id]

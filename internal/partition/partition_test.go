@@ -185,15 +185,33 @@ func TestApplyRemoteWaitsForPayload(t *testing.T) {
 	if p.PayloadWait.Load() != 1 {
 		t.Fatal("PayloadWait not counted")
 	}
+	// A retry with no payload arrival since is the same park; one after
+	// an unrelated arrival is a new one.
+	if p.ApplyRemoteBatch([]*types.Update{meta}, []time.Time{time.Now()}) != 0 || p.ApplyRemote(meta, time.Now()) {
+		t.Fatal("applied without payload")
+	}
+	if got := p.PayloadWait.Load(); got != 1 {
+		t.Fatalf("PayloadWait = %d after retries of one park, want 1", got)
+	}
+	other := &types.Update{Key: "o", Value: []byte("o"), Origin: 0, Partition: 0, Seq: 2, TS: 200, VTS: dep(200, 0)}
+	if !p.ReceivePayload(other) {
+		t.Fatal("an arrival did not report the park")
+	}
+	if p.ApplyRemote(meta, time.Now()) {
+		t.Fatal("applied without payload")
+	}
+	if got := p.PayloadWait.Load(); got != 2 {
+		t.Fatalf("PayloadWait = %d after a park that outlived an arrival, want 2", got)
+	}
 
 	p.ReceivePayload(full)
-	if p.PendingPayloads() != 1 {
+	if p.PendingPayloads() != 2 {
 		t.Fatal("payload not buffered")
 	}
 	if !p.ApplyRemote(meta, time.Now()) {
 		t.Fatal("apply failed with payload present")
 	}
-	if p.PendingPayloads() != 0 {
+	if p.PendingPayloads() != 1 {
 		t.Fatal("payload buffer leaked")
 	}
 	if len(visible) != 1 || string(visible[0].Value) != "v" {

@@ -27,11 +27,10 @@ import (
 	"eunomia/internal/wal"
 )
 
-// ApplyFunc routes a released update to the responsible local partition.
-// It returns false when the update cannot be executed yet (its payload has
-// not arrived, §5); the receiver keeps it queued without advancing
-// SiteTime, and whoever can tell the update is ready to retry — the
-// payload's arrival, a healing verdict — calls Kick.
+// ApplyFunc hands a released update on toward the responsible partition.
+// It returns false only when the release path is closed or wedged; the
+// receiver then keeps the update queued without advancing SiteTime, and
+// retries it on the next arrival.
 type ApplyFunc func(u *types.Update, metaArrived time.Time) bool
 
 // Config parameterises a receiver.
@@ -39,6 +38,10 @@ type Config struct {
 	DC    types.DCID // m, the local datacenter
 	DCs   int        // M
 	Apply ApplyFunc
+	// Released, optional, is called at the end of each Flush that
+	// released something, so a release path can send the pass's releases
+	// together.
+	Released func()
 }
 
 // Receiver coordinates remote update execution for one datacenter.
@@ -200,7 +203,7 @@ func (r *Receiver) replay() error {
 			r.queues[k] = append([]entry(nil), q[drop:]...)
 		}
 		if len(r.queues[k]) > 0 {
-			r.Kick() // release what recovery restored without waiting for an arrival
+			r.kick() // release what recovery restored without waiting for an arrival
 		}
 		// SiteTime restarts at the durable watermark: anything above it
 		// re-releases, and the partitions' own durable watermarks make
@@ -269,16 +272,14 @@ func (r *Receiver) Enqueue(k types.DCID, batch []*types.Update) {
 		}
 	}
 	if enqueued {
-		r.Kick()
+		r.kick()
 	}
 }
 
-// Kick wakes the CHECK_PENDING loop, which otherwise sleeps: the paper's
-// ρ-periodic round is replaced by wakes from whatever can unblock a
-// release. Enqueue kicks itself; a colocated deployment kicks when a
-// payload that a parked release waits for arrives at a partition, and
-// when payload healing has news. Kicks coalesce.
-func (r *Receiver) Kick() {
+// kick wakes the CHECK_PENDING loop, which otherwise sleeps: the paper's
+// ρ-periodic round is replaced by wakes from what can unblock a release,
+// an arrival (Enqueue) or a recovered queue (replay). Kicks coalesce.
+func (r *Receiver) kick() {
 	select {
 	case r.wake <- struct{}{}:
 	default:
@@ -295,7 +296,7 @@ func (r *Receiver) Advanced() <-chan struct{} {
 }
 
 // NotifyAdvance wakes every Advanced waiter. The receiver calls it when
-// SiteTime advances; a split-role deployment also calls it when release
+// SiteTime advances; the deployment also calls it when release
 // acknowledgements move the watermark its visibility waits answer from.
 func (r *Receiver) NotifyAdvance() {
 	r.mu.Lock()
@@ -326,6 +327,12 @@ func (r *Receiver) Flush() {
 	r.flushMu.Lock()
 	defer r.flushMu.Unlock()
 	m := int(r.cfg.DC)
+	released := false
+	defer func() {
+		if released && r.cfg.Released != nil {
+			r.cfg.Released()
+		}
+	}()
 	for {
 		progress := false
 		for k := 0; k < r.cfg.DCs; k++ {
@@ -349,7 +356,7 @@ func (r *Receiver) Flush() {
 				// Apply outside the lock: the partition may take its own
 				// locks and fire visibility callbacks.
 				if !r.cfg.Apply(head.u, head.arrived) {
-					break // payload not yet here; retried on the next Kick
+					break // release path closed or wedged
 				}
 
 				r.mu.Lock()
@@ -369,6 +376,7 @@ func (r *Receiver) Flush() {
 				progress, applied = true, true
 			}
 			if applied {
+				released = true
 				r.NotifyAdvance()
 			}
 		}
@@ -402,8 +410,7 @@ func (r *Receiver) SiteTimeEntry(k types.DCID) hlc.Timestamp {
 
 // MarkDurable records that every update from origin k at or below ts has
 // been durably applied (the deployment calls it once the partition side's
-// WAL covers the apply — after a window prune on the split-role path,
-// after the partition flush pass when colocated). The durable watermark
+// WAL covers the apply, when the release window prunes it). The durable watermark
 // is what Recover restarts SiteTime from; retained entries it covers are
 // released for compaction. The record is buffered — FlushWAL (or the next
 // snapshot) makes it stable, and an unflushed mark merely means a little
@@ -539,8 +546,7 @@ func (r *Receiver) Close() {
 }
 
 // loop is the CHECK_PENDING driver: it resolves dependencies each time
-// Kick reports new work — updates arrived or a parked release may
-// proceed — and never polls.
+// kick reports new work and never polls.
 func (r *Receiver) loop() {
 	defer r.wg.Done()
 	for {

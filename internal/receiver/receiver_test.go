@@ -241,25 +241,25 @@ func TestEnqueueReleasesWithoutWaitingForTheTick(t *testing.T) {
 		t.Fatalf("SiteTime[1] = %v, applied %d; want 10 and 1", r.SiteTimeEntry(1), len(sink.snapshot()))
 	}
 
-	// A parked release retries when kicked.
+	// A refused release stays queued and retries on the next arrival.
 	u := ru(1, "late", 0, 20, 0)
 	sink.setRefuse(u.ID(), true)
 	r.Enqueue(1, []*types.Update{u})
 	r.Flush() // serializes with the loop's pass: the release is parked now
 	advanced = r.Advanced()
 	sink.setRefuse(u.ID(), false)
-	r.Kick()
+	r.Enqueue(1, []*types.Update{ru(1, "next", 0, 30, 0)})
 	select {
 	case <-advanced:
 	case <-time.After(time.Second):
-		t.Fatal("Kick did not retry the parked release")
+		t.Fatal("the next arrival did not retry the refused release")
 	}
 }
 
-// TestParkedReleaseIsNotPolled: a release whose Apply refuses stays
-// parked until something kicks the loop. Nothing retries it on a timer,
-// so over 100ms without a kick Apply runs exactly once — the pass the
-// enqueue itself woke.
+// TestParkedReleaseIsNotPolled: a release whose Apply refuses (the
+// release path is closed or wedged) stays queued until something wakes
+// the loop. Nothing retries it on a timer, so over 100ms with no further
+// arrival Apply runs exactly once — the pass the enqueue itself woke.
 func TestParkedReleaseIsNotPolled(t *testing.T) {
 	var mu sync.Mutex
 	calls := 0
@@ -276,7 +276,7 @@ func TestParkedReleaseIsNotPolled(t *testing.T) {
 	got := calls
 	mu.Unlock()
 	if got != 1 {
-		t.Fatalf("Apply ran %d times over 100ms with no kick, want exactly 1", got)
+		t.Fatalf("Apply ran %d times over 100ms with no arrival, want exactly 1", got)
 	}
 	if r.QueueLen(1) != 1 || r.SiteTimeEntry(1) != 0 {
 		t.Fatalf("refused release left queue %d, SiteTime[1] %v; want 1 and 0", r.QueueLen(1), r.SiteTimeEntry(1))

@@ -20,8 +20,8 @@ const (
 	// local sequence counter, clock floor, per-origin applied watermarks.
 	KindMarks byte = 3
 	// KindStream is a release-stream position record: the (sender epoch,
-	// sequence) watermark durably applied by a split-role partition
-	// group's applier.
+	// sequence) watermark durably applied by a partition group's
+	// applier.
 	KindStream byte = 4
 	// KindPending marks an update enqueued at a receiver but not yet
 	// durably applied (EncodeUpdate framing).

@@ -245,9 +245,14 @@ func (l *Log) sync() error {
 // sync fails the log's durability promise is void, every later sync
 // attempt returns the same error (no silent retry can un-lose records
 // the buffer already dropped), and the SyncErrors counter has advanced.
+// A log with nothing appended since its last sync returns without an
+// fsync.
 func (l *Log) syncLocked() error {
 	if l.syncErr != nil {
 		return l.syncErr
+	}
+	if l.durable == l.appended && l.w.Buffered() == 0 {
+		return nil
 	}
 	if err := l.w.Flush(); err != nil {
 		return l.failCommitLocked(err)

@@ -2,10 +2,12 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -272,4 +274,63 @@ func FuzzDecodeUpdate(f *testing.F) {
 			t.Fatalf("round-trip mismatch:\n%+v\n%+v", u, u2)
 		}
 	})
+}
+
+// TestIdleFlushDoesNotSync: a Flush with nothing appended since the last
+// sync costs no fsync under either policy (an idle durable node flushes
+// every WAL on each batch interval), and a sticky sync error is still
+// returned by an idle Flush.
+func TestIdleFlushDoesNotSync(t *testing.T) {
+	for name, policy := range map[string]SyncPolicy{"group": SyncGroupCommit, "flush": SyncOnFlush} {
+		t.Run(name, func(t *testing.T) {
+			var syncs int
+			var mu sync.Mutex
+			l, err := OpenOptions(tmpLog(t), Options{Policy: policy, InjectSync: func() error {
+				mu.Lock()
+				syncs++
+				mu.Unlock()
+				return nil
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			count := func() int {
+				mu.Lock()
+				defer mu.Unlock()
+				return syncs
+			}
+			if err := l.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if got := count(); got != 0 {
+				t.Fatalf("flushing a fresh log took %d fsyncs, want 0", got)
+			}
+			if err := l.Append([]byte("x")); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if got := count(); got != 1 {
+				t.Fatalf("one append and a flush took %d fsyncs, want 1", got)
+			}
+			for i := 0; i < 100; i++ {
+				if err := l.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := count(); got != 1 {
+				t.Fatalf("100 idle flushes took %d more fsyncs, want 0", got-1)
+			}
+
+			sticky := errors.New("disk gone")
+			l.mu.Lock()
+			l.syncErr = sticky
+			l.mu.Unlock()
+			if err := l.Flush(); err != sticky {
+				t.Fatalf("idle Flush with a sticky sync error returned %v, want %v", err, sticky)
+			}
+		})
+	}
 }

@@ -49,7 +49,7 @@ func TestSteadyStateEncodeAllocs(t *testing.T) {
 		payload any
 	}{
 		{"MultiBatchMsg", streamFrame(batch)},
-		{"ReleaseMsg", geostore.ReleaseMsg{Epoch: 3, Seq: 77, U: allocUpdate(5), ArrivedUnixNano: 1753900000000000000}},
+		{"ReleaseMsg", geostore.ReleaseMsg{Epoch: 3, Seq: 77, Us: []*types.Update{allocUpdate(5)}, Arrived: []int64{1753900000000000000}}},
 		{"ShipMsg", geostore.ShipMsg{Origin: 1, Ops: batch}},
 		{"Updates", batch},
 	}

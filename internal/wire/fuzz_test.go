@@ -24,11 +24,11 @@ import (
 
 // retiredPayloads are frames only a peer predating the tags' retirement
 // sends, in their last layout: the blocking-release request and reply
-// (TagApply, TagApplyAck), the heartbeat without a base
-// (TagHeartbeatV1), and the stream protocol before the stream frame —
-// batch, heartbeat with a base, and ack (TagBatch, TagHeartbeat, TagAck),
-// and the first merged frame and its reply (TagMultiBatchV1,
-// TagMultiAckV1).
+// (TagApply, TagApplyAck), the one-update release (TagReleaseV1), the
+// heartbeat without a base (TagHeartbeatV1), and the stream protocol
+// before the stream frame — batch, heartbeat with a base, and ack
+// (TagBatch, TagHeartbeat, TagAck), and the first merged frame and its
+// reply (TagMultiBatchV1, TagMultiAckV1).
 func retiredPayloads() [][]byte {
 	apply := wire.AppendUvarint(nil, uint64(wire.TagApply))
 	apply = wire.AppendUvarint(apply, 1)  // ID
@@ -69,7 +69,12 @@ func retiredPayloads() [][]byte {
 	ping = wire.AppendBytes(ping, []byte{7}) // data
 	pong := wire.AppendUvarint(nil, uint64(wire.TagBenchPong))
 	pong = wire.AppendUvarint(pong, 1) // sequence
-	return [][]byte{apply, ack, hb, batch, baseHB, streamAck, multi, multiAck, ping, pong}
+	release := wire.AppendUvarint(nil, uint64(wire.TagReleaseV1))
+	release = wire.AppendUint64(release, 1)   // epoch
+	release = wire.AppendUvarint(release, 2)  // sequence
+	release = wire.AppendBool(release, false) // no update
+	release = wire.AppendUint64(release, 3)   // arrival instant
+	return [][]byte{apply, ack, hb, batch, baseHB, streamAck, multi, multiAck, ping, pong, release}
 }
 
 // TestRetiredTagsCorrupt pins the registry's retirement rule with every
@@ -110,7 +115,7 @@ func FuzzReadPayload(f *testing.F) {
 	}}))
 	f.Add(fuzzSeed(fabric.MultiAckMsg{Acks: []types.PartitionMark{{Partition: 2, TS: u.TS}}, Err: "x"}))
 	f.Add(fuzzSeed(geostore.ShipMsg{Origin: 1, Ops: []*types.Update{u}}))
-	f.Add(fuzzSeed(geostore.ReleaseMsg{Epoch: 9, Seq: 4, U: u, ArrivedUnixNano: 5}))
+	f.Add(fuzzSeed(geostore.ReleaseMsg{Epoch: 9, Seq: 4, Us: []*types.Update{u, u}, Arrived: []int64{5, 6}}))
 	f.Add(fuzzSeed(geostore.ReleaseAckMsg{Epoch: 9, Cum: 4, Durable: 3, Admitted: 5, NeedReset: true}))
 	f.Add(retiredPayloads()[0])
 	f.Add(retiredPayloads()[6])

@@ -41,8 +41,10 @@ const (
 	TagApplyAck          Tag = 7
 	TagPayloadPull       Tag = 8
 	TagPayloadSuperseded Tag = 9
-	TagRelease           Tag = 10
-	TagReleaseAck        Tag = 11
+	// TagReleaseV1 is retired: it carried one release per frame, where
+	// TagRelease carries a run. No decoder is registered for it.
+	TagReleaseV1  Tag = 10
+	TagReleaseAck Tag = 11
 
 	// internal/sequencer: the number-service round trip.
 	TagNext    Tag = 12
@@ -90,6 +92,10 @@ const (
 	// per-stream watermark reply.
 	TagMultiBatch Tag = 28
 	TagMultiAck   Tag = 29
+
+	// internal/geostore: a run of releases on the windowed release
+	// stream.
+	TagRelease Tag = 30
 
 	// TagTest is reserved for package test payloads.
 	TagTest Tag = 1000

@@ -188,5 +188,8 @@ func (h *PartitionHandle) Submit(dep Timestamp, data []byte) Timestamp {
 	return h.client.IssueValue(dep, data)
 }
 
-// Timestamp returns the largest timestamp issued by this handle.
+// Timestamp returns a timestamp at or above every one this handle has
+// issued, so it is safe to pass as Submit's dep. It is the stream's clock,
+// which each flush also advances toward wall time, so it may exceed the
+// last submission's timestamp.
 func (h *PartitionHandle) Timestamp() Timestamp { return h.clock.Last() }

@@ -207,7 +207,14 @@ func TestPartitionHandleTimestamp(t *testing.T) {
 	defer ord.Close()
 	h := ord.Partition(0)
 	ts := h.Submit(0, nil)
-	if h.Timestamp() != ts {
-		t.Fatal("Timestamp() does not reflect the last submission")
+	// Past the batch interval, so a flush advances the stream's clock
+	// between the submission and the reads below.
+	time.Sleep(5 * time.Millisecond)
+	cur := h.Timestamp()
+	if cur < ts {
+		t.Fatalf("Timestamp() = %v is below the last submission %v", cur, ts)
+	}
+	if next := h.Submit(cur, nil); next <= cur {
+		t.Fatalf("Submit(Timestamp()) = %v, want above %v", next, cur)
 	}
 }
